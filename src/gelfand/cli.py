@@ -12,12 +12,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
 from .branch import TraceConfig, emit_diagram, plot_csv, trace_branch, write_csv
-from .errors import (ConfigError, GelfandError, InvalidDelta, InvalidDensity,
-                     InvalidSingularity, InvalidWeight, UnsupportedRegime)
+from .errors import (BlowupDetected, ConfigError, GelfandError, InvalidDelta,
+                     InvalidDensity, InvalidSingularity, InvalidWeight,
+                     NoConvergence, UnsupportedRegime)
 from .freeenergy import minimize_free_energy, verify_energy_bound
 from .geometry import (build_mesh, build_weight, domain_from_config,
                        uniform_weight)
@@ -97,6 +99,25 @@ def build_problem(rc: RunConfig, floor_n=None) -> MeanFieldProblem:
     return MeanFieldProblem(mesh, weight)
 
 
+def error_payload(e: GelfandError) -> dict:
+    """error.json content: the error's name, message and numeric context."""
+    payload = {"error": type(e).__name__, "message": str(e)}
+    if isinstance(e, NoConvergence):
+        payload["iterations"] = None if e.iterations is None else int(e.iterations)
+        payload["residual"] = _finite_or_none(e.residual)
+    elif isinstance(e, BlowupDetected):
+        payload["lam"] = _finite_or_none(e.lam)
+        payload["sup"] = _finite_or_none(e.sup)
+    return payload
+
+
+def _finite_or_none(x):
+    """A plain float for JSON, or None when absent or not finite."""
+    if x is None or not math.isfinite(x):
+        return None
+    return float(x)
+
+
 def write_json(obj, path):
     with open(path, "w") as f:
         json.dump(obj, f, indent=2, sort_keys=True)
@@ -109,10 +130,10 @@ def write_json(obj, path):
 
 
 def cmd_solve(args):
-    rc = run_config(args)
-    problem = build_problem(rc)
     if (args.lam is None) == (args.mu is None):
         raise ConfigError("solve needs exactly one of --lambda or --mu")
+    rc = run_config(args)
+    problem = build_problem(rc)
     if args.lam is not None:
         state = problem.solve_mp(args.lam, tol=rc.tol)
     else:
@@ -295,8 +316,7 @@ def main(argv=None) -> int:
         out = getattr(args, "out", ".")
         try:
             os.makedirs(out, exist_ok=True)
-            write_json({"error": type(e).__name__, "message": str(e)},
-                       os.path.join(out, "error.json"))
+            write_json(error_payload(e), os.path.join(out, "error.json"))
         except OSError:
             pass
         return 1

@@ -258,32 +258,6 @@ def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     return M.tocsr()
 
 
-def assemble_weighted_mass(mesh: Mesh, w) -> sp.csr_matrix:
-    """Mass matrix against a weight: WeightField or plain vertex values."""
-    if isinstance(w, WeightField):
-        return weighted_quadrature(mesh, w).assemble_mass()
-    w = np.asarray(w, dtype=float)
-    if np.any(~np.isfinite(w)) or np.any(w < -1e-14):
-        raise InvalidWeight("negative or non-finite weight values")
-    block = _deg4_block(mesh, np.arange(mesh.n_triangles), np.maximum(w, 0.0))
-    return Quadrature(mesh.n_vertices, [block]).assemble_mass()
-
-
-def gradient_p_integral(mesh: Mesh, field, p=2.0):
-    """Integral of |grad field|^p (the gradient is constant per triangle)."""
-    pts = mesh.vertices[mesh.triangles]
-    vals = field[mesh.triangles]
-    d1 = pts[:, 1] - pts[:, 0]
-    d2 = pts[:, 2] - pts[:, 0]
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    f1 = vals[:, 1] - vals[:, 0]
-    f2 = vals[:, 2] - vals[:, 0]
-    gx = (f1 * d2[:, 1] - f2 * d1[:, 1]) / det
-    gy = (f2 * d1[:, 0] - f1 * d2[:, 0]) / det
-    g = np.sqrt(gx ** 2 + gy ** 2)
-    return float(np.sum(mesh.areas() * g ** p))
-
-
 # ---------------------------------------------------------------------------
 # Dirichlet solves
 
@@ -330,12 +304,3 @@ def solve_dirichlet(A, rhs, boundary_mask, boundary_values=None):
     """One-off Dirichlet solve; prefer DirichletSolver for repeated use."""
     return DirichletSolver(A, boundary_mask).solve(rhs, boundary_values)
 
-
-def dump_matrix(A, path):
-    """Write a sparse matrix as 'row col value' text, row-major order."""
-    coo = A.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as f:
-        f.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for i in order:
-            f.write(f"{coo.row[i]} {coo.col[i]} {coo.data[i]!r}\n")

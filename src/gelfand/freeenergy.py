@@ -151,19 +151,19 @@ def collar_density(mesh: Mesh, delta: float) -> np.ndarray:
     by a full cell, which dominates the energy error once delta is only a few
     cells wide.
     """
-    dist = mesh.boundary_distance()
-    inradius = float(dist.max())
-    if not (0.0 < delta < inradius):
-        raise InvalidDelta(f"delta must lie in (0, {inradius:.4g}), got {delta}")
     from .fem import plain_quadrature
     from .geometry import _point_segment_distance
-    quad = plain_quadrature(mesh)
     edges = mesh.boundary_edges()
     seg_a = mesh.vertices[edges[:, 0]]
     seg_b = mesh.vertices[edges[:, 1]]
+    inradius = float(_point_segment_distance(mesh.vertices, seg_a, seg_b).max())
+    if not (0.0 < delta < inradius):
+        raise InvalidDelta(f"delta must lie in (0, {inradius:.4g}), got {delta}")
+    quad = plain_quadrature(mesh)
     factors = []
     for blk in quad.blocks:
-        d = _point_segment_distance(blk.pos.reshape(-1, 2), seg_a, seg_b)
+        # only the indicator d < delta is needed, so distances may stop at delta
+        d = _point_segment_distance(blk.pos.reshape(-1, 2), seg_a, seg_b, cap=delta)
         factors.append((d.reshape(blk.w.shape) < delta).astype(float))
     m = quad.assemble_load(None)
     rho = quad.assemble_load(factors) / m
@@ -180,8 +180,11 @@ def collar_density(mesh: Mesh, delta: float) -> np.ndarray:
 def _quad_level_state(problem, lam, psi, n, iterations, el_residual, jensen_slack):
     """Assemble a DensityState for the fixed point, at quadrature accuracy."""
     factors, log_z = problem._exp_factors(lam, psi)
+    rho = problem.vertex_density(lam, psi, log_z)
+    m = _lumped_mass(problem)
+    rho = rho / float(m @ rho)
     psi_vals = problem.quad.eval(psi)
-    entropy = linear = avg_psi = jens = 0.0
+    entropy = linear = avg_psi = 0.0
     for blk, fac, pv in zip(problem.quad.blocks, factors, psi_vals):
         positive = blk.hval > 0
         log_h = np.where(positive, np.log(np.where(positive, blk.hval, 1.0)), 0.0)
@@ -192,10 +195,6 @@ def _quad_level_state(problem, lam, psi, n, iterations, el_residual, jensen_slac
     e_dual = 0.5 * avg_psi
     if abs(energy - e_dual) > 1e-6 * max(abs(energy), 1e-12):
         raise SolverError(f"interaction energy duality violated: {energy!r} vs {e_dual!r}")
-    w = problem.weight.vertex_values()
-    rho = w * np.exp(np.minimum(lam * psi - log_z, 700.0))
-    m = _lumped_mass(problem)
-    rho = rho / float(m @ rho)
     return DensityState(
         rho=rho, potential=psi, free_energy=entropy - lam * energy - linear,
         entropy_term=entropy, energy=energy, linear_term=linear,

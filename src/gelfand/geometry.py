@@ -16,6 +16,7 @@ construction maps to h(p) = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
@@ -319,10 +320,6 @@ class Mesh:
     def n_triangles(self):
         return len(self.triangles)
 
-    @property
-    def interior_mask(self):
-        return ~self.boundary_mask
-
     def areas(self):
         if self._areas is None:
             p = self.vertices[self.triangles]
@@ -352,7 +349,9 @@ class Mesh:
         e = np.vstack([self.triangles[:, [0, 1]], self.triangles[:, [1, 2]],
                        self.triangles[:, [2, 0]]])
         e_sorted = np.sort(e, axis=1)
-        _, idx, counts = np.unique(e_sorted, axis=0, return_index=True, return_counts=True)
+        # one int64 key per edge sorts exactly like the (lo, hi) rows
+        key = e_sorted[:, 0].astype(np.int64) * self.n_vertices + e_sorted[:, 1]
+        _, idx, counts = np.unique(key, return_index=True, return_counts=True)
         return e_sorted[idx[counts == 1]]
 
     def boundary_distance(self):
@@ -389,19 +388,43 @@ class Mesh:
         return float(bary @ values[self.triangles[t]])
 
 
-def _point_segment_distance(pts, a, b):
-    """Min distance from each point to a set of segments (a_i, b_i)."""
+def _point_segment_distance(pts, a, b, cap=np.inf):
+    """Min distance from each point to a set of segments (a_i, b_i).
+
+    Only the segments that can be nearest are evaluated.  With midpoints m_i
+    and half-lengths at most L, dist(p, s_i) >= |p - m_i| - L, and the
+    nearest midpoint, at d0, bounds the answer from above; so every segment
+    that can hold the minimum below cap has its midpoint within
+    min(d0, cap) + L of p (widened by a relative 1e-12 against rounding at
+    the edge of the ball).  Those pairs get the per-pair arithmetic of a
+    brute-force scan: clipped projection parameter, projection, norm.
+
+    Wherever the distance is below cap the result is bit-identical to the
+    brute-force minimum over all segments.  Elsewhere it is at least cap:
+    points whose nearest midpoint lies beyond cap + L are not evaluated and
+    read inf.
+    """
+    best = np.full(len(pts), np.inf)
+    if len(pts) == 0 or len(a) == 0:
+        return best
     ab = b - a
     denom = np.maximum(np.einsum("ij,ij->i", ab, ab), 1e-300)
-    best = np.full(len(pts), np.inf)
+    tree = cKDTree(0.5 * (a + b))
+    reach = 0.5 * float(np.linalg.norm(ab, axis=1).max())
+    d0, _ = tree.query(pts)
+    radius = (np.minimum(d0, cap) + reach) * (1.0 + 1e-12)
+    live = np.flatnonzero(d0 <= radius)
     # chunk over points to bound memory
-    for lo in range(0, len(pts), 2048):
-        P = pts[lo:lo + 2048]
-        rel = P[:, None, :] - a[None, :, :]
-        t = np.clip(np.einsum("pij,ij->pi", rel, ab) / denom[None, :], 0.0, 1.0)
-        proj = a[None, :, :] + t[:, :, None] * ab[None, :, :]
-        d = np.linalg.norm(P[:, None, :] - proj, axis=2).min(axis=1)
-        best[lo:lo + 2048] = d
+    for lo in range(0, len(live), 8192):
+        p_idx = live[lo:lo + 8192]
+        near = tree.query_ball_point(pts[p_idx], radius[p_idx])
+        counts = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
+        seg = np.fromiter(chain.from_iterable(near), dtype=np.intp, count=int(counts.sum()))
+        pair_pt = np.repeat(p_idx, counts)
+        P, A, AB = pts[pair_pt], a[seg], ab[seg]
+        t = np.clip(np.einsum("ij,ij->i", P - A, AB) / denom[seg], 0.0, 1.0)
+        proj = A + t[:, None] * AB
+        np.minimum.at(best, pair_pt, np.linalg.norm(P - proj, axis=1))
     return best
 
 

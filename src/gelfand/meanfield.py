@@ -38,7 +38,6 @@ from .errors import (
     FoldSingularity,
     NoConvergence,
     OverflowGuard,
-    SolverError,
 )
 from .fem import DirichletSolver, assemble_stiffness, plain_quadrature, weighted_quadrature
 from .geometry import Mesh, WeightField, build_weight
@@ -117,12 +116,17 @@ class MeanFieldProblem:
         """Density rho_lambda for a given field, with exact unit quadrature mass."""
         factors, log_z = self._exp_factors(lam, psi)
         mass = self.quad.integrate(factors)
+        values = self.vertex_density(lam, psi, log_z)
+        return RhoField(values=values, log_z=log_z, mass=mass)
+
+    def vertex_density(self, lam, psi, log_z):
+        """h e^(lam psi - log Z) at the vertices; OverflowGuard if not finite."""
         w = self.weight.vertex_values()
         with np.errstate(over="ignore"):
             values = w * np.exp(lam * psi - log_z)
         if np.any(~np.isfinite(values)):
             raise OverflowGuard("density overflow at vertices")
-        return RhoField(values=values, log_z=log_z, mass=mass)
+        return values
 
     # -- averages -----------------------------------------------------------
 
@@ -137,26 +141,11 @@ class MeanFieldProblem:
         avg = self.average(field, state)
         return AverageDecomposition(average=avg, oscillation=field - avg)
 
-    def energy_of(self, state: MeanFieldState) -> float:
-        """Dirichlet energy, asserted against its duality expression <psi>/2."""
-        e_grad = 0.5 * float(state.psi @ (self.A @ state.psi))
-        e_dual = 0.5 * self.average(state.psi, state)
-        scale = max(abs(e_grad), 1e-12)
-        if abs(e_grad - e_dual) > 1e-6 * scale:
-            raise SolverError(
-                f"energy duality violated: {e_grad!r} vs {e_dual!r}")
-        return e_grad
-
     # -- Newton solver ------------------------------------------------------
 
     def _load(self, lam, psi):
         factors, log_z = self._exp_factors(lam, psi)
         return self.quad.assemble_load(factors), factors, log_z
-
-    def residual_norm(self, lam, psi):
-        b, _, _ = self._load(lam, psi)
-        r = (self.A @ psi - b)[self.interior]
-        return self.dirichlet.dual_norm(r)
 
     def solve_mp(self, lam, initial_guess=None, tol=NEWTON_TOL,
                  max_iter=NEWTON_MAX_ITER) -> MeanFieldState:
@@ -221,8 +210,7 @@ class MeanFieldProblem:
 
     def _finalize(self, lam, psi, factors, log_z, dn, iterations):
         mass = self.quad.integrate(factors)
-        w = self.weight.vertex_values()
-        rho = w * np.exp(np.minimum(lam * psi - log_z, 700.0))
+        rho = self.vertex_density(lam, psi, log_z)
         mu = float(lam * np.exp(-log_z))
         energy = 0.5 * float(psi @ (self.A @ psi))
         state = MeanFieldState(
@@ -301,7 +289,7 @@ class MeanFieldProblem:
             r = (self.A @ v - mu * load)[self.interior]
             dn = self.dirichlet.dual_norm(r)
             if dn < tol:
-                return self._state_from_lp(mu, v, factors, dn, it)
+                return self._state_from_lp(mu, v, factors, dn, it, tol, max_iter)
             M = self.quad.assemble_mass(factors)
             J = (self.A - mu * M).tocsr()
             J_ii = J[self.interior][:, self.interior].tocsc()
@@ -319,11 +307,11 @@ class MeanFieldProblem:
             v[self.interior] += step * delta
         raise NoConvergence(f"Gelfand Newton stalled at mu={mu:.6g}", iterations=max_iter)
 
-    def _state_from_lp(self, mu, v, factors, dn, iterations):
+    def _state_from_lp(self, mu, v, factors, dn, iterations, tol, max_iter):
         z = self.quad.integrate(factors)          # int h e^v
         lam = mu * z
         if lam == 0.0:
-            return self.solve_mp(0.0)
+            return self.solve_mp(0.0, tol=tol, max_iter=max_iter)
         psi = v / lam
         return self._finalize(lam, psi, [f / z for f in factors], np.log(z), dn, iterations)
 

@@ -136,9 +136,10 @@ def test_criterion_07_kind_classification(fine_trace, centered_trace,
     verdict(7, ok, f"kinds {kinds}, bounded-branch b rel err {b_rel:.2e}")
 
 
-@pytest.mark.xfail(strict=True, reason="discrete E(-200)/E0 measures ~0.18 on "
-                   "feasible meshes; the 0.05 threshold needs far deeper "
-                   "asymptotic range than h=0.05 resolves")
+@pytest.mark.xfail(strict=True, reason="the continuum radial solution itself has "
+                   "E(-200)/E0 = 0.182 and first drops below 0.05 near "
+                   "lambda = -904; the threshold fails by the mathematics at "
+                   "lambda = -200, not by mesh resolution")
 def test_criterion_08_energy_vanishes_threshold(fine_problem):
     state = minimize_free_energy(fine_problem, -200.0)
     ratio = state.energy / oracle.E0

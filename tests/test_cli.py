@@ -52,6 +52,19 @@ def test_solve_flag_validation(tmp_path, capsys):
     assert "exactly one of" in err
 
 
+def test_solve_flags_checked_before_mesh(tmp_path, monkeypatch, capsys):
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("build_problem called before the flags were checked")
+
+    monkeypatch.setattr(cli, "build_problem", no_mesh)
+    cfg = write_config(tmp_path)
+    out = str(tmp_path / "out")
+    assert cli.main(["solve", "--config", cfg, "--out", out]) == 2
+    assert cli.main(["solve", "--config", cfg, "--out", out,
+                     "--lambda", "0", "--mu", "1"]) == 2
+    assert "exactly one of" in capsys.readouterr().err
+
+
 def test_solve_unreachable_mu_writes_error(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
@@ -61,6 +74,34 @@ def test_solve_unreachable_mu_writes_error(tmp_path, capsys):
     payload = json.loads((out / "error.json").read_text())
     assert payload["error"] == "NoConvergence"
     assert payload["message"]
+    # the fold-value rejection carries no Newton context: the keys read null
+    assert payload["iterations"] is None and payload["residual"] is None
+    assert "psi" not in payload
+
+
+def test_newton_failure_error_context(tmp_path, capsys):
+    cfg = write_config(tmp_path, tol=1e-30)  # below roundoff: Newton must give up
+    out = tmp_path / "out"
+    rc = cli.main(["solve", "--config", cfg, "--out", str(out), "--lambda", "1"])
+    assert rc == 1
+    capsys.readouterr()
+    payload = json.loads((out / "error.json").read_text())
+    assert payload["error"] == "NoConvergence"
+    assert type(payload["iterations"]) is int and payload["iterations"] >= 1
+    assert type(payload["residual"]) is float and payload["residual"] > 0.0
+
+
+def test_blowup_error_context(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    rc = cli.main(["solve", "--config", cfg, "--out", str(out), "--lambda", "30"])
+    assert rc == 1
+    capsys.readouterr()
+    payload = json.loads((out / "error.json").read_text())
+    assert payload["error"] == "BlowupDetected"
+    assert payload["lam"] == 30.0
+    assert type(payload["sup"]) is float and payload["sup"] > 0.0
+    assert "psi" not in payload
 
 
 def test_malformed_json(tmp_path, capsys):

@@ -5,8 +5,8 @@ import pytest
 
 import radial_oracle as oracle
 from gelfand.errors import (InvalidDelta, InvalidDensity, NoConvergence,
-                            UnsupportedRegime)
-from gelfand.freeenergy import (collar_density, free_energy_of,
+                            OverflowGuard, UnsupportedRegime)
+from gelfand.freeenergy import (_quad_level_state, collar_density, free_energy_of,
                                 interaction_energy, minimize_free_energy,
                                 verify_energy_bound)
 from gelfand.geometry import (DomainSpec, SingularitySpec, build_mesh,
@@ -138,3 +138,16 @@ def test_quad_state_consistency(disk_problem):
         state.entropy_term - state.lam * state.energy - state.linear_term,
         abs=1e-12)
     assert state.jensen_min_slack >= 0.0
+
+
+def test_quad_state_overflow_raises(disk_problem):
+    # a vertex spike puts lam psi - log Z beyond the float range at that
+    # vertex (the quadrature points see at most ~0.82 of it); the state must
+    # raise like rho_of instead of clipping the exponent.  The helper does not
+    # look at the sign of lambda; lambda > 0 keeps the quadrature-level
+    # exponentials finite, so the vertex guard is what fires.
+    psi = np.zeros(disk_problem.mesh.n_vertices)
+    psi[disk_problem.interior[len(disk_problem.interior) // 2]] = 1e4
+    with pytest.raises(OverflowGuard, match="density overflow at vertices"):
+        _quad_level_state(disk_problem, 1.0, psi, n=math.inf, iterations=0,
+                          el_residual=0.0, jensen_slack=0.0)

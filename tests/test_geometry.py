@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gelfand.errors import ConfigError, InvalidDelta, InvalidSingularity, InvalidWeight
-from gelfand.geometry import (DomainSpec, SingularitySpec, build_mesh,
-                              build_weight, domain_from_config, green_function,
-                              uniform_weight, write_mesh)
+from gelfand.fem import plain_quadrature
+from gelfand.freeenergy import collar_density
+from gelfand.geometry import (DomainSpec, SingularitySpec, _point_segment_distance,
+                              build_mesh, build_weight, domain_from_config,
+                              green_function, uniform_weight, write_mesh)
 
 
 def test_disk_mesh_quality(coarse_problem):
@@ -162,3 +166,95 @@ def test_write_mesh(tmp_path, coarse_problem):
     x, y, bnd = nodes[0].split()
     assert float(x) == mesh.vertices[0, 0]
     assert int(bnd) in (0, 1)
+
+
+# ---------------------------------------------------------------------------
+# point-to-segment distance kernel against a brute-force reference
+
+KERNEL_MESHES = {
+    "disk": (DomainSpec.unit_disk(), SingularitySpec.none(), 0.1),
+    "ellipse": (DomainSpec.ellipse(1.3, 0.8), SingularitySpec.none(), 0.1),
+    "polygon": (DomainSpec.polygon([(0.0, 0.0), (1.2, 0.0), (1.4, 0.9), (0.3, 1.1)]),
+                SingularitySpec.none(), 0.1),
+    "graded_disk": (DomainSpec.unit_disk(boundary_size=0.03), SingularitySpec.none(), 0.15),
+    "singular_disk": (DomainSpec.unit_disk(), SingularitySpec.of((0.5, 0.0, 0.05)), 0.1),
+}
+
+
+@pytest.fixture(scope="module")
+def kernel_meshes():
+    return {name: build_mesh(dom, sing, h_max=h)
+            for name, (dom, sing, h) in KERNEL_MESHES.items()}
+
+
+def brute_distance(pts, a, b):
+    """Every point against every segment: clipped projection, then the norm."""
+    ab = b - a
+    denom = np.maximum(np.einsum("ij,ij->i", ab, ab), 1e-300)
+    rel = pts[:, None, :] - a[None, :, :]
+    t = np.clip(np.einsum("pij,ij->pi", rel, ab) / denom[None, :], 0.0, 1.0)
+    proj = a[None, :, :] + t[:, :, None] * ab[None, :, :]
+    return np.linalg.norm(pts[:, None, :] - proj, axis=2).min(axis=1, initial=np.inf)
+
+
+def assert_matches_reference(pts, a, b, cap):
+    d = _point_segment_distance(pts, a, b, cap)
+    ref = brute_distance(pts, a, b)
+    below = ref < cap
+    assert d.shape == (len(pts),)
+    assert np.array_equal(d[below], ref[below])
+    assert np.all(d[~below] >= cap)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(KERNEL_MESHES)),
+       cap=st.one_of(st.just(math.inf), st.floats(0.01, 0.5)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_point_segment_distance_matches_brute_force(kernel_meshes, name, cap, seed):
+    mesh = kernel_meshes[name]
+    edges = mesh.boundary_edges()
+    rng = np.random.default_rng(seed)
+    # any subset of the boundary is a valid segment set, and so are points
+    # off the mesh: quadrature points, vertices and a box around the domain
+    keep = np.sort(rng.choice(len(edges), size=rng.integers(1, len(edges) + 1),
+                              replace=False))
+    a = mesh.vertices[edges[keep, 0]]
+    b = mesh.vertices[edges[keep, 1]]
+    quad_pts = plain_quadrature(mesh).blocks[0].pos.reshape(-1, 2)
+    lo, hi = mesh.vertices.min(axis=0) - 0.2, mesh.vertices.max(axis=0) + 0.2
+    pts = np.vstack([mesh.vertices,
+                     quad_pts[rng.choice(len(quad_pts), size=500)],
+                     rng.uniform(lo, hi, size=(200, 2))])
+    assert_matches_reference(pts, a, b, cap)
+
+
+@pytest.mark.parametrize("cap", [0.1, math.inf])
+def test_point_segment_distance_degenerate_inputs(cap):
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-1.0, 1.0, size=(300, 2))
+    seg = np.array([[0.2, -0.1]]), np.array([[0.5, 0.3]])
+    assert_matches_reference(pts, *seg, cap)
+    # a zero-length segment is a point, also when a query point sits on it
+    dot = np.array([[0.1, 0.1]])
+    assert_matches_reference(np.vstack([pts, dot]), dot, dot.copy(), cap)
+    mixed_a = np.vstack([seg[0], dot])
+    mixed_b = np.vstack([seg[1], dot])
+    assert_matches_reference(pts, mixed_a, mixed_b, cap)
+    empty = _point_segment_distance(np.zeros((0, 2)), *seg, cap)
+    assert empty.shape == (0,)
+
+
+@pytest.mark.parametrize("name,delta", [("disk", 0.1), ("ellipse", 0.3),
+                                        ("polygon", 0.1), ("graded_disk", 0.05),
+                                        ("singular_disk", 0.2)])
+def test_collar_matches_brute_force_collar(kernel_meshes, name, delta):
+    mesh = kernel_meshes[name]
+    edges = mesh.boundary_edges()
+    a, b = mesh.vertices[edges[:, 0]], mesh.vertices[edges[:, 1]]
+    quad = plain_quadrature(mesh)
+    factors = [(brute_distance(blk.pos.reshape(-1, 2), a, b).reshape(blk.w.shape)
+                < delta).astype(float) for blk in quad.blocks]
+    m = quad.assemble_load(None)
+    rho = quad.assemble_load(factors) / m
+    rho /= float(m @ rho)
+    assert np.array_equal(collar_density(mesh, delta), rho)

@@ -125,6 +125,25 @@ def test_overflow_guard(disk_problem):
         disk_problem.solve_mp(1.0, initial_guess=bad)
 
 
+def spike_field(problem, height):
+    """Zero field with one interior vertex raised to the given height."""
+    psi = np.zeros(problem.mesh.n_vertices)
+    psi[problem.interior[len(problem.interior) // 2]] = height
+    return psi
+
+
+def test_overflow_guard_on_accepted_state(disk_problem):
+    # the quadrature points see at most ~0.82 of a vertex spike, so lam psi
+    # - log Z exceeds the float range at the spike vertex; with a tolerance
+    # that accepts the start, the state is finalized at once and must raise
+    # like rho_of instead of clipping the exponent
+    psi = spike_field(disk_problem, 1e4)
+    with pytest.raises(OverflowGuard, match="density overflow at vertices"):
+        disk_problem.rho_of(psi, 1.0)
+    with pytest.raises(OverflowGuard, match="density overflow at vertices"):
+        disk_problem.solve_mp(1.0, initial_guess=psi, tol=1e300)
+
+
 class TestSolveLP:
     def test_mu_zero(self, disk_problem):
         state = disk_problem.solve_lp(0.0)
