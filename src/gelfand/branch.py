@@ -11,7 +11,13 @@ where eta = d psi / d lambda solves the linearized equation with load
 rho (psi - <psi>), and <z> is evaluated through the identity
 <z> = 2 E + lambda <eta> rather than by differencing.  sign(g) tracks
 sign(d mu / d lambda), so a first-kind domain shows exactly one sign change
-on (0, 8 pi) and the fold is located by bisection on g.
+on (0, 8 pi).
+
+Every Newton solve of the march starts from the Euler (tangent) predictor
+psi + (lambda' - lambda) eta of the last accepted state; eta comes from the
+row's own g diagnostics.  The fold is the root of g between the two kept
+row states that bracket its sign change, found by Brent's method with each
+trial state predicted from the lower one.
 
 Classification at the 8 pi end reads the computed asymptotics: on first-kind
 domains sup|u| and E diverge, with E growing like log(1/(8 pi - lambda))
@@ -27,6 +33,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import BlowupDetected, FoldSingularity, NoConvergence, NoFoldInRange
 from .meanfield import (EIGHT_PI, NEWTON_TOL, Linearization, MeanFieldProblem,
@@ -183,17 +190,19 @@ def dE_dlambda(problem: MeanFieldProblem, state: MeanFieldState,
                           remainder=direct - spectral)
 
 
-def _branch_point(problem, state, cfg) -> BranchPoint:
+def _branch_point(problem, state, cfg):
+    """The row of a state, plus its g diagnostics (which hold eta)."""
     lin = Linearization.at_state(problem, state)
     diag = g_of(problem, state, lin=lin)
     deriv = dE_dlambda(problem, state, diag.eta, lin=lin)
     report = weighted_eigs(problem, state, k=cfg.spectrum_k, lin=lin)
-    return BranchPoint(
+    row = BranchPoint(
         lam=state.lam, mu=state.mu, energy=state.energy,
         dE_dlambda=deriv.direct, g_value=diag.g,
         sigma1=float(report.sigmas[0]), tau1=report.tau1,
         poincare=report.poincare, sup_norm=float(np.abs(state.psi).max()),
         residual=state.residual)
+    return row, diag
 
 
 # ---------------------------------------------------------------------------
@@ -235,21 +244,25 @@ def _positive_targets(cfg):
     return targets
 
 
-def _march(problem, state0, targets, cfg, on_row):
-    """Warm-started continuation through the target list with step halving.
+def _march(problem, start, targets, cfg, on_state):
+    """Continuation through the target list with a tangent predictor.
 
-    Returns the termination tag.  A solve is retried at the midpoint when
-    Newton works too hard or the iterate jumps; failures below the minimum
-    gap end the march gracefully.
+    start is the (state, eta) pair to march from.  Each solve starts from
+    the Euler predictor psi + (target - lambda) eta of the last accepted
+    state, and on_state(state) returns the eta of every accepted state.  A
+    solve is retried at the midpoint when Newton works too hard or the
+    iterate jumps; failures below the minimum gap end the march gracefully.
+    Returns the last state and the termination tag.
     """
-    state = state0
+    state, eta = start
     stack = list(reversed(targets))
     rows = 0
     while stack:
         target = stack[-1]
         gap = abs(target - state.lam)
         try:
-            nxt = problem._newton(target, state.psi.copy(), NEWTON_TOL, 40)
+            guess = state.psi + (target - state.lam) * eta
+            nxt = problem._newton(target, guess, NEWTON_TOL, 40)
             jumped = (np.abs(nxt.psi).max()
                       > cfg.sup_jump * max(np.abs(state.psi).max(), 0.05))
             trouble = nxt.iterations > cfg.newton_budget or jumped
@@ -265,7 +278,7 @@ def _march(problem, state0, targets, cfg, on_row):
             return state, "blowup" if was_blowup else "stalled"
         state = nxt
         stack.pop()
-        on_row(state)
+        eta = on_state(state)
         rows += 1
         if rows >= cfg.max_rows:
             return state, "stalled"
@@ -273,40 +286,46 @@ def _march(problem, state0, targets, cfg, on_row):
 
 
 def trace_branch(problem: MeanFieldProblem, cfg: TraceConfig | None = None,
-                 keep_states: bool = False, on_row=None):
+                 on_row=None):
     """Trace the full branch and assemble the bifurcation diagram.
 
-    Two warm-started passes run from the exactly-known lambda = 0 state:
-    downward to lam_min and upward toward 8 pi.  Solver failures near 8 pi
-    terminate the upward pass gracefully with a partial diagram (that is the
-    expected first-kind behavior once the blowup scale falls below the mesh).
-    The optional on_row callback sees every finished row in marching order,
-    so callers can persist partial results across a hard failure.
+    Two predicted continuation passes run from the exactly-known lambda = 0
+    state: downward to lam_min and upward toward 8 pi.  Solver failures near
+    8 pi terminate the upward pass gracefully with a partial diagram (that
+    is the expected first-kind behavior once the blowup scale falls below
+    the mesh).  The states of the positive rows either side of a sign change
+    of g are kept for the fold locator.  The optional on_row callback sees
+    every finished row in marching order, so callers can persist partial
+    results across a hard failure.
     """
     cfg = cfg or TraceConfig()
     state0 = problem.solve_mp(0.0)
     rows_neg, rows_pos = [], []
-    states = {}
+    # lambda -> (state, g diagnostics) of the positive rows on either side
+    # of each sign change of g; last is the previous positive row's pair
+    kept, last = {}, None
 
     def collect(bucket):
         def add(state):
-            row = _branch_point(problem, state, cfg)
+            nonlocal last
+            row, diag = _branch_point(problem, state, cfg)
             bucket.append(row)
             if on_row is not None:
                 on_row(row)
-            if keep_states:
-                states[round(state.lam, 12)] = state
+            if state.lam > 0:
+                if last is not None and (last[1].g > 0) != (diag.g > 0):
+                    kept.update({last[0].lam: last, state.lam: (state, diag)})
+                last = (state, diag)
+            return diag.eta
         return add
 
-    _, term_neg = _march(problem, state0, _negative_targets(cfg), cfg,
-                         collect(rows_neg))
-    row0 = _branch_point(problem, state0, cfg)
+    row0, diag0 = _branch_point(problem, state0, cfg)
+    _, term_neg = _march(problem, (state0, diag0.eta), _negative_targets(cfg),
+                         cfg, collect(rows_neg))
     if on_row is not None:
         on_row(row0)
-    if keep_states:
-        states[0.0] = state0
-    _, term_pos = _march(problem, state0, _positive_targets(cfg), cfg,
-                         collect(rows_pos))
+    _, term_pos = _march(problem, (state0, diag0.eta), _positive_targets(cfg),
+                         cfg, collect(rows_pos))
 
     points = rows_neg[::-1] + [row0] + rows_pos
     diagram = BranchDiagram(points=points, termination=term_pos)
@@ -317,22 +336,25 @@ def trace_branch(problem: MeanFieldProblem, cfg: TraceConfig | None = None,
     if term_neg != "completed":
         diagram.termination = "stalled"
     try:
-        diagram.fold = find_fold(problem, diagram)
+        fold = find_fold(problem, diagram, kept)
+        diagram.fold = (fold.lam, fold.energy, fold.mu)
     except NoFoldInRange:
         diagram.fold = None
     diagram.kind = classify_kind(diagram, cfg)
-    if keep_states:
-        return diagram, states
     return diagram
 
 
 def find_fold(problem: MeanFieldProblem, diagram: BranchDiagram,
-              tol: float = 1e-8):
-    """Locate the fold (lambda*, E*, mu*) by bisecting g between grid rows.
+              states=None, tol: float = 1e-8) -> MeanFieldState:
+    """The fold state, where g vanishes between two positive grid rows.
 
-    Raises NoFoldInRange when g does not change sign on the positive rows
-    (the legitimate outcome for second-kind runs or negative-only data), and
-    rejects diagrams whose sampled g changes sign more than once.
+    states maps the lambda of a positive row to its (state, g diagnostics)
+    pair, as kept by trace_branch; the pair bracketing the sign change of g
+    seeds locate_fold, so no state is solved from scratch.  Raises
+    NoFoldInRange when g does not change sign on the positive rows (the
+    legitimate outcome for second-kind runs or negative-only data), when it
+    changes sign more than once, or when the bracketing rows have no kept
+    states.
     """
     rows = diagram.positive_rows()
     rows = [r for r in rows if r.lam < EIGHT_PI]
@@ -343,20 +365,55 @@ def find_fold(problem: MeanFieldProblem, diagram: BranchDiagram,
     if len(crossings) > 1:
         raise NoFoldInRange(f"g changes sign {len(crossings)} times; grid too coarse")
     lo_row, hi_row = crossings[0]
-    state = problem.solve_mp(lo_row.lam)
-    lo, hi = lo_row.lam, hi_row.lam
-    g_lo = g_of(problem, state).g
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        state = problem._newton(mid, state.psi.copy(), NEWTON_TOL, 40)
-        g_mid = g_of(problem, state).g
-        if abs(g_mid) < tol:
-            return (state.lam, state.energy, state.mu)
-        if (g_mid > 0) == (g_lo > 0):
-            lo = mid
-        else:
-            hi = mid
-    raise NoFoldInRange("bisection on g failed to converge")
+    states = states or {}
+    if lo_row.lam not in states or hi_row.lam not in states:
+        raise NoFoldInRange(f"no kept states for the sign change of g on "
+                            f"[{lo_row.lam!r}, {hi_row.lam!r}]")
+    return locate_fold(problem, states[lo_row.lam], states[hi_row.lam], tol=tol)
+
+
+class _FoldFound(Exception):
+    """Ends the root search once a trial state meets the g tolerance."""
+
+    def __init__(self, state):
+        super().__init__()
+        self.state = state
+
+
+def locate_fold(problem: MeanFieldProblem, lo, hi, tol: float = 1e-8,
+                newton_tol: float = NEWTON_TOL, max_iter: int = 40) -> MeanFieldState:
+    """The state with |g| < tol between two solved states whose g differ in sign.
+
+    lo and hi are (state, g diagnostics) pairs.  The root of g in lambda is
+    found by Brent's method; each trial lambda is one Newton solve started
+    from the Euler predictor psi_lo + (lambda - lambda_lo) eta_lo, then one
+    g evaluation.  Raises NoFoldInRange, naming the bracket, when g has no
+    sign change on it or the root search ends without meeting tol.
+    """
+    (s_lo, d_lo), (s_hi, d_hi) = lo, hi
+    bracket = f"[{s_lo.lam!r}, {s_hi.lam!r}] (g = {d_lo.g!r}, {d_hi.g!r})"
+    for state, diag in (lo, hi):
+        if abs(diag.g) < tol:
+            return state
+    if (d_lo.g > 0) == (d_hi.g > 0):
+        raise NoFoldInRange(f"g does not change sign on {bracket}")
+    known = {s_lo.lam: d_lo.g, s_hi.lam: d_hi.g}
+
+    def g(lam):
+        if lam in known:
+            return known[lam]
+        guess = s_lo.psi + (lam - s_lo.lam) * d_lo.eta
+        state = problem._newton(lam, guess, newton_tol, max_iter)
+        value = g_of(problem, state).g
+        if abs(value) < tol:
+            raise _FoldFound(state)
+        return value
+
+    try:
+        brentq(g, s_lo.lam, s_hi.lam, xtol=1e-14, rtol=8.9e-16, disp=False)
+    except _FoldFound as found:
+        return found.state
+    raise NoFoldInRange(f"root search on g did not reach |g| < {tol:g} on {bracket}")
 
 
 def classify_kind(diagram: BranchDiagram, cfg: TraceConfig | None = None) -> str:

@@ -102,7 +102,7 @@ class MeanFieldProblem:
     def _exp_factors(self, lam, psi):
         """Point factors e^(lam psi)/Z block by block, plus log Z."""
         vals = self.quad.eval(psi)
-        shift = max(float(lam * v.max()) if v.size else -np.inf for v in vals)
+        shift = max(float(np.max(lam * v)) if v.size else -np.inf for v in vals)
         if not np.isfinite(shift):
             raise OverflowGuard("non-finite field in exponential")
         raw = [np.exp(lam * v - shift) for v in vals]
@@ -268,9 +268,12 @@ class MeanFieldProblem:
         """Solve -Delta v = mu h e^v (minimal branch for mu > 0).
 
         For positive mu the minimal branch is parametrized by lambda and the
-        equation mu(lambda) = mu is solved by bracketing.  Requests within
-        fold_rtol of the fold value return the fold state; beyond that the
-        minimal branch has no solution and NoConvergence is raised.
+        equation mu(lambda) = mu is solved by bracketing.  Once mu turns
+        down or g changes sign, the fold state is located between the last
+        two steps by branch.locate_fold, which raises NoFoldInRange if g has
+        no sign change there.  Requests within fold_rtol of the fold value
+        return the fold state; beyond that the minimal branch has no
+        solution and NoConvergence is raised.
         """
         mu = float(mu)
         if mu == 0.0:
@@ -295,7 +298,7 @@ class MeanFieldProblem:
             J_ii = J[self.interior][:, self.interior].tocsc()
             delta = splu(J_ii).solve(-r)
             step = 1.0
-            while step > 2.0 ** -24:
+            while True:
                 trial = v.copy()
                 trial[self.interior] += step * delta
                 vals_t = self.quad.eval(trial)
@@ -304,7 +307,10 @@ class MeanFieldProblem:
                 if self.dirichlet.dual_norm(r_t) <= (1 - 1e-4 * step) * dn:
                     break
                 step *= 0.5
-            v[self.interior] += step * delta
+                if step < 2.0 ** -24:
+                    raise NoConvergence(
+                        f"line search failed at mu={mu:.6g}", iterations=it, residual=dn)
+            v = trial
         raise NoConvergence(f"Gelfand Newton stalled at mu={mu:.6g}", iterations=max_iter)
 
     def _state_from_lp(self, mu, v, factors, dn, iterations, tol, max_iter):
@@ -316,7 +322,7 @@ class MeanFieldProblem:
         return self._finalize(lam, psi, [f / z for f in factors], np.log(z), dn, iterations)
 
     def _lp_minimal_branch(self, mu, tol, max_iter, fold_rtol):
-        from .branch import g_of  # deferred: branch builds on this module
+        from .branch import g_of, locate_fold  # deferred: branch builds on this module
 
         def root_between(lam_lo, lam_hi, guess_state):
             f = lambda l: self._newton(l, guess_state.psi.copy(), tol, max_iter).mu - mu
@@ -329,6 +335,7 @@ class MeanFieldProblem:
         step = np.pi / 4
         lam_top = EIGHT_PI * (1 - 1e-6)
         lam_prev, state_prev = 0.0, self.solve_mp(0.0, tol=tol)
+        diag_prev = None                                # g diagnostics of state_prev
         mu_prev = state_prev.mu
         lam_below, state_below = lam_prev, state_prev  # last state with mu < target
         safe = mu * (1.0 + fold_rtol)
@@ -346,9 +353,13 @@ class MeanFieldProblem:
                 continue
             if state.mu >= safe:
                 return root_between(lam_below, lam, state_below)
-            if state.mu < mu_prev or g_of(self, state).g <= 0.0:
+            diag = None if state.mu < mu_prev else g_of(self, state)
+            if diag is None or diag.g <= 0.0:
                 # at or past the fold: judge the request against the fold value
-                fold = self._bisect_fold(lam_prev, state_prev, lam, state, tol, max_iter)
+                fold = locate_fold(
+                    self, (state_prev, diag_prev or g_of(self, state_prev)),
+                    (state, diag or g_of(self, state)),
+                    newton_tol=tol, max_iter=max_iter)
                 if mu >= fold.mu * (1.0 - fold_rtol):
                     if mu <= fold.mu * (1.0 + fold_rtol):
                         return fold
@@ -358,30 +369,8 @@ class MeanFieldProblem:
                 return root_between(lam_below, fold.lam, state_below)
             if state.mu < mu:
                 lam_below, state_below = lam, state
-            lam_prev, state_prev, mu_prev = lam, state, state.mu
+            lam_prev, state_prev, diag_prev, mu_prev = lam, state, diag, state.mu
             step = np.pi / 4
-
-    def _bisect_fold(self, lam_lo, state_lo, lam_hi, state_hi, tol, max_iter):
-        from .branch import g_of
-
-        g_lo = g_of(self, state_lo).g
-        g_hi = g_of(self, state_hi).g
-        if g_lo <= 0 or g_hi > 0:
-            # grid step saw mu decrease but g has no sign change; treat the
-            # better endpoint as the fold approximation
-            return state_lo if state_lo.mu >= state_hi.mu else state_hi
-        lo, hi, st = lam_lo, lam_hi, state_lo
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            st = self._newton(mid, st.psi.copy(), tol, max_iter)
-            g_mid = g_of(self, st).g
-            if abs(g_mid) < 1e-8:
-                return st
-            if g_mid > 0:
-                lo = mid
-            else:
-                hi = mid
-        return st
 
 
 # ---------------------------------------------------------------------------

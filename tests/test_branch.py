@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 import radial_oracle as oracle
+from gelfand import branch
 from gelfand.branch import (CSV_HEADER, BranchDiagram, BranchPoint,
-                            TraceConfig, classify_kind, dE_dlambda,
-                            emit_diagram, find_fold, g_of, plot_csv, read_csv,
-                            solve_eta, write_csv)
+                            TraceConfig, _negative_targets, _positive_targets,
+                            classify_kind, dE_dlambda, emit_diagram, find_fold,
+                            g_of, locate_fold, plot_csv, read_csv, solve_eta,
+                            trace_branch, write_csv)
 from gelfand.errors import NoFoldInRange
-from gelfand.meanfield import EIGHT_PI
+from gelfand.meanfield import EIGHT_PI, MeanFieldProblem
 from gelfand.spectrum import expand_modes, weighted_eigs
 
 
@@ -192,3 +194,86 @@ def test_mu_slope_sign_locks_to_g(disk_trace):
         assert (fd > 0) == (cur.g_value > 0), cur.lam
         checked += 1
     assert checked > 20
+
+
+@pytest.fixture(scope="module")
+def counted_trace(disk_problem):
+    """A trace of the workhorse disk with its Newton work counted.
+
+    Newton iterations are counted over the whole trace, Newton solves and
+    solve_mp calls inside find_fold; the fold state find_fold returned is
+    kept.
+    """
+    work = {"iters": 0, "fold_solves": 0, "fold_solve_mp": 0}
+    in_fold, folds = [False], []
+    newton, solve_mp, fold = (MeanFieldProblem._newton, MeanFieldProblem.solve_mp,
+                              branch.find_fold)
+
+    def counted_newton(self, *args, **kwargs):
+        state = newton(self, *args, **kwargs)
+        work["iters"] += state.iterations
+        work["fold_solves"] += in_fold[0]
+        return state
+
+    def counted_solve_mp(self, *args, **kwargs):
+        work["fold_solve_mp"] += in_fold[0]
+        return solve_mp(self, *args, **kwargs)
+
+    def watched_fold(*args, **kwargs):
+        in_fold[0] = True
+        try:
+            folds.append(fold(*args, **kwargs))
+            return folds[-1]
+        finally:
+            in_fold[0] = False
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MeanFieldProblem, "_newton", counted_newton)
+        mp.setattr(MeanFieldProblem, "solve_mp", counted_solve_mp)
+        mp.setattr(branch, "find_fold", watched_fold)
+        diagram = trace_branch(disk_problem)
+    return {"diagram": diagram, "work": work, "folds": folds}
+
+
+def test_fold_located_from_kept_states(disk_problem, counted_trace):
+    work, folds = counted_trace["work"], counted_trace["folds"]
+    assert len(folds) == 1
+    assert work["fold_solve_mp"] == 0
+    assert 1 <= work["fold_solves"] <= 12
+    state = folds[0]
+    assert abs(g_of(disk_problem, state).g) < 1e-8
+    assert counted_trace["diagram"].fold == (state.lam, state.energy, state.mu)
+
+
+def test_predicted_march_hits_every_target(counted_trace):
+    # a halved step would add its midpoint as a row
+    cfg = TraceConfig()
+    targets = _negative_targets(cfg)[::-1] + [0.0] + _positive_targets(cfg)
+    diagram = counted_trace["diagram"]
+    assert [p.lam for p in diagram.points] == targets
+    assert diagram.termination == "completed"
+
+
+def test_predicted_trace_newton_work(counted_trace):
+    assert counted_trace["work"]["iters"] <= 130
+
+
+def test_locate_fold_requires_sign_change(disk_problem):
+    pairs = [(s, g_of(disk_problem, s)) for s in
+             (disk_problem.solve_mp(2.0), disk_problem.solve_mp(4.0))]
+    with pytest.raises(NoFoldInRange, match=r"does not change sign on \[2\.0, 4\.0\]"):
+        locate_fold(disk_problem, *pairs)
+
+
+def test_find_fold_needs_kept_states(disk_problem):
+    points = [_row(1.0, 0.5), _row(2.0, -0.1)]
+    with pytest.raises(NoFoldInRange, match="no kept states"):
+        find_fold(disk_problem, BranchDiagram(points=points))
+
+
+def test_locate_fold_reports_unmet_tolerance(coarse_problem):
+    pairs = [(s, g_of(coarse_problem, s)) for s in
+             (coarse_problem.solve_mp(12.0), coarse_problem.solve_mp(13.0))]
+    assert pairs[0][1].g > 0 > pairs[1][1].g
+    with pytest.raises(NoFoldInRange, match=r"did not reach \|g\| < 0 on \[12\.0, 13\.0\]"):
+        locate_fold(coarse_problem, *pairs, tol=0.0)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 import radial_oracle as oracle
 from gelfand.errors import BlowupDetected, NoConvergence, OverflowGuard
@@ -142,6 +143,30 @@ def test_overflow_guard_on_accepted_state(disk_problem):
         disk_problem.rho_of(psi, 1.0)
     with pytest.raises(OverflowGuard, match="density overflow at vertices"):
         disk_problem.solve_mp(1.0, initial_guess=psi, tol=1e300)
+
+
+def test_exp_factors_shift_for_negative_lambda(coarse_problem):
+    # lam psi spans 0 to 8170 at the quadrature points: far past the float
+    # range of exp, while log Z stays finite and is a plain log-sum-exp
+    lam = -1.0
+    r2 = np.sum(coarse_problem.mesh.vertices ** 2, axis=1)
+    psi = -8170.0 * (1.0 - r2 / r2.max())
+    vals = np.concatenate(coarse_problem.quad.eval(psi))
+    assert vals.min() < -8000.0 and vals.max() <= 0.0
+    w = np.concatenate([b.w for b in coarse_problem.quad.blocks])
+    with np.errstate(over="raise"):
+        factors, log_z = coarse_problem._exp_factors(lam, psi)
+    assert log_z == pytest.approx(logsumexp(lam * vals, b=w), rel=1e-13)
+    assert coarse_problem.quad.integrate(factors) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_negative_mu_line_search_stall_raises(coarse_problem, monkeypatch):
+    # a residual that never decreases stalls the line search at once
+    monkeypatch.setattr(coarse_problem.dirichlet, "dual_norm", lambda r: 1.0)
+    with pytest.raises(NoConvergence, match="line search failed") as info:
+        coarse_problem.solve_lp(-5.0)
+    assert info.value.iterations == 0
+    assert info.value.residual == 1.0
 
 
 class TestSolveLP:
