@@ -161,9 +161,8 @@ def g_of(problem: MeanFieldProblem, state: MeanFieldState,
     z = state.psi + state.lam * eta
     z_avg = 2.0 * state.energy + state.lam * eta_avg
     identity_error = abs(lin.rho_average(z) - z_avg)
-    factors, _ = problem._exp_factors(state.lam, state.psi)
     z_vals = problem.quad.eval(z)
-    z3 = sum(float(np.sum(problem.quad.blocks[i].w * factors[i] * z_vals[i] ** 3))
+    z3 = sum(float(np.sum(problem.quad.blocks[i].w * lin.factors[i] * z_vals[i] ** 3))
              for i in range(len(z_vals)))
     return GDiagnostics(
         g=1.0 - state.lam * z_avg, z_avg=z_avg, z3_avg=z3,

@@ -143,17 +143,23 @@ def cmd_solve(args):
     return 0
 
 
-def cmd_branch(args):
+def _trace(args):
+    """Trace the configured branch; on a solver failure, before re-raising,
+    write the rows traced so far, sorted by lambda, to branch.csv."""
     rc = run_config(args)
     problem = build_problem(rc)
     rows = []
     try:
-        diagram = trace_branch(problem, rc.trace, on_row=rows.append)
+        return rc, trace_branch(problem, rc.trace, on_row=rows.append)
     except GelfandError:
         if rows:
             rows.sort(key=lambda r: r.lam)
             write_csv(rows, os.path.join(rc.out_dir, "branch.csv"))
         raise
+
+
+def cmd_branch(args):
+    rc, diagram = _trace(args)
     paths = emit_diagram(diagram, rc.out_dir)
     print(f"rows={len(diagram.points)} kind={diagram.kind} "
           f"termination={diagram.termination}")
@@ -188,16 +194,7 @@ def cmd_spectrum(args):
 
 
 def cmd_classify(args):
-    rc = run_config(args)
-    problem = build_problem(rc)
-    rows = []
-    try:
-        diagram = trace_branch(problem, rc.trace, on_row=rows.append)
-    except GelfandError:
-        if rows:
-            rows.sort(key=lambda r: r.lam)
-            write_csv(rows, os.path.join(rc.out_dir, "branch.csv"))
-        raise
+    rc, diagram = _trace(args)
     write_csv(diagram.points, os.path.join(rc.out_dir, "branch.csv"))
     write_json({
         "kind": diagram.kind,

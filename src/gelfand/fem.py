@@ -40,19 +40,22 @@ POLAR_ANGULAR_POINTS = 10
 class QuadBlock:
     """One homogeneous group of triangles sharing a point layout.
 
-    w holds measure weights including the weight-field value; hval the bare
+    Every triangle of a block places its points at the same barycentric
+    coordinates (the polar rule after rotating the pole to the first
+    vertex), so the P1 shape values are stored once for all of them.  w
+    holds measure weights including the weight-field value; hval the bare
     weight-field value at each point (needed for logarithms of the weight).
     """
 
     verts: np.ndarray   # (T, 3)
-    shp: np.ndarray     # (T, Q, 3) P1 shape values at the points
+    shp: np.ndarray     # (Q, 3) P1 shape values at the points of every triangle
     pos: np.ndarray     # (T, Q, 2)
     w: np.ndarray       # (T, Q)
     hval: np.ndarray    # (T, Q)
 
     def eval(self, field):
         """P1 field values at the block's quadrature points."""
-        return np.einsum("tqi,ti->tq", self.shp, field[self.verts])
+        return field[self.verts] @ self.shp.T
 
 
 class Quadrature:
@@ -61,6 +64,7 @@ class Quadrature:
     def __init__(self, n_vertices, blocks):
         self.n = n_vertices
         self.blocks = blocks
+        self._mass_layout = None   # built by the first assemble_mass
 
     def eval(self, field):
         return [b.eval(field) for b in self.blocks]
@@ -75,31 +79,49 @@ class Quadrature:
                 total += float(np.sum(b.w * factors[k]))
         return total
 
+    def _weights(self, factors):
+        for k, b in enumerate(self.blocks):
+            yield b, (b.w if factors is None else b.w * factors[k])
+
     def assemble_load(self, factors=None):
         """Vector of integrals against each hat function."""
         out = np.zeros(self.n)
-        for k, b in enumerate(self.blocks):
-            wq = b.w if factors is None else b.w * factors[k]
-            contrib = np.einsum("tq,tqi->ti", wq, b.shp)
-            np.add.at(out, b.verts, contrib)
+        for b, wq in self._weights(factors):
+            out += np.bincount(b.verts.ravel(), weights=(wq @ b.shp).ravel(),
+                               minlength=self.n)
         return out
 
     def assemble_mass(self, factors=None):
-        """Weighted mass matrix sum_q w_q f_q phi_i phi_j, sparse CSR."""
-        rows, cols, vals = [], [], []
-        for k, b in enumerate(self.blocks):
-            wq = b.w if factors is None else b.w * factors[k]
-            local = np.einsum("tq,tqi,tqj->tij", wq, b.shp, b.shp)
-            r = np.repeat(b.verts, 3, axis=1).reshape(-1, 3, 3)
-            c = np.tile(b.verts[:, None, :], (1, 3, 1))
-            rows.append(r.ravel())
-            cols.append(c.ravel())
-            vals.append(local.ravel())
-        m = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.n, self.n),
-        )
-        return m.tocsr()
+        """Weighted mass matrix sum_q w_q f_q phi_i phi_j, sparse CSR.
+
+        Every call returns the same sparsity pattern (the vertex pairs of
+        the mesh triangles, sorted, no duplicates); only `data` is new.
+        """
+        if self._mass_layout is None:
+            self._mass_layout = self._build_mass_layout()
+        indptr, indices, slots, outers = self._mass_layout
+        local = np.concatenate([wq @ outer for (_, wq), outer
+                                in zip(self._weights(factors), outers)])
+        data = np.bincount(slots, weights=local.ravel(), minlength=len(indices))
+        return sp.csr_matrix((data, indices, indptr), shape=(self.n, self.n))
+
+    def _build_mass_layout(self):
+        """CSR pattern of the mass matrix and the slot of each local entry.
+
+        Local entry (i, j) of a block triangle sits at column 3 i + j of the
+        block's (T, 9) products; `slots` maps the concatenation of those
+        products, block after block, to positions in the CSR `data`.
+        """
+        n = self.n
+        keys = np.concatenate([
+            (b.verts[:, :, None].astype(np.int64) * n + b.verts[:, None, :]).reshape(-1)
+            for b in self.blocks])
+        pattern, slots = np.unique(keys, return_inverse=True)
+        indptr = np.searchsorted(pattern, np.arange(n + 1) * n).astype(np.int32)
+        indices = (pattern % n).astype(np.int32)
+        outers = [(b.shp[:, :, None] * b.shp[:, None, :]).reshape(-1, 9)
+                  for b in self.blocks]
+        return indptr, indices, slots, outers
 
 
 def _deg4_block(mesh, tris, point_values):
@@ -112,10 +134,9 @@ def _deg4_block(mesh, tris, point_values):
     p = mesh.vertices[verts]                      # (T, 3, 2)
     pos = np.einsum("qi,tid->tqd", DEG4_BARY, p)
     areas = mesh.areas()[tris]
-    shp = np.broadcast_to(DEG4_BARY[None, :, :], (len(tris), 6, 3)).copy()
     hval = np.einsum("qi,ti->tq", DEG4_BARY, point_values[verts])
     w = areas[:, None] * DEG4_W[None, :] * hval
-    return QuadBlock(verts=verts, shp=shp, pos=pos, w=w, hval=hval)
+    return QuadBlock(verts=verts, shp=DEG4_BARY, pos=pos, w=w, hval=hval)
 
 
 def plain_quadrature(mesh: Mesh) -> Quadrature:
@@ -161,10 +182,10 @@ def _polar_block(mesh, tris, pole_vertex, coeff, exponent, values, floor):
     pos = P[:, None, None, :] + s[None, :, None, None] * e[:, None, :, :]
 
     # shape functions in (s, t): pole 1-s, far corners s(1-t), s t
-    shp = np.empty((len(tris), POLAR_RADIAL_POINTS, POLAR_ANGULAR_POINTS, 3))
-    shp[..., 0] = (1 - s)[None, :, None]
-    shp[..., 1] = (s[:, None] * (1 - t)[None, :])[None, :, :]
-    shp[..., 2] = (s[:, None] * t[None, :])[None, :, :]
+    shp = np.empty((POLAR_RADIAL_POINTS, POLAR_ANGULAR_POINTS, 3))
+    shp[..., 0] = (1 - s)[:, None]
+    shp[..., 1] = s[:, None] * (1 - t)[None, :]
+    shp[..., 2] = s[:, None] * t[None, :]
 
     # linear correction so the model matches the vertex values at A and B
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -184,7 +205,7 @@ def _polar_block(mesh, tris, pole_vertex, coeff, exponent, values, floor):
     Q = POLAR_RADIAL_POINTS * POLAR_ANGULAR_POINTS
     return QuadBlock(
         verts=order,
-        shp=shp.reshape(len(tris), Q, 3),
+        shp=shp.reshape(Q, 3),
         pos=pos.reshape(len(tris), Q, 2),
         w=w.reshape(len(tris), Q),
         hval=hval.reshape(len(tris), Q),

@@ -15,7 +15,9 @@ The Jacobian is the linearized operator
 
 a sparse matrix plus a rank-one term; systems with it are solved through a
 bordered factorization, which stays well conditioned across the fold of the
-(mu, E) diagram where the plain Gelfand linearization is singular.
+(mu, E) diagram where the plain Gelfand linearization is singular.  The
+bordered matrix keeps one sparsity pattern per problem, so each Newton step
+only writes its values, and SuperLU orders it by minimum degree on A + A'.
 
 All exponentials are evaluated with a max-shift so only log(int h e^(lambda
 psi)) is ever formed.
@@ -24,6 +26,7 @@ psi)) is ever formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import json
 
@@ -47,6 +50,9 @@ EIGHT_PI = 8.0 * np.pi
 NEWTON_TOL = 1e-9
 NEWTON_MAX_ITER = 60
 FOLD_RTOL = 5e-3  # solve_lp treats mu within this of the fold as a fold request
+# fill-reducing column ordering of every factorization here: minimum degree
+# on the structure of A + A', which suits the structurally symmetric Jacobians
+PERMC_SPEC = "MMD_AT_PLUS_A"
 
 
 @dataclass
@@ -75,12 +81,6 @@ class MeanFieldState:
     concentrated: bool = False
 
 
-@dataclass
-class AverageDecomposition:
-    average: float
-    oscillation: np.ndarray
-
-
 class MeanFieldProblem:
     """Discretization bundle: mesh, weight, operators and their factorizations."""
 
@@ -96,6 +96,13 @@ class MeanFieldProblem:
         self.weight_mass = self.quad.integrate()
         if not np.isfinite(self.weight_mass) or self.weight_mass <= 1e-300:
             raise DegenerateWeight("weight has no mass")
+        self._jacobian = None   # built from the first mass matrix a solve assembles
+
+    def jacobian_pattern(self, M) -> JacobianPattern:
+        """The fixed Jacobian layout, built from the mass matrix M on first use."""
+        if self._jacobian is None:
+            self._jacobian = JacobianPattern(self.dirichlet.A_ii, M, self.interior)
+        return self._jacobian
 
     # -- density ------------------------------------------------------------
 
@@ -136,10 +143,6 @@ class MeanFieldProblem:
         vals = self.quad.eval(field)
         return sum(float(np.sum(self.quad.blocks[k].w * factors[k] * vals[k]))
                    for k in range(len(vals)))
-
-    def average_and_oscillation(self, field, state) -> AverageDecomposition:
-        avg = self.average(field, state)
-        return AverageDecomposition(average=avg, oscillation=field - avg)
 
     # -- Newton solver ------------------------------------------------------
 
@@ -284,34 +287,33 @@ class MeanFieldProblem:
 
     def _lp_newton_negative(self, mu, tol, max_iter):
         """Damped Newton directly on v; the Jacobian is SPD for mu <= 0."""
+        def residual(v):
+            factors = [np.exp(x) for x in self.quad.eval(v)]
+            r = (self.A @ v - mu * self.quad.assemble_load(factors))[self.interior]
+            return factors, r, self.dirichlet.dual_norm(r)
+
         v = np.zeros(self.mesh.n_vertices)
+        factors, r, dn = residual(v)
         for it in range(max_iter):
-            vals = self.quad.eval(v)
-            factors = [np.exp(x) for x in vals]
-            load = self.quad.assemble_load(factors)
-            r = (self.A @ v - mu * load)[self.interior]
-            dn = self.dirichlet.dual_norm(r)
             if dn < tol:
                 return self._state_from_lp(mu, v, factors, dn, it, tol, max_iter)
             M = self.quad.assemble_mass(factors)
-            J = (self.A - mu * M).tocsr()
-            J_ii = J[self.interior][:, self.interior].tocsc()
-            delta = splu(J_ii).solve(-r)
+            J_ii = self.jacobian_pattern(M).interior(mu, M)
+            delta = splu(J_ii, permc_spec=PERMC_SPEC).solve(-r)
             step = 1.0
             while True:
                 trial = v.copy()
                 trial[self.interior] += step * delta
-                vals_t = self.quad.eval(trial)
-                factors_t = [np.exp(x) for x in vals_t]
-                r_t = (self.A @ trial - mu * self.quad.assemble_load(factors_t))[self.interior]
-                if self.dirichlet.dual_norm(r_t) <= (1 - 1e-4 * step) * dn:
+                factors_t, r_t, dn_t = residual(trial)
+                if dn_t <= (1 - 1e-4 * step) * dn:
                     break
                 step *= 0.5
                 if step < 2.0 ** -24:
                     raise NoConvergence(
                         f"line search failed at mu={mu:.6g}", iterations=it, residual=dn)
-            v = trial
-        raise NoConvergence(f"Gelfand Newton stalled at mu={mu:.6g}", iterations=max_iter)
+            v, factors, r, dn = trial, factors_t, r_t, dn_t
+        raise NoConvergence(f"Gelfand Newton stalled at mu={mu:.6g}",
+                            iterations=max_iter, residual=dn)
 
     def _state_from_lp(self, mu, v, factors, dn, iterations, tol, max_iter):
         z = self.quad.integrate(factors)          # int h e^v
@@ -377,18 +379,81 @@ class MeanFieldProblem:
 # linearized operator
 
 
+class JacobianPattern:
+    """CSC layouts of S = A_ii - s M_ii and of its bordering K, fixed per problem.
+
+        K = [[S, lam b_i], [-b_i', 1]]
+
+    S holds the union of the stiffness and the interior mass patterns.  K
+    appends one row and one column: column j < n of K is column j of S
+    followed by its border-row entry, and column n holds lam b_i and the
+    corner.  Values are written into the stored slots; the mass matrices
+    must share the pattern of the one the layout was built from, as every
+    `Quadrature.assemble_mass` result of one quadrature does.
+    """
+
+    def __init__(self, A_ii, M, interior):
+        n = len(interior)
+        local = np.full(M.shape[0], -1)
+        local[interior] = np.arange(n)
+        rows = local[np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))]
+        cols = local[M.indices]
+        self.m_src = np.nonzero((rows >= 0) & (cols >= 0))[0]   # interior entries of M
+        A = A_ii.tocoo()
+        keys, slots = np.unique(np.concatenate([
+            A.col.astype(np.int64) * n + A.row, cols[self.m_src] * n + rows[self.m_src]]),
+            return_inverse=True)
+        self.n = n
+        self.s_indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
+        self.s_indices = (keys % n).astype(np.int32)
+        self.a_data = np.zeros(len(keys))
+        self.a_data[slots[:A.nnz]] = A.data
+        self.m_dst = slots[A.nnz:]
+        # K: every S entry moves down by the border entries of earlier columns
+        self.k_indptr = np.append(self.s_indptr + np.arange(n + 1, dtype=np.int32),
+                                  np.int32(len(keys) + 2 * n + 1))
+        self.s_to_k = np.arange(len(keys)) + keys // n
+        self.k_indices = np.empty(self.k_indptr[-1], dtype=np.int32)
+        self.k_indices[self.s_to_k] = self.s_indices
+        self.k_indices[self.k_indptr[1:n + 1] - 1] = n
+        self.k_indices[self.k_indptr[n]:] = np.arange(n + 1)
+
+    def _s_data(self, s, M):
+        data = self.a_data.copy()
+        data[self.m_dst] -= s * M.data[self.m_src]
+        return data
+
+    def interior(self, s, M):
+        """A_ii - s M_ii."""
+        return sp.csc_matrix((self._s_data(s, M), self.s_indices, self.s_indptr),
+                             shape=(self.n, self.n))
+
+    def bordered(self, lam, M, b_i):
+        """K for A_ii - lam (M_ii - b_i b_i'); its last unknown is b_i' x."""
+        n, ptr = self.n, self.k_indptr
+        data = np.empty(ptr[-1])
+        data[self.s_to_k] = self._s_data(lam, M)
+        data[ptr[1:n + 1] - 1] = -b_i
+        data[ptr[n]:-1] = lam * b_i
+        data[-1] = 1.0
+        return sp.csc_matrix((data, self.k_indices, ptr), shape=(n + 1, n + 1))
+
+
 class Linearization:
-    """Bordered solver for L = A - lam (M_rho - b b') on the interior space."""
+    """Bordered solver for L = A - lam (M_rho - b b') on the interior space.
+
+    `factors` are the point factors e^(lam psi)/Z the operator was built
+    from; M_ii, the interior block of M_rho, is formed only when read.
+    """
 
     def __init__(self, problem: MeanFieldProblem, lam, factors, load=None):
         self.problem = problem
         self.lam = lam
+        self.factors = factors
         self.M_rho = problem.quad.assemble_mass(factors)
         self.b = load if load is not None else problem.quad.assemble_load(factors)
-        idx = problem.interior
-        self.b_i = self.b[idx]
-        self.M_ii = self.M_rho[idx][:, idx].tocsr()
-        self.S = (problem.dirichlet.A_ii - lam * self.M_ii).tocsc()
+        self.b_i = self.b[problem.interior]
+        self.K = problem.jacobian_pattern(self.M_rho).bordered(lam, self.M_rho, self.b_i)
         self._lu = None
 
     @classmethod
@@ -396,15 +461,15 @@ class Linearization:
         factors, _ = problem._exp_factors(state.lam, state.psi)
         return cls(problem, state.lam, factors)
 
+    @cached_property
+    def M_ii(self):
+        idx = self.problem.interior
+        return self.M_rho[idx][:, idx].tocsr()
+
     def _factor(self):
         if self._lu is None:
-            n = self.S.shape[0]
-            K = sp.bmat([
-                [self.S, self.lam * sp.csc_matrix(self.b_i[:, None])],
-                [-sp.csc_matrix(self.b_i[None, :]), sp.csc_matrix(np.array([[1.0]]))],
-            ], format="csc")
             try:
-                self._lu = splu(K)
+                self._lu = splu(self.K, permc_spec=PERMC_SPEC)
             except RuntimeError as e:
                 raise FoldSingularity(f"linearized operator is singular: {e}") from e
         return self._lu
@@ -428,7 +493,7 @@ class Linearization:
         return x
 
     def apply(self, x_interior):
-        return self.S @ x_interior + self.lam * self.b_i * (self.b_i @ x_interior)
+        return (self.K @ np.append(x_interior, self.b_i @ x_interior))[:-1]
 
     def rho_average(self, field_full):
         return float(self.b @ field_full)

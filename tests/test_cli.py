@@ -211,3 +211,29 @@ def test_help_and_usage_exits(capsys):
     assert cli.main([]) == 2
     assert cli.main(["solve"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["branch", "classify"])
+def test_trace_failure_writes_sorted_partial_csv(tmp_path, monkeypatch, capsys, command):
+    # the trace fails after three rows: both commands keep them, sorted by lambda
+    real_trace = cli.trace_branch
+
+    def failing_trace(problem, cfg, on_row=None):
+        seen = []
+
+        def row_then_fail(row):
+            on_row(row)
+            seen.append(row.lam)
+            if len(seen) == 3:
+                raise cli.NoConvergence("stopped by the test", iterations=1, residual=1.0)
+        return real_trace(problem, cfg, on_row=row_then_fail)
+
+    monkeypatch.setattr(cli, "trace_branch", failing_trace)
+    cfg = write_config(tmp_path, trace={"lam_min": -10.0})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
+    capsys.readouterr()
+    lams = [float(line.split(",")[0])
+            for line in (out / "branch.csv").read_text().splitlines()[1:]]
+    assert len(lams) == 3 and lams == sorted(lams)
+    assert json.loads((out / "error.json").read_text())["error"] == "NoConvergence"

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gelfand.fem import (DirichletSolver, assemble_mass, assemble_stiffness,
                          plain_quadrature, solve_dirichlet, weighted_quadrature)
-from gelfand.geometry import DomainSpec, SingularitySpec, build_mesh, build_weight
+from gelfand.geometry import (DomainSpec, SingularitySpec, build_mesh, build_weight,
+                              uniform_weight)
 
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
@@ -132,3 +134,64 @@ def test_load_against_mass(coarse_problem):
     M = assemble_mass(mesh)
     assert np.allclose(load, M @ np.ones(mesh.n_vertices), atol=1e-12)
     assert load.sum() == pytest.approx(mesh.area(), rel=1e-12)
+
+
+def reference_assembly(quad, factors, field):
+    """Per-triangle COO/einsum assembly of mass, load and point values.
+
+    Every triangle carries its own copy of the block's shape values, and the
+    local matrices are summed by a COO-to-CSR conversion: the layout the
+    pattern assembly replaces, kept here as its reference."""
+    n = quad.n
+    rows, cols, vals, values = [], [], [], []
+    load = np.zeros(n)
+    for k, b in enumerate(quad.blocks):
+        shp = np.broadcast_to(b.shp, (len(b.verts),) + b.shp.shape)
+        wq = b.w * factors[k]
+        local = np.einsum("tq,tqi,tqj->tij", wq, shp, shp)
+        rows.append(np.repeat(b.verts, 3, axis=1).ravel())
+        cols.append(np.tile(b.verts, (1, 3)).ravel())
+        vals.append(local.ravel())
+        np.add.at(load, b.verts, np.einsum("tq,tqi->ti", wq, shp))
+        values.append(np.einsum("tqi,ti->tq", shp, field[b.verts]))
+    mass = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n)).tocsr()
+    return mass, load, values
+
+
+ASSEMBLY_CASES = {
+    "uniform_disk": (DomainSpec.unit_disk(), SingularitySpec.none(), None),
+    "centred_singular": (DomainSpec.unit_disk(), SingularitySpec.of((0.0, 0.0, 0.5)), None),
+    "offcentre_singular": (DomainSpec.unit_disk(), SingularitySpec.of((0.5, 0.0, 0.05)), None),
+    "floored_singular": (DomainSpec.unit_disk(), SingularitySpec.of((0.0, 0.0, 1.0)), 10),
+    "ellipse": (DomainSpec.ellipse(1.3, 0.8), SingularitySpec.none(), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ASSEMBLY_CASES))
+def test_pattern_assembly_matches_reference(case):
+    domain, sing, floor_n = ASSEMBLY_CASES[case]
+    mesh = build_mesh(domain, sing, h_max=0.14)
+    weight = build_weight(mesh, sing) if len(sing) else uniform_weight(mesh)
+    if floor_n is not None:
+        weight = weight.with_floor(floor_n)
+    quad = weighted_quadrature(mesh, weight)
+    if case == "floored_singular":
+        assert len(quad.blocks) == 3      # regular, polar and floor blocks
+    rng = np.random.default_rng(11)
+    factors = [rng.uniform(0.5, 2.0, b.w.shape) for b in quad.blocks]
+    field = rng.standard_normal(mesh.n_vertices)
+    mass_ref, load_ref, values_ref = reference_assembly(quad, factors, field)
+
+    mass = quad.assemble_mass(factors)
+    assert sp.isspmatrix_csr(mass) and mass.has_canonical_format
+    assert abs(mass - mass_ref).max() <= 1e-14 * abs(mass_ref).max()
+    load = quad.assemble_load(factors)
+    assert np.abs(load - load_ref).max() <= 1e-14 * np.abs(load_ref).max()
+    for got, want in zip(quad.eval(field), values_ref):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    # the pattern is fixed: a second call writes only new data
+    again = quad.assemble_mass(None)
+    assert np.array_equal(again.indptr, mass.indptr)
+    assert np.array_equal(again.indices, mass.indices)

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.special import logsumexp
 
 import radial_oracle as oracle
 from gelfand.errors import BlowupDetected, NoConvergence, OverflowGuard
 from gelfand.geometry import DomainSpec, SingularitySpec, build_mesh, build_weight
-from gelfand.meanfield import (EIGHT_PI, MeanFieldProblem, load_psi,
-                               save_state)
+from gelfand.meanfield import (EIGHT_PI, Linearization, MeanFieldProblem,
+                               load_psi, save_state)
 
 
 def c_of_mu_minimal(mu, beta=1.0):
@@ -52,9 +53,10 @@ def test_energy_average_identity(disk_problem):
 def test_average_decomposition(disk_problem):
     state = disk_problem.solve_mp(1.0)
     field = state.psi ** 2 + 0.3
-    dec = disk_problem.average_and_oscillation(field, state)
-    assert np.allclose(dec.average + dec.oscillation, field, atol=1e-14)
-    assert disk_problem.average(dec.oscillation, state) == pytest.approx(0.0, abs=1e-12)
+    avg = disk_problem.average(field, state)
+    oscillation = field - avg
+    assert np.allclose(avg + oscillation, field, atol=1e-14)
+    assert disk_problem.average(oscillation, state) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rho_normalization(disk_problem):
@@ -167,6 +169,72 @@ def test_negative_mu_line_search_stall_raises(coarse_problem, monkeypatch):
         coarse_problem.solve_lp(-5.0)
     assert info.value.iterations == 0
     assert info.value.residual == 1.0
+
+
+def test_negative_mu_loads_each_iterate_once(coarse_problem, monkeypatch):
+    # the accepted line-search trial carries its factors and load into the
+    # next iteration: one load per residual, and no iterate is loaded twice
+    quad, dirichlet = coarse_problem.quad, coarse_problem.dirichlet
+    loaded, residuals = [], []
+    load, dual_norm = quad.assemble_load, dirichlet.dual_norm
+
+    def counting_load(factors=None):
+        loaded.append(np.concatenate(factors).tobytes())
+        return load(factors)
+
+    def counting_dual_norm(r):
+        residuals.append(r)
+        return dual_norm(r)
+
+    monkeypatch.setattr(quad, "assemble_load", counting_load)
+    monkeypatch.setattr(dirichlet, "dual_norm", counting_dual_norm)
+    state = coarse_problem.solve_lp(-5.0)
+    assert state.iterations >= 2
+    assert len(loaded) == len(residuals) >= state.iterations + 1
+    assert len(set(loaded)) == len(loaded)
+
+
+def bordered_reference(problem, lin):
+    """S = A_ii - lam M_ii and K = [[S, lam b_i], [-b_i', 1]] by slicing and bmat."""
+    idx = problem.interior
+    M_ii = lin.M_rho[idx][:, idx]
+    S = (problem.dirichlet.A_ii - lin.lam * M_ii).tocsc()
+    K = sp.bmat([
+        [S, lin.lam * sp.csc_matrix(lin.b_i[:, None])],
+        [-sp.csc_matrix(lin.b_i[None, :]), sp.csc_matrix(np.array([[1.0]]))],
+    ], format="csc")
+    return S, K
+
+
+@pytest.fixture(scope="module")
+def singular_problem():
+    sing = SingularitySpec.of((0.5, 0.0, 0.05))
+    mesh = build_mesh(DomainSpec.unit_disk(), sing, h_max=0.14)
+    return MeanFieldProblem(mesh, build_weight(mesh, sing))
+
+
+@pytest.mark.parametrize("which", ["coarse_problem", "singular_problem"])
+@pytest.mark.parametrize("lam", [-4.0, 6.0])
+def test_bordered_matrix_on_fixed_pattern(which, lam, request):
+    problem = request.getfixturevalue(which)
+    state = problem.solve_mp(lam)
+    lin = Linearization.at_state(problem, state)
+    S, K = bordered_reference(problem, lin)
+    assert lin.K.has_canonical_format
+    assert abs(lin.K - K).max() == 0.0
+    M = lin.M_rho
+    J = problem.jacobian_pattern(M).interior(-2.5, M)
+    J_ref = problem.dirichlet.A_ii - (-2.5) * M[problem.interior][:, problem.interior]
+    assert abs(J - J_ref).max() == 0.0
+
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(len(problem.interior))
+    want = S @ x + lam * lin.b_i * (lin.b_i @ x)
+    assert np.abs(lin.apply(x) - want).max() <= 1e-13 * np.abs(want).max()
+    rhs = rng.standard_normal(len(problem.interior))
+    sol = lin.solve(rhs, rtol=1e-10)
+    residual = S @ sol + lam * lin.b_i * (lin.b_i @ sol) - rhs
+    assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
 
 
 class TestSolveLP:
