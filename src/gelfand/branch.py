@@ -38,7 +38,7 @@ from scipy.optimize import brentq
 from .errors import BlowupDetected, FoldSingularity, NoConvergence, NoFoldInRange
 from .meanfield import (EIGHT_PI, NEWTON_TOL, Linearization, MeanFieldProblem,
                         MeanFieldState)
-from .spectrum import SpectrumReport, expand_modes, weighted_eigs
+from .spectrum import SpectrumReport, WarmStart, expand_modes, weighted_eigs
 from .svg import line_plot
 
 CSV_HEADER = "lambda,mu,E,dEdlambda,g,sigma1,tau1,CP,sup_psi,residual"
@@ -189,12 +189,15 @@ def dE_dlambda(problem: MeanFieldProblem, state: MeanFieldState,
                           remainder=direct - spectral)
 
 
-def _branch_point(problem, state, cfg):
-    """The row of a state, plus its g diagnostics (which hold eta)."""
+def _branch_point(problem, state, cfg, warm=None):
+    """The row of a state, plus its g diagnostics (which hold eta).
+
+    warm is the spectrum's WarmStart carrier of the pass, if any.
+    """
     lin = Linearization.at_state(problem, state)
     diag = g_of(problem, state, lin=lin)
     deriv = dE_dlambda(problem, state, diag.eta, lin=lin)
-    report = weighted_eigs(problem, state, k=cfg.spectrum_k, lin=lin)
+    report = weighted_eigs(problem, state, k=cfg.spectrum_k, lin=lin, warm=warm)
     row = BranchPoint(
         lam=state.lam, mu=state.mu, energy=state.energy,
         dE_dlambda=deriv.direct, g_value=diag.g,
@@ -293,9 +296,11 @@ def trace_branch(problem: MeanFieldProblem, cfg: TraceConfig | None = None,
     8 pi terminate the upward pass gracefully with a partial diagram (that
     is the expected first-kind behavior once the blowup scale falls below
     the mesh).  The states of the positive rows either side of a sign change
-    of g are kept for the fold locator.  The optional on_row callback sees
-    every finished row in marching order, so callers can persist partial
-    results across a hard failure.
+    of g are kept for the fold locator.  Each pass starts its eigensolves
+    from the lambda = 0 row's eigenvectors and then from its previous row's,
+    through its own copy of one spectrum.WarmStart carrier.  The optional
+    on_row callback sees every finished row in marching order, so callers
+    can persist partial results across a hard failure.
     """
     cfg = cfg or TraceConfig()
     state0 = problem.solve_mp(0.0)
@@ -304,10 +309,10 @@ def trace_branch(problem: MeanFieldProblem, cfg: TraceConfig | None = None,
     # of each sign change of g; last is the previous positive row's pair
     kept, last = {}, None
 
-    def collect(bucket):
+    def collect(bucket, warm):
         def add(state):
             nonlocal last
-            row, diag = _branch_point(problem, state, cfg)
+            row, diag = _branch_point(problem, state, cfg, warm)
             bucket.append(row)
             if on_row is not None:
                 on_row(row)
@@ -318,13 +323,14 @@ def trace_branch(problem: MeanFieldProblem, cfg: TraceConfig | None = None,
             return diag.eta
         return add
 
-    row0, diag0 = _branch_point(problem, state0, cfg)
+    warm = WarmStart()
+    row0, diag0 = _branch_point(problem, state0, cfg, warm)
     _, term_neg = _march(problem, (state0, diag0.eta), _negative_targets(cfg),
-                         cfg, collect(rows_neg))
+                         cfg, collect(rows_neg, warm.copy()))
     if on_row is not None:
         on_row(row0)
     _, term_pos = _march(problem, (state0, diag0.eta), _positive_targets(cfg),
-                         cfg, collect(rows_pos))
+                         cfg, collect(rows_pos, warm.copy()))
 
     points = rows_neg[::-1] + [row0] + rows_pos
     diagram = BranchDiagram(points=points, termination=term_pos)

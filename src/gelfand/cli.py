@@ -169,6 +169,8 @@ def cmd_branch(args):
 
 
 def cmd_spectrum(args):
+    if args.k < 1:
+        raise ConfigError(f"spectrum needs --k >= 1, got {args.k}")
     rc = run_config(args)
     problem = build_problem(rc)
     state = problem.solve_mp(args.lam, tol=rc.tol)

@@ -78,7 +78,6 @@ class MeanFieldState:
     residual: float
     log_z: float
     iterations: int = 0
-    concentrated: bool = False
 
 
 class MeanFieldProblem:
@@ -166,7 +165,7 @@ class MeanFieldProblem:
         psi = np.zeros(self.mesh.n_vertices) if initial_guess is None \
             else np.array(initial_guess, dtype=float)
         state = self._newton(lam, psi, tol, max_iter)
-        if lam >= EIGHT_PI - 1e-12 and state.concentrated:
+        if lam >= EIGHT_PI - 1e-12 and self._is_concentrated(state):
             raise BlowupDetected(
                 "density concentrates below mesh resolution at lambda >= 8 pi",
                 lam=lam, psi=state.psi, sup=float(np.abs(state.psi).max()))
@@ -216,18 +215,22 @@ class MeanFieldProblem:
         rho = self.vertex_density(lam, psi, log_z)
         mu = float(lam * np.exp(-log_z))
         energy = 0.5 * float(psi @ (self.A @ psi))
-        state = MeanFieldState(
+        return MeanFieldState(
             lam=float(lam), psi=psi, mu=mu, u=lam * psi, rho=rho,
             energy=energy, mass_check=float(mass), residual=float(dn),
             log_z=float(log_z), iterations=iterations,
-            concentrated=self._is_concentrated(lam, psi, factors),
         )
-        return state
 
-    def _is_concentrated(self, lam, psi, factors):
-        """True when most of rho sits within a few mesh cells of the peak."""
+    def _is_concentrated(self, state):
+        """True when most of rho sits within a few mesh cells of the peak.
+
+        Scans every quadrature point, so it is asked only of states at
+        lambda >= 8 pi, where it decides whether a solution is trusted.
+        """
+        lam, psi = state.lam, state.psi
         if lam <= 0:
             return False
+        factors, _ = self._exp_factors(lam, psi)
         peak = int(np.argmax(psi))
         radius = 3.0 * float(self.mesh.size_target[peak])
         x0 = self.mesh.vertices[peak]
@@ -258,7 +261,7 @@ class MeanFieldProblem:
                 continue
             state, lam = nxt, lam + step
             step = min(2.0 * step, np.pi / 2)
-        if lam_target >= EIGHT_PI - 1e-12 and state.concentrated:
+        if lam_target >= EIGHT_PI - 1e-12 and self._is_concentrated(state):
             raise BlowupDetected(
                 "density concentrates below mesh resolution at lambda >= 8 pi",
                 lam=lam_target, psi=state.psi, sup=float(np.abs(state.psi).max()))

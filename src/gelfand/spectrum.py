@@ -15,24 +15,37 @@ sigma_1 > 0 expresses invertibility of the linearized operator along the
 branch, and the orderings sigma_1 >= tau_1 and sigma_j + lam >= C_P hold at
 the discrete level by Rayleigh-quotient comparison.
 
-The sparse paths run Lanczos iterations on inverted pencils so only SPD
-matrices are factorized (A itself, or the bordered linearization); a dense
-full-spectrum path covers small meshes and serves as the oracle the sparse
-solver is tested against.
+A standalone call solves each pencil cold, by implicitly restarted Lanczos
+(ARPACK) on an inverted pencil: sigma through the LU of the Dirichlet
+stiffness, tau_1 through the row's bordered LU, and C_P by shift-invert,
+which factors A + M_rho.  Along a branch trace the rows change slowly, and a
+WarmStart carrier hands each row its predecessor's eigenvectors: sigma
+starts ARPACK from them, and tau_1 and C_P are found by LOBPCG (Knyazev
+2001) started from them and preconditioned by factors already held, the
+row's bordered LU and one LU of A + M_rho from the first row.  C_P is a
+near-double pair on symmetric domains, so its block holds two vectors.  A
+LOBPCG run that misses its tolerance falls back to the cold ARPACK solve, so
+no returned value is unconverged.  A dense full-spectrum path covers small
+meshes and serves as the oracle the sparse solvers are tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, lobpcg, splu
 
 from .errors import DegenerateWeight, SolverError
-from .meanfield import Linearization, MeanFieldProblem, MeanFieldState
+from .meanfield import PERMC_SPEC, Linearization, MeanFieldProblem, MeanFieldState
 
 DENSE_CUTOFF = 400  # interior unknowns below which the dense path is used
+LOBPCG_TOL = 1e-10  # residual norm of B-normalized vectors a warm run must reach
+LOBPCG_MAXITER = 40  # iterations after which a warm run falls back to ARPACK
+# the tau_1 preconditioner is one bordered LU solve, not a refined one
+TAU_PRECOND_RTOL = 1e-6
 
 
 @dataclass
@@ -49,13 +62,57 @@ class SpectrumReport:
 
 
 @dataclass
+class WarmStart:
+    """The previous row's eigenvectors, to start the next row's solves from.
+
+    Every solve given a carrier stores the vectors it converged to, so the
+    next call starts from them; an empty entry starts LOBPCG from the fixed
+    random vectors the cold path starts ARPACK from.  Copies share the C_P
+    preconditioner, a SuperLU of A + M_rho built on first use; the vectors
+    are replaced, never written in place, so copies march independently.
+    """
+
+    sigma: np.ndarray | None = None      # (n_interior, k) sigma vectors
+    tau: np.ndarray | None = None        # (n_interior, 1) tau_1 vector
+    poincare: np.ndarray | None = None   # (n_vertices, 2) C_P block
+    precond: object = None               # splu(A + M_rho) of the first row
+
+    def copy(self) -> WarmStart:
+        return replace(self)
+
+
+@dataclass
 class ModeCoefficients:
     a: np.ndarray               # projections of the oscillation of psi
     b: np.ndarray               # projections of the oscillation of eta
 
 
-def _fixed_start(n):
-    return np.random.default_rng(1729).standard_normal(n)
+def _fixed_start(shape):
+    return np.random.default_rng(1729).standard_normal(shape)
+
+
+def _columns(f):
+    """A block operator applying the vector function f column by column."""
+    return lambda X: np.column_stack([f(x) for x in X.T])
+
+
+def _lobpcg(A, B, X, precond, Y=None):
+    """Smallest eigenpairs of (A, B) by LOBPCG from the block X.
+
+    Returns None when the run ends above LOBPCG_TOL, which includes every
+    run stopped at LOBPCG_MAXITER, so a miss is never mistaken for a value.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # misses are checked below
+            vals, vecs, history = lobpcg(
+                A, X, B=B, M=precond, Y=Y, tol=LOBPCG_TOL, maxiter=LOBPCG_MAXITER,
+                largest=False, retResidualNormsHistory=True)
+    except (ValueError, np.linalg.LinAlgError):
+        return None
+    if not np.max(history[-1]) <= LOBPCG_TOL:
+        return None
+    return vals, vecs
 
 
 def _mhat_full(lin: Linearization):
@@ -66,12 +123,14 @@ def _mhat_full(lin: Linearization):
 
 def weighted_eigs(problem: MeanFieldProblem, state: MeanFieldState, k: int = 10,
                   dense_cutoff: int = DENSE_CUTOFF,
-                  lin: Linearization | None = None) -> SpectrumReport:
+                  lin: Linearization | None = None,
+                  warm: WarmStart | None = None) -> SpectrumReport:
     """The k smallest eigenpairs of the oscillation-paired linearization.
 
     Eigenfields are returned both as Dirichlet fields and as their mean-free
     oscillations, normalized so the rho-weighted Gram matrix of the
-    oscillations is the identity.
+    oscillations is the identity.  A WarmStart carrier starts the sparse
+    solves from its vectors and receives the new ones.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -84,7 +143,10 @@ def weighted_eigs(problem: MeanFieldProblem, state: MeanFieldState, k: int = 10,
     if n_i <= dense_cutoff or k >= n_i - 1:
         sig, vecs, method = _sigma_dense(problem, lin, lam, k)
     else:
-        sig, vecs, method = _sigma_sparse(problem, lin, lam, k)
+        v0 = None if warm is None or warm.sigma is None else warm.sigma.sum(axis=1)
+        sig, vecs, method = _sigma_sparse(problem, lin, lam, k, v0=v0)
+        if warm is not None:
+            warm.sigma = vecs
     phis = np.zeros((problem.mesh.n_vertices, k))
     phis[idx] = vecs
     averages = lin.b @ phis
@@ -95,8 +157,10 @@ def weighted_eigs(problem: MeanFieldProblem, state: MeanFieldState, k: int = 10,
     mean_error = float(np.abs(lin.b @ phi_hats).max()) if k else 0.0
     return SpectrumReport(
         lam=lam, sigmas=sig, phis=phis, phi_hats=phi_hats,
-        tau1=standard_tau1(problem, state, lin=lin, dense_cutoff=dense_cutoff),
-        poincare=poincare_constant(problem, state, lin=lin, dense_cutoff=dense_cutoff),
+        tau1=standard_tau1(problem, state, lin=lin, dense_cutoff=dense_cutoff,
+                           warm=warm),
+        poincare=poincare_constant(problem, state, lin=lin, dense_cutoff=dense_cutoff,
+                                   warm=warm),
         ortho_error=ortho_error, mean_error=mean_error, method=method,
     )
 
@@ -111,15 +175,19 @@ def _sigma_dense(problem, lin, lam, k):
     return w[:k] - lam, V[:, :k], "dense"
 
 
-def _sigma_sparse(problem, lin, lam, k):
-    """Largest-theta Lanczos on Mhat v = theta A v; sigma = 1/theta - lam."""
+def _sigma_sparse(problem, lin, lam, k, v0=None):
+    """Largest-theta Lanczos on Mhat v = theta A v; sigma = 1/theta - lam.
+
+    v0 starts the Lanczos run; by default a fixed random vector.
+    """
     n_i = len(problem.interior)
     M_ii, b_i = lin.M_ii, lin.b_i
     mhat = LinearOperator((n_i, n_i), matvec=lambda x: M_ii @ x - b_i * (b_i @ x))
     a_inv = LinearOperator((n_i, n_i), matvec=problem.dirichlet.lu.solve)
     try:
         theta, vecs = eigsh(mhat, k=k, M=problem.dirichlet.A_ii, Minv=a_inv,
-                            which="LA", v0=_fixed_start(n_i), tol=0)
+                            which="LA", v0=_fixed_start(n_i) if v0 is None else v0,
+                            tol=0)
     except ArpackError as e:
         raise SolverError(f"sigma eigensolver failed: {e}") from e
     if theta.min() <= 1e-14 * theta.max():
@@ -140,8 +208,15 @@ def dense_sigma_oracle(problem, state, k=5):
 
 def standard_tau1(problem: MeanFieldProblem, state: MeanFieldState,
                   lin: Linearization | None = None,
-                  dense_cutoff: int = DENSE_CUTOFF) -> float:
-    """Smallest eigenvalue of the linearization against the full density mass."""
+                  dense_cutoff: int = DENSE_CUTOFF,
+                  warm: WarmStart | None = None) -> float:
+    """Smallest eigenvalue of the linearization against the full density mass.
+
+    With a carrier the sparse path runs LOBPCG on (J, M_ii), where
+    J = A_ii - lam (M_ii - b b') is applied by the bordered linearization and
+    preconditioned by one solve with its LU, started from the carrier's
+    vector; without one, or when LOBPCG misses, ARPACK solves it cold.
+    """
     if lin is None:
         lin = Linearization.at_state(problem, state)
     n_i = len(problem.interior)
@@ -151,35 +226,59 @@ def standard_tau1(problem: MeanFieldProblem, state: MeanFieldState,
         w = scipy.linalg.eigh(A_d - state.lam * Mhat_d, lin.M_ii.toarray(),
                               eigvals_only=True)
         return float(w[0])
+    if warm is not None:
+        start = warm.tau if warm.tau is not None else _fixed_start((n_i, 1))
+        found = _lobpcg(_columns(lin.apply), lin.M_ii, start,
+                        _columns(lambda r: lin.solve(r, rtol=TAU_PRECOND_RTOL)))
+        if found is not None:
+            vals, warm.tau = found
+            return float(vals[0])
     # inverted pencil: M_rho v = theta (A - lam Mhat) v, largest theta
     op_m = LinearOperator((n_i, n_i), matvec=lambda x: lin.M_ii @ x)
     op_j = LinearOperator((n_i, n_i), matvec=lin.apply)
     j_inv = LinearOperator((n_i, n_i), matvec=lambda r: lin.solve(r, rtol=1e-12))
     try:
-        theta, _ = eigsh(op_m, k=1, M=op_j, Minv=j_inv, which="LA",
-                         v0=_fixed_start(n_i), tol=0)
+        theta, vec = eigsh(op_m, k=1, M=op_j, Minv=j_inv, which="LA",
+                           v0=_fixed_start(n_i), tol=0)
     except ArpackError as e:
         raise SolverError(f"tau eigensolver failed: {e}") from e
+    if warm is not None:
+        warm.tau = vec
     return float(1.0 / theta[0])
 
 
 def poincare_constant(problem: MeanFieldProblem, state: MeanFieldState,
                       lin: Linearization | None = None,
-                      dense_cutoff: int = DENSE_CUTOFF) -> float:
+                      dense_cutoff: int = DENSE_CUTOFF,
+                      warm: WarmStart | None = None) -> float:
     """Second eigenvalue of the full-space stiffness/density pencil.
 
     The first eigenvalue is zero with constant eigenfield; every other
     eigenfield is automatically mean-free in the rho pairing, so this is the
-    infimum of the Dirichlet-to-weighted-variance quotient.
+    infimum of the Dirichlet-to-weighted-variance quotient.  With a carrier
+    the sparse path runs block-2 LOBPCG constrained against the constants,
+    started from the carrier's block and preconditioned by its LU of
+    A + M_rho; without one, or when LOBPCG misses, ARPACK solves it cold.
     """
     if lin is None:
         lin = Linearization.at_state(problem, state)
     n = problem.mesh.n_vertices
+    if n <= dense_cutoff:
+        w = scipy.linalg.eigh(problem.A.toarray(), lin.M_rho.toarray(),
+                              eigvals_only=True)
+        return float(w[1])
+    if warm is not None:
+        if warm.precond is None:
+            warm.precond = splu((problem.A + lin.M_rho).tocsc(), permc_spec=PERMC_SPEC)
+        start = warm.poincare if warm.poincare is not None else _fixed_start((n, 2))
+        found = _lobpcg(problem.A, lin.M_rho, start, warm.precond.solve,
+                        Y=np.ones((n, 1)))
+        if found is not None:
+            vals, warm.poincare = found
+            return float(vals.min())
+    # a fallback leaves the carrier's block as it was
     A_full = problem.A.tocsc()
     M_full = lin.M_rho.tocsc()
-    if n <= dense_cutoff:
-        w = scipy.linalg.eigh(A_full.toarray(), M_full.toarray(), eigvals_only=True)
-        return float(w[1])
     try:
         vals = eigsh(A_full, k=2, M=M_full, sigma=-1.0, which="LM",
                      v0=_fixed_start(n), mode="normal",

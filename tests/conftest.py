@@ -58,11 +58,16 @@ def ellipse_trace():
 
 
 @pytest.fixture(scope="session")
-def offcenter_trace():
-    """Weight vanishing like r^0.1 at (0.5, 0): off-center singular branch."""
+def offcenter_problem():
+    """Weight vanishing like r^0.1 at (0.5, 0): off-center singular case."""
     sing = SingularitySpec.of((0.5, 0.0, 0.05))
-    problem = make_problem(DomainSpec.unit_disk(), sing, 0.08)
-    return {"diagram": trace_branch(problem), "problem": problem}
+    return make_problem(DomainSpec.unit_disk(), sing, 0.08)
+
+
+@pytest.fixture(scope="session")
+def offcenter_trace(offcenter_problem):
+    """Off-center singular branch."""
+    return {"diagram": trace_branch(offcenter_problem), "problem": offcenter_problem}
 
 
 @pytest.fixture(scope="session")

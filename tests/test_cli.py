@@ -65,6 +65,18 @@ def test_solve_flags_checked_before_mesh(tmp_path, monkeypatch, capsys):
     assert "exactly one of" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_spectrum_k_checked_before_mesh(tmp_path, monkeypatch, capsys, k):
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("build_problem called before --k was checked")
+
+    monkeypatch.setattr(cli, "build_problem", no_mesh)
+    cfg = write_config(tmp_path)
+    out = str(tmp_path / "out")
+    assert cli.main(["spectrum", "--config", cfg, "--out", out, "--k", k]) == 2
+    assert "--k >= 1" in capsys.readouterr().err
+
+
 def test_solve_unreachable_mu_writes_error(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"

@@ -122,6 +122,18 @@ def test_second_kind_weight_crosses_eight_pi():
     assert state.residual <= 1e-9
 
 
+def test_concentration_scanned_only_at_eight_pi(coarse_problem, monkeypatch):
+    # the quadrature scan only decides whether a lambda >= 8 pi state is trusted
+    def refuse(state):
+        raise AssertionError(f"_is_concentrated called at lambda={state.lam!r}")
+
+    monkeypatch.setattr(coarse_problem, "_is_concentrated", refuse)
+    coarse_problem.solve_mp(2.0)
+    coarse_problem.solve_mp(EIGHT_PI - 0.5)      # cold start: continued from 0
+    coarse_problem.solve_lp(1.0)
+    coarse_problem.solve_lp(-1.0)
+
+
 def test_overflow_guard(disk_problem):
     bad = np.full(disk_problem.mesh.n_vertices, np.inf)
     with pytest.raises(OverflowGuard):

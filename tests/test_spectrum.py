@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import radial_oracle as oracle
-from gelfand.branch import solve_eta
+from gelfand import branch, spectrum
+from gelfand.branch import solve_eta, trace_branch
 from gelfand.meanfield import Linearization
-from gelfand.spectrum import (dense_sigma_oracle, expand_modes,
+from gelfand.spectrum import (WarmStart, dense_sigma_oracle, expand_modes,
                               poincare_constant, standard_tau1, weighted_eigs)
 
 
@@ -94,3 +95,72 @@ def test_tau1_and_poincare_standalone(coarse_problem, coarse_states):
     report = weighted_eigs(coarse_problem, state, k=1)
     assert t == pytest.approx(report.tau1, rel=1e-10)
     assert c == pytest.approx(report.poincare, rel=1e-10)
+
+
+def counting_eigsh(monkeypatch):
+    """Route spectrum.eigsh through a counter; returns the list of calls."""
+    calls, eigsh = [], spectrum.eigsh
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("sigma"))
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "eigsh", counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["disk_problem", "offcenter_problem", "fine_problem"])
+def test_warm_started_trace_matches_cold_solves(case, request, monkeypatch):
+    # every row of a trace, warm-started from its predecessor, against a cold
+    # solve of the same state and linearization.  Only the h = 0.05 disk
+    # shows why C_P needs a block of 2: a single warm vector is off by up to
+    # 4e-4 on the negative pass and by up to 2e-6 past the crossing of the
+    # near-double pair near lambda = 15.5
+    problem = request.getfixturevalue(case)
+    assert len(problem.interior) > spectrum.DENSE_CUTOFF
+    calls = counting_eigsh(monkeypatch)
+    rows = []
+
+    def warm_and_cold(problem, state, k=10, lin=None, warm=None, **kwargs):
+        before = len(calls)
+        report = weighted_eigs(problem, state, k=k, lin=lin, warm=warm, **kwargs)
+        warm_eigsh = len(calls) - before
+        cold = weighted_eigs(problem, state, k=k, lin=lin, **kwargs)
+        rows.append((state.lam, warm, warm_eigsh, report, cold))
+        return report
+
+    monkeypatch.setattr(branch, "weighted_eigs", warm_and_cold)
+    diagram = trace_branch(problem)
+    assert len(rows) == len(diagram.points)
+    assert min(r[0] for r in rows) < 0 < 15.5 < max(r[0] for r in rows)
+    for lam, warm, warm_eigsh, report, cold in rows:
+        assert isinstance(warm, WarmStart), lam
+        assert warm_eigsh == 1, lam          # sigma only: no LOBPCG fell back
+        assert report.sigmas[0] == pytest.approx(cold.sigmas[0], rel=1e-10), lam
+        assert report.tau1 == pytest.approx(cold.tau1, rel=1e-10), lam
+        assert report.poincare == pytest.approx(cold.poincare, rel=1e-10), lam
+
+
+def test_lobpcg_miss_falls_back_to_cold_arpack(disk_problem, monkeypatch):
+    state = disk_problem.solve_mp(4.0)
+    lin = Linearization.at_state(disk_problem, state)
+    cold_tau = standard_tau1(disk_problem, state, lin=lin)
+    cold_cp = poincare_constant(disk_problem, state, lin=lin)
+    warm = WarmStart()
+    weighted_eigs(disk_problem, disk_problem.solve_mp(3.5), k=1, warm=warm)
+    calls = counting_eigsh(monkeypatch)
+    # from a neighbouring row's vectors LOBPCG converges without ARPACK
+    assert standard_tau1(disk_problem, state, lin=lin, warm=warm.copy()) == \
+        pytest.approx(cold_tau, rel=1e-10)
+    assert poincare_constant(disk_problem, state, lin=lin, warm=warm.copy()) == \
+        pytest.approx(cold_cp, rel=1e-10)
+    assert calls == []
+    # one iteration cannot converge: each solve falls back to the cold path
+    monkeypatch.setattr(spectrum, "LOBPCG_MAXITER", 1)
+    block = warm.poincare
+    assert standard_tau1(disk_problem, state, lin=lin, warm=warm) == \
+        pytest.approx(cold_tau, rel=1e-12)
+    assert poincare_constant(disk_problem, state, lin=lin, warm=warm) == \
+        pytest.approx(cold_cp, rel=1e-12)
+    assert calls == [None, -1.0]
+    assert warm.poincare is block            # a fallback keeps the C_P block
