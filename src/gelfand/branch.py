@@ -161,9 +161,7 @@ def g_of(problem: MeanFieldProblem, state: MeanFieldState,
     z = state.psi + state.lam * eta
     z_avg = 2.0 * state.energy + state.lam * eta_avg
     identity_error = abs(lin.rho_average(z) - z_avg)
-    z_vals = problem.quad.eval(z)
-    z3 = sum(float(np.sum(problem.quad.blocks[i].w * lin.factors[i] * z_vals[i] ** 3))
-             for i in range(len(z_vals)))
+    z3 = float(np.sum(problem.quad.w * lin.factors * problem.quad.eval(z) ** 3))
     return GDiagnostics(
         g=1.0 - state.lam * z_avg, z_avg=z_avg, z3_avg=z3,
         z_min=float(z.min()), eta_avg=eta_avg,

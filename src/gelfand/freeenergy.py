@@ -111,27 +111,18 @@ def free_energy_of(problem: MeanFieldProblem, rho, lam, n=None) -> DensityState:
     e_grad = 0.5 * float(potential @ (problem.A @ potential))
     if abs(e_pair - e_grad) > 1e-6 * max(abs(e_pair), 1e-12):
         raise SolverError(f"interaction energy duality violated: {e_pair!r} vs {e_grad!r}")
-    vals = problem.plain.eval(rho)
-    entropy_term = sum(
-        float(np.sum(blk.w * np.where(v > 0, v * np.log(np.where(v > 0, v, 1.0)), 0.0)))
-        for blk, v in zip(problem.plain.blocks, vals))
-    linear_term = _linear_term(problem, problem.quad.eval(rho))
+    v = problem.plain.eval(rho)
+    entropy_term = float(np.sum(
+        problem.plain.w * np.where(v > 0, v * np.log(np.where(v > 0, v, 1.0)), 0.0)))
+    # int rho log h against the Lebesgue measure w / h of the weighted points
+    quad = problem.quad
+    dx = quad.w / np.where(quad.hval > 0, quad.hval, 1.0)
+    linear_term = float(np.sum(dx * quad.eval(rho) * quad.log_h))
     free_energy = entropy_term - lam * e_pair - linear_term
     return DensityState(
         rho=rho, potential=potential, free_energy=free_energy,
         entropy_term=entropy_term, energy=e_pair, linear_term=linear_term,
         lam=lam, n=n if n is not None else _weight_index(problem))
-
-
-def _linear_term(problem, rho_vals):
-    """int rho log h with rho sampled at the weighted quadrature points."""
-    total = 0.0
-    for blk, v in zip(problem.quad.blocks, rho_vals):
-        positive = blk.hval > 0
-        measure = np.where(positive, blk.w / np.where(positive, blk.hval, 1.0), 0.0)
-        total += float(np.sum(measure * v * np.where(positive, np.log(
-            np.where(positive, blk.hval, 1.0)), 0.0)))
-    return total
 
 
 def interaction_energy(problem: MeanFieldProblem, rho) -> float:
@@ -160,13 +151,10 @@ def collar_density(mesh: Mesh, delta: float) -> np.ndarray:
     if not (0.0 < delta < inradius):
         raise InvalidDelta(f"delta must lie in (0, {inradius:.4g}), got {delta}")
     quad = plain_quadrature(mesh)
-    factors = []
-    for blk in quad.blocks:
-        # only the indicator d < delta is needed, so distances may stop at delta
-        d = _point_segment_distance(blk.pos.reshape(-1, 2), seg_a, seg_b, cap=delta)
-        factors.append((d.reshape(blk.w.shape) < delta).astype(float))
+    # only the indicator d < delta is needed, so distances may stop at delta
+    d = _point_segment_distance(quad.pos, seg_a, seg_b, cap=delta)
     m = quad.assemble_load(None)
-    rho = quad.assemble_load(factors) / m
+    rho = quad.assemble_load((d < delta).astype(float)) / m
     mass = float(m @ rho)
     if mass <= 0.0:
         raise InvalidDelta("collar contains no quadrature mass; refine the boundary")
@@ -183,16 +171,9 @@ def _quad_level_state(problem, lam, psi, n, iterations, el_residual, jensen_slac
     rho = problem.vertex_density(lam, psi, log_z)
     m = _lumped_mass(problem)
     rho = rho / float(m @ rho)
-    psi_vals = problem.quad.eval(psi)
-    entropy = linear = avg_psi = 0.0
-    for blk, fac, pv in zip(problem.quad.blocks, factors, psi_vals):
-        positive = blk.hval > 0
-        log_h = np.where(positive, np.log(np.where(positive, blk.hval, 1.0)), 0.0)
-        entropy += float(np.sum(blk.w * fac * (log_h + lam * pv - log_z)))
-        linear += float(np.sum(blk.w * fac * log_h))
-        avg_psi += float(np.sum(blk.w * fac * pv))
+    entropy, linear = _entropy_and_linear(problem, lam, psi, factors, log_z)
     energy = 0.5 * float(psi @ (problem.A @ psi))
-    e_dual = 0.5 * avg_psi
+    e_dual = 0.5 * float(np.sum(problem.quad.w * factors * problem.quad.eval(psi)))
     if abs(energy - e_dual) > 1e-6 * max(abs(energy), 1e-12):
         raise SolverError(f"interaction energy duality violated: {energy!r} vs {e_dual!r}")
     return DensityState(
@@ -202,12 +183,18 @@ def _quad_level_state(problem, lam, psi, n, iterations, el_residual, jensen_slac
         jensen_min_slack=jensen_slack)
 
 
+def _entropy_and_linear(problem, lam, psi, factors, log_z):
+    """int rho log rho and int rho log h for rho = h e^(lam psi) / Z at the points."""
+    quad = problem.quad
+    wf = quad.w * factors
+    return (float(np.sum(wf * (quad.log_h + lam * quad.eval(psi) - log_z))),
+            float(np.sum(wf * quad.log_h)))
+
+
 def _jensen_slack(problem, lam, psi, log_z):
     """log of int h e^(lam psi) over its Jensen lower bound (nonnegative)."""
     h_mass = problem.weight_mass
-    h_avg_psi = 0.0
-    for blk, pv in zip(problem.quad.blocks, problem.quad.eval(psi)):
-        h_avg_psi += float(np.sum(blk.w * pv))
+    h_avg_psi = problem.quad.integrate(problem.quad.eval(psi))
     return log_z - (np.log(h_mass) + lam * h_avg_psi / h_mass)
 
 
@@ -239,13 +226,7 @@ def minimize_free_energy(problem: MeanFieldProblem, lam, tol=L1_TOL,
         target = np.zeros_like(psi)
         target[problem.interior] = problem.dirichlet.solve_interior(b[problem.interior])
         energy = 0.5 * float(b @ target)
-        entropy = linear = 0.0
-        psi_vals = problem.quad.eval(psi)
-        for blk, fac, pv in zip(problem.quad.blocks, factors, psi_vals):
-            positive = blk.hval > 0
-            log_h = np.where(positive, np.log(np.where(positive, blk.hval, 1.0)), 0.0)
-            entropy += float(np.sum(blk.w * fac * (log_h + lam * pv - log_z)))
-            linear += float(np.sum(blk.w * fac * log_h))
+        entropy, linear = _entropy_and_linear(problem, lam, psi, factors, log_z)
         return entropy - lam * energy - linear, target, log_z
 
     psi = np.zeros(problem.mesh.n_vertices)

@@ -106,17 +106,17 @@ class MeanFieldProblem:
     # -- density ------------------------------------------------------------
 
     def _exp_factors(self, lam, psi):
-        """Point factors e^(lam psi)/Z block by block, plus log Z."""
-        vals = self.quad.eval(psi)
-        shift = max(float(np.max(lam * v)) if v.size else -np.inf for v in vals)
+        """Point factors e^(lam psi)/Z at the quadrature points, plus log Z."""
+        vals = lam * self.quad.eval(psi)
+        shift = float(np.max(vals))
         if not np.isfinite(shift):
             raise OverflowGuard("non-finite field in exponential")
-        raw = [np.exp(lam * v - shift) for v in vals]
+        raw = np.exp(vals - shift)
         z_shifted = self.quad.integrate(raw)
         if not np.isfinite(z_shifted) or z_shifted <= 0:
             raise OverflowGuard("exponential integral lost all mass")
         log_z = shift + np.log(z_shifted)
-        return [r / z_shifted for r in raw], log_z
+        return raw / z_shifted, log_z
 
     def rho_of(self, psi, lam) -> RhoField:
         """Density rho_lambda for a given field, with exact unit quadrature mass."""
@@ -133,15 +133,6 @@ class MeanFieldProblem:
         if np.any(~np.isfinite(values)):
             raise OverflowGuard("density overflow at vertices")
         return values
-
-    # -- averages -----------------------------------------------------------
-
-    def average(self, field, state: MeanFieldState) -> float:
-        """rho_lambda-weighted average of a P1 field."""
-        factors, _ = self._exp_factors(state.lam, state.psi)
-        vals = self.quad.eval(field)
-        return sum(float(np.sum(self.quad.blocks[k].w * factors[k] * vals[k]))
-                   for k in range(len(vals)))
 
     # -- Newton solver ------------------------------------------------------
 
@@ -233,13 +224,8 @@ class MeanFieldProblem:
         factors, _ = self._exp_factors(lam, psi)
         peak = int(np.argmax(psi))
         radius = 3.0 * float(self.mesh.size_target[peak])
-        x0 = self.mesh.vertices[peak]
-        frac = 0.0
-        for k, blk in enumerate(self.quad.blocks):
-            d2 = np.sum((blk.pos - x0) ** 2, axis=-1)
-            inside = d2 < radius * radius
-            frac += float(np.sum((blk.w * factors[k])[inside]))
-        return frac >= 0.5
+        d2 = np.sum((self.quad.pos - self.mesh.vertices[peak]) ** 2, axis=-1)
+        return float(np.sum((self.quad.w * factors)[d2 < radius * radius])) >= 0.5
 
     def _continued_solve(self, lam_target, tol, max_iter):
         state = self.solve_mp(0.0, initial_guess=np.zeros(self.mesh.n_vertices),
@@ -291,7 +277,7 @@ class MeanFieldProblem:
     def _lp_newton_negative(self, mu, tol, max_iter):
         """Damped Newton directly on v; the Jacobian is SPD for mu <= 0."""
         def residual(v):
-            factors = [np.exp(x) for x in self.quad.eval(v)]
+            factors = np.exp(self.quad.eval(v))
             r = (self.A @ v - mu * self.quad.assemble_load(factors))[self.interior]
             return factors, r, self.dirichlet.dual_norm(r)
 
@@ -324,15 +310,25 @@ class MeanFieldProblem:
         if lam == 0.0:
             return self.solve_mp(0.0, tol=tol, max_iter=max_iter)
         psi = v / lam
-        return self._finalize(lam, psi, [f / z for f in factors], np.log(z), dn, iterations)
+        return self._finalize(lam, psi, factors / z, np.log(z), dn, iterations)
 
     def _lp_minimal_branch(self, mu, tol, max_iter, fold_rtol):
         from .branch import g_of, locate_fold  # deferred: branch builds on this module
 
-        def root_between(lam_lo, lam_hi, guess_state):
-            f = lambda l: self._newton(l, guess_state.psi.copy(), tol, max_iter).mu - mu
-            lam_root = brentq(f, lam_lo, lam_hi, xtol=1e-12, rtol=8.9e-16)
-            return self._newton(lam_root, guess_state.psi.copy(), tol, max_iter)
+        def trial_mu(lam, guess_state, solved):
+            if lam not in solved:
+                solved[lam] = self._newton(lam, guess_state.psi.copy(), tol, max_iter)
+            return solved[lam].mu - mu
+
+        def root_between(lam_lo, lam_hi, guess_state, hi_state=None):
+            # trials start from guess_state (at lam_lo), as did hi_state if
+            # given; brentq returns an evaluated point.  `solved` goes in by
+            # args since brentq keeps its function in a reference cycle
+            solved = {lam_lo: guess_state}
+            if hi_state is not None:
+                solved[lam_hi] = hi_state
+            return solved[brentq(trial_mu, lam_lo, lam_hi, args=(guess_state, solved),
+                                 xtol=1e-12, rtol=8.9e-16)]
 
         # march up in lambda until mu is safely bracketed or the fold shows;
         # "safely" means clear of the fold band, where mu(lambda) flattens and
@@ -357,7 +353,8 @@ class MeanFieldProblem:
                     raise
                 continue
             if state.mu >= safe:
-                return root_between(lam_below, lam, state_below)
+                return root_between(lam_below, lam, state_below,
+                                    state if state_prev is state_below else None)
             diag = None if state.mu < mu_prev else g_of(self, state)
             if diag is None or diag.g <= 0.0:
                 # at or past the fold: judge the request against the fold value
@@ -445,8 +442,8 @@ class JacobianPattern:
 class Linearization:
     """Bordered solver for L = A - lam (M_rho - b b') on the interior space.
 
-    `factors` are the point factors e^(lam psi)/Z the operator was built
-    from; M_ii, the interior block of M_rho, is formed only when read.
+    `factors` are the flat point factors e^(lam psi)/Z the operator was
+    built from; M_ii, the interior block of M_rho, is formed only when read.
     """
 
     def __init__(self, problem: MeanFieldProblem, lam, factors, load=None):

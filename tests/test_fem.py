@@ -1,4 +1,7 @@
+import ast
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,27 +140,31 @@ def test_load_against_mass(coarse_problem):
 
 
 def reference_assembly(quad, factors, field):
-    """Per-triangle COO/einsum assembly of mass, load and point values.
+    """Per-triangle COO/einsum assembly of mass, load, point values and integral.
 
     Every triangle carries its own copy of the block's shape values, and the
     local matrices are summed by a COO-to-CSR conversion: the layout the
-    pattern assembly replaces, kept here as its reference."""
+    pattern assembly replaces, kept here as its reference.  The flat factors
+    are split block by block, in block order."""
     n = quad.n
     rows, cols, vals, values = [], [], [], []
     load = np.zeros(n)
-    for k, b in enumerate(quad.blocks):
+    integral, start = 0.0, 0
+    for b in quad.blocks:
         shp = np.broadcast_to(b.shp, (len(b.verts),) + b.shp.shape)
-        wq = b.w * factors[k]
+        wq = b.w * factors[start:start + b.w.size].reshape(b.w.shape)
+        start += b.w.size
+        integral += float(np.sum(wq))
         local = np.einsum("tq,tqi,tqj->tij", wq, shp, shp)
         rows.append(np.repeat(b.verts, 3, axis=1).ravel())
         cols.append(np.tile(b.verts, (1, 3)).ravel())
         vals.append(local.ravel())
         np.add.at(load, b.verts, np.einsum("tq,tqi->ti", wq, shp))
-        values.append(np.einsum("tqi,ti->tq", shp, field[b.verts]))
+        values.append(np.einsum("tqi,ti->tq", shp, field[b.verts]).ravel())
     mass = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n)).tocsr()
-    return mass, load, values
+    return mass, load, np.concatenate(values), integral
 
 
 ASSEMBLY_CASES = {
@@ -180,18 +187,63 @@ def test_pattern_assembly_matches_reference(case):
     if case == "floored_singular":
         assert len(quad.blocks) == 3      # regular, polar and floor blocks
     rng = np.random.default_rng(11)
-    factors = [rng.uniform(0.5, 2.0, b.w.shape) for b in quad.blocks]
+    factors = rng.uniform(0.5, 2.0, quad.w.size)
     field = rng.standard_normal(mesh.n_vertices)
-    mass_ref, load_ref, values_ref = reference_assembly(quad, factors, field)
+    mass_ref, load_ref, values_ref, integral_ref = reference_assembly(quad, factors, field)
 
     mass = quad.assemble_mass(factors)
     assert sp.isspmatrix_csr(mass) and mass.has_canonical_format
     assert abs(mass - mass_ref).max() <= 1e-14 * abs(mass_ref).max()
     load = quad.assemble_load(factors)
     assert np.abs(load - load_ref).max() <= 1e-14 * np.abs(load_ref).max()
-    for got, want in zip(quad.eval(field), values_ref):
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    values = quad.eval(field)
+    assert values.shape == quad.w.shape
+    assert np.abs(values - values_ref).max() <= 1e-14 * np.abs(values_ref).max()
+    assert quad.integrate(factors) == pytest.approx(integral_ref, rel=1e-14)
     # the pattern is fixed: a second call writes only new data
     again = quad.assemble_mass(None)
     assert np.array_equal(again.indptr, mass.indptr)
     assert np.array_equal(again.indices, mass.indices)
+
+
+@pytest.mark.parametrize("case", ["vanishing_patch", "floored_singular"])
+def test_flat_point_arrays(case):
+    # log h is masked to 0 where h <= 0, and every block's w, hval and pos
+    # are views into the flat arrays, not copies
+    if case == "vanishing_patch":
+        mesh = build_mesh(DomainSpec.unit_disk(), SingularitySpec.none(), h_max=0.14)
+        weight = dataclasses.replace(
+            uniform_weight(mesh), values=np.where(mesh.vertices[:, 0] > 0.3, 0.0, 1.0))
+    else:
+        sing = SingularitySpec.of((0.0, 0.0, 1.0))
+        mesh = build_mesh(DomainSpec.unit_disk(), sing, h_max=0.14)
+        weight = build_weight(mesh, sing).with_floor(10)
+    quad = weighted_quadrature(mesh, weight)
+    positive = quad.hval > 0
+    assert quad.log_h.shape == quad.w.shape == quad.hval.shape
+    assert quad.pos.shape == quad.w.shape + (2,)
+    assert np.array_equal(quad.log_h[positive], np.log(quad.hval[positive]))
+    assert np.all(quad.log_h[~positive] == 0.0)
+    if case == "vanishing_patch":
+        assert not positive.all()
+    start = 0
+    for b in quad.blocks:
+        stop = start + b.w.size
+        for name, flat in (("w", quad.w), ("hval", quad.hval), ("pos", quad.pos)):
+            view = getattr(b, name)
+            assert view.base is not None and np.shares_memory(view, flat), name
+            assert np.array_equal(view.reshape(flat[start:stop].shape), flat[start:stop])
+        start = stop
+    assert start == quad.w.size
+
+
+def test_only_fem_reads_quadrature_blocks():
+    # the block layout of the quadrature is an assembly detail of fem; every
+    # other module works on the flat point arrays
+    src = Path(__file__).resolve().parents[1] / "src" / "gelfand"
+    readers = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in src.glob("*.py") if path.name != "fem.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "blocks")
+    assert readers == []

@@ -220,7 +220,7 @@ def test_point_segment_distance_matches_brute_force(kernel_meshes, name, cap, se
                               replace=False))
     a = mesh.vertices[edges[keep, 0]]
     b = mesh.vertices[edges[keep, 1]]
-    quad_pts = plain_quadrature(mesh).blocks[0].pos.reshape(-1, 2)
+    quad_pts = plain_quadrature(mesh).pos
     lo, hi = mesh.vertices.min(axis=0) - 0.2, mesh.vertices.max(axis=0) + 0.2
     pts = np.vstack([mesh.vertices,
                      quad_pts[rng.choice(len(quad_pts), size=500)],
@@ -252,8 +252,7 @@ def test_collar_matches_brute_force_collar(kernel_meshes, name, delta):
     edges = mesh.boundary_edges()
     a, b = mesh.vertices[edges[:, 0]], mesh.vertices[edges[:, 1]]
     quad = plain_quadrature(mesh)
-    factors = [(brute_distance(blk.pos.reshape(-1, 2), a, b).reshape(blk.w.shape)
-                < delta).astype(float) for blk in quad.blocks]
+    factors = (brute_distance(quad.pos, a, b) < delta).astype(float)
     m = quad.assemble_load(None)
     rho = quad.assemble_load(factors) / m
     rho /= float(m @ rho)

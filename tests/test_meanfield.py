@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -46,17 +48,18 @@ def test_four_pi_state(disk_problem):
 
 def test_energy_average_identity(disk_problem):
     state = disk_problem.solve_mp(2.0)
-    avg_psi = disk_problem.average(state.psi, state)
+    avg_psi = Linearization.at_state(disk_problem, state).rho_average(state.psi)
     assert state.energy == pytest.approx(0.5 * avg_psi, abs=1e-9)
 
 
 def test_average_decomposition(disk_problem):
     state = disk_problem.solve_mp(1.0)
+    lin = Linearization.at_state(disk_problem, state)
     field = state.psi ** 2 + 0.3
-    avg = disk_problem.average(field, state)
+    avg = lin.rho_average(field)
     oscillation = field - avg
     assert np.allclose(avg + oscillation, field, atol=1e-14)
-    assert disk_problem.average(oscillation, state) == pytest.approx(0.0, abs=1e-12)
+    assert lin.rho_average(oscillation) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rho_normalization(disk_problem):
@@ -71,7 +74,7 @@ def test_mu_lambda_consistency(disk_problem):
     for lam in (-7.0, 3.0, 11.0):
         state = disk_problem.solve_mp(lam)
         vals = disk_problem.quad.eval(state.u)
-        z = disk_problem.quad.integrate([np.exp(v) for v in vals])
+        z = disk_problem.quad.integrate(np.exp(vals))
         assert state.mu * z == pytest.approx(lam, abs=1e-10 * max(1, abs(lam)))
 
 
@@ -159,19 +162,21 @@ def test_overflow_guard_on_accepted_state(disk_problem):
         disk_problem.solve_mp(1.0, initial_guess=psi, tol=1e300)
 
 
-def test_exp_factors_shift_for_negative_lambda(coarse_problem):
+@pytest.mark.parametrize("which", ["coarse_problem", "singular_problem"])
+def test_exp_factors_shift_for_negative_lambda(which, request):
     # lam psi spans 0 to 8170 at the quadrature points: far past the float
     # range of exp, while log Z stays finite and is a plain log-sum-exp
+    problem = request.getfixturevalue(which)
     lam = -1.0
-    r2 = np.sum(coarse_problem.mesh.vertices ** 2, axis=1)
+    r2 = np.sum(problem.mesh.vertices ** 2, axis=1)
     psi = -8170.0 * (1.0 - r2 / r2.max())
-    vals = np.concatenate(coarse_problem.quad.eval(psi))
+    vals = problem.quad.eval(psi)
     assert vals.min() < -8000.0 and vals.max() <= 0.0
-    w = np.concatenate([b.w for b in coarse_problem.quad.blocks])
     with np.errstate(over="raise"):
-        factors, log_z = coarse_problem._exp_factors(lam, psi)
-    assert log_z == pytest.approx(logsumexp(lam * vals, b=w), rel=1e-13)
-    assert coarse_problem.quad.integrate(factors) == pytest.approx(1.0, rel=1e-12)
+        factors, log_z = problem._exp_factors(lam, psi)
+    assert factors.shape == vals.shape
+    assert log_z == pytest.approx(logsumexp(lam * vals, b=problem.quad.w), rel=1e-13)
+    assert problem.quad.integrate(factors) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_negative_mu_line_search_stall_raises(coarse_problem, monkeypatch):
@@ -191,7 +196,7 @@ def test_negative_mu_loads_each_iterate_once(coarse_problem, monkeypatch):
     load, dual_norm = quad.assemble_load, dirichlet.dual_norm
 
     def counting_load(factors=None):
-        loaded.append(np.concatenate(factors).tobytes())
+        loaded.append(factors.tobytes())
         return load(factors)
 
     def counting_dual_norm(r):
@@ -280,6 +285,45 @@ class TestSolveLP:
     def test_above_fold_rejected(self, disk_problem):
         with pytest.raises(NoConvergence):
             disk_problem.solve_lp(2.2)
+
+    def test_root_search_solves_each_start_once(self, disk_problem, monkeypatch):
+        # every Newton solve inside one request is new: no (lambda, start)
+        # pair repeats, and no solve restarts from a state it already
+        # returned at that lambda (the bracket's lower state included)
+        calls, newton = [], disk_problem._newton
+
+        def recording_newton(lam, psi, tol, max_iter):
+            start = psi.tobytes()
+            state = newton(lam, psi, tol, max_iter)
+            calls.append((lam, start, state.psi.tobytes()))
+            return state
+
+        monkeypatch.setattr(disk_problem, "_newton", recording_newton)
+        state = disk_problem.solve_lp(1.0)
+        assert state.mu == pytest.approx(1.0, rel=1e-9)
+        starts = [(lam, start) for lam, start, _ in calls]
+        assert len(set(starts)) == len(starts)
+        solved = {(lam, result) for lam, _, result in calls}
+        assert not any((lam, start) in solved for lam, start in starts)
+
+    def test_root_search_keeps_no_trial_states(self, disk_problem, monkeypatch):
+        # brentq holds its function in a reference cycle; once the request
+        # returns, no trial state may hang off it until a collection
+        refs, newton = [], disk_problem._newton
+
+        def recording_newton(lam, psi, tol, max_iter):
+            state = newton(lam, psi, tol, max_iter)
+            refs.append(weakref.ref(state))
+            return state
+
+        monkeypatch.setattr(disk_problem, "_newton", recording_newton)
+        gc.disable()
+        try:
+            state = disk_problem.solve_lp(1.0)
+            alive = [r() for r in refs if r() is not None]
+        finally:
+            gc.enable()
+        assert len(refs) > 2 and len(alive) == 1 and alive[0] is state
 
 
 def test_save_load_roundtrip(tmp_path, disk_problem):
