@@ -249,10 +249,10 @@ def _march(problem, start, targets, cfg, on_state):
 
     start is the (state, eta) pair to march from.  Each solve starts from
     the Euler predictor psi + (target - lambda) eta of the last accepted
-    state, and on_state(state) returns the eta of every accepted state.  A
-    solve is retried at the midpoint when Newton works too hard or the
-    iterate jumps; failures below the minimum gap end the march gracefully.
-    Returns the last state and the termination tag.
+    state; on_state(state) returns the eta of every accepted state, or None
+    to stop there.  A solve is retried at the midpoint when Newton works too
+    hard or the iterate jumps; failures below the minimum gap end the march
+    gracefully.  Returns the last state and the termination tag.
     """
     state, eta = start
     stack = list(reversed(targets))
@@ -279,6 +279,8 @@ def _march(problem, start, targets, cfg, on_state):
         state = nxt
         stack.pop()
         eta = on_state(state)
+        if eta is None:
+            return state, "stopped"
         rows += 1
         if rows >= cfg.max_rows:
             return state, "stalled"

@@ -20,7 +20,7 @@ from .branch import TraceConfig, emit_diagram, plot_csv, trace_branch, write_csv
 from .errors import (BlowupDetected, ConfigError, GelfandError, InvalidDelta,
                      InvalidDensity, InvalidSingularity, InvalidWeight,
                      NoConvergence, UnsupportedRegime)
-from .freeenergy import minimize_free_energy, verify_energy_bound
+from .freeenergy import collar_density, minimize_free_energy, verify_energy_bound
 from .geometry import (build_mesh, build_weight, domain_from_config,
                        uniform_weight)
 from .meanfield import EIGHT_PI, MeanFieldProblem, save_state
@@ -88,8 +88,10 @@ def run_config(args) -> RunConfig:
     return rc
 
 
-def build_problem(rc: RunConfig, floor_n=None) -> MeanFieldProblem:
-    mesh = build_mesh(rc.domain, rc.singularities, h_max=rc.h_max)
+def build_problem(rc: RunConfig, floor_n=None, mesh=None) -> MeanFieldProblem:
+    """The configured problem; mesh, if given, is the configured mesh already built."""
+    if mesh is None:
+        mesh = build_mesh(rc.domain, rc.singularities, h_max=rc.h_max)
     if len(rc.singularities):
         weight = build_weight(mesh, rc.singularities)
     else:
@@ -216,11 +218,16 @@ def cmd_freeenergy(args):
     lams = args.lam or [-2.0, -20.0, -200.0]
     ns = args.n or [10, 100, 1000]
     rows, bounds = [], []
+    mesh = collar = None          # both depend on the config and delta only
     for n in ns:
-        problem = build_problem(rc, floor_n=n)
+        problem = build_problem(rc, floor_n=n, mesh=mesh)
+        if mesh is None:
+            mesh = problem.mesh
+            collar = collar_density(mesh, args.delta)
         for lam in lams:
             state = minimize_free_energy(problem, lam, n=n)
-            report = verify_energy_bound(problem, lam, args.delta, minimizer=state)
+            report = verify_energy_bound(problem, lam, args.delta, minimizer=state,
+                                         collar=collar)
             rows.append(f"{lam!r},{n!r},{state.free_energy!r},{state.entropy_term!r},"
                         f"{state.energy!r},{state.linear_term!r},{state.iterations}")
             bounds.append({"lambda": lam, "n": n, "delta": args.delta,

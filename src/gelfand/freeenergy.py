@@ -268,15 +268,20 @@ def minimize_free_energy(problem: MeanFieldProblem, lam, tol=L1_TOL,
 
 
 def verify_energy_bound(problem: MeanFieldProblem, lam, delta,
-                        minimizer: DensityState | None = None) -> EnergyBoundReport:
+                        minimizer: DensityState | None = None,
+                        collar: np.ndarray | None = None) -> EnergyBoundReport:
     """Evaluate every inequality of the vanishing-energy proof chain.
 
-    Raises SolverError if any recorded slack is negative beyond roundoff;
-    otherwise returns the report with all sides and slacks.
+    collar, if given, is collar_density(problem.mesh, delta), computed once
+    by a caller that verifies several cells on one mesh.  Raises SolverError
+    if any recorded slack is negative beyond roundoff; otherwise returns the
+    report with all sides and slacks.
     """
     if minimizer is None:
         minimizer = minimize_free_energy(problem, lam)
-    collar = free_energy_of(problem, collar_density(problem.mesh, delta), lam)
+    if collar is None:
+        collar = collar_density(problem.mesh, delta)
+    collar_state = free_energy_of(problem, collar, lam)
     area = problem.area
     sup_h = problem.weight.sup()
     report = EnergyBoundReport(
@@ -286,7 +291,7 @@ def verify_energy_bound(problem: MeanFieldProblem, lam, delta,
         linear_bound=float(np.log1p(sup_h)),
         linear_value=minimizer.linear_term,
         f_minimizer=minimizer.free_energy,
-        f_collar=collar.free_energy,
+        f_collar=collar_state.free_energy,
         energy_value=minimizer.energy,
         energy_bound=float(
             (minimizer.free_energy + np.log(area) + np.log1p(sup_h)) / abs(lam)),

@@ -32,7 +32,6 @@ import json
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import brentq
 from scipy.sparse.linalg import splu
 
 from .errors import (
@@ -50,6 +49,10 @@ EIGHT_PI = 8.0 * np.pi
 NEWTON_TOL = 1e-9
 NEWTON_MAX_ITER = 60
 FOLD_RTOL = 5e-3  # solve_lp treats mu within this of the fold as a fold request
+# g from which solve_lp returns its direct state without locating the fold:
+# measured g ~ 1.9 (1 - mu/mu*)^(1/2), so g < 0.14 in the fold band
+G_DIRECT = 0.3
+TRUST_SUP = 50.0  # Newton trust cap: on sup |v|, and on max(1, lam) sup |psi|
 # fill-reducing column ordering of every factorization here: minimum degree
 # on the structure of A + A', which suits the structurally symmetric Jacobians
 PERMC_SPEC = "MMD_AT_PLUS_A"
@@ -163,7 +166,7 @@ class MeanFieldProblem:
         return state
 
     def _newton(self, lam, psi, tol, max_iter):
-        cap = 50.0 / max(1.0, lam)
+        cap = TRUST_SUP / max(1.0, lam)
         b, factors, log_z = self._load(lam, psi)
         r = (self.A @ psi - b)[self.interior]
         dn = self.dirichlet.dual_norm(r)
@@ -259,13 +262,14 @@ class MeanFieldProblem:
                  fold_rtol=FOLD_RTOL) -> MeanFieldState:
         """Solve -Delta v = mu h e^v (minimal branch for mu > 0).
 
-        For positive mu the minimal branch is parametrized by lambda and the
-        equation mu(lambda) = mu is solved by bracketing.  Once mu turns
-        down or g changes sign, the fold state is located between the last
-        two steps by branch.locate_fold, which raises NoFoldInRange if g has
-        no sign change there.  Requests within fold_rtol of the fold value
-        return the fold state; beyond that the minimal branch has no
-        solution and NoConvergence is raised.
+        One damped Newton solve on v from v = 0, a subsolution for mu > 0 of
+        this convex positone problem, so the iterates rise to the minimal
+        solution, where g of branch.g_of is positive.  A state with g below
+        G_DIRECT, or a failed solve, sends branch._march up from it (or from
+        lambda = 0) to the sign change of g and branch.locate_fold to the
+        fold.  Requests within fold_rtol of the fold value return the fold
+        state, those beyond raise NoConvergence, and those below return the
+        direct state if it converged with g > 0.
         """
         mu = float(mu)
         if mu == 0.0:
@@ -275,7 +279,12 @@ class MeanFieldProblem:
         return self._lp_minimal_branch(mu, tol, max_iter, fold_rtol)
 
     def _lp_newton_negative(self, mu, tol, max_iter):
-        """Damped Newton directly on v; the Jacobian is SPD for mu <= 0."""
+        """Damped Newton directly on v from v = 0, for either sign of mu.
+
+        The Jacobian A_ii - mu M_ii is SPD for mu <= 0.  For mu > 0 nothing
+        bounds the iterates past the fold, so a trial whose sup norm passes
+        TRUST_SUP raises BlowupDetected before exp can overflow.
+        """
         def residual(v):
             factors = np.exp(self.quad.eval(v))
             r = (self.A @ v - mu * self.quad.assemble_load(factors))[self.interior]
@@ -285,7 +294,7 @@ class MeanFieldProblem:
         factors, r, dn = residual(v)
         for it in range(max_iter):
             if dn < tol:
-                return self._state_from_lp(mu, v, factors, dn, it, tol, max_iter)
+                return self._state_from_lp(mu, v, factors, dn, it)
             M = self.quad.assemble_mass(factors)
             J_ii = self.jacobian_pattern(M).interior(mu, M)
             delta = splu(J_ii, permc_spec=PERMC_SPEC).solve(-r)
@@ -293,8 +302,12 @@ class MeanFieldProblem:
             while True:
                 trial = v.copy()
                 trial[self.interior] += step * delta
+                sup = float(np.abs(trial).max())
+                if sup > TRUST_SUP:
+                    raise BlowupDetected(
+                        f"iterate exceeded trust cap at mu={mu:.6g}", sup=sup)
                 factors_t, r_t, dn_t = residual(trial)
-                if dn_t <= (1 - 1e-4 * step) * dn:
+                if dn_t <= (1 - 1e-4 * step) * dn or dn_t < tol:
                     break
                 step *= 0.5
                 if step < 2.0 ** -24:
@@ -304,75 +317,47 @@ class MeanFieldProblem:
         raise NoConvergence(f"Gelfand Newton stalled at mu={mu:.6g}",
                             iterations=max_iter, residual=dn)
 
-    def _state_from_lp(self, mu, v, factors, dn, iterations, tol, max_iter):
+    def _state_from_lp(self, mu, v, factors, dn, iterations):
         z = self.quad.integrate(factors)          # int h e^v
-        lam = mu * z
-        if lam == 0.0:
-            return self.solve_mp(0.0, tol=tol, max_iter=max_iter)
-        psi = v / lam
-        return self._finalize(lam, psi, factors / z, np.log(z), dn, iterations)
+        lam = mu * z                              # mu = 0 never comes here
+        return self._finalize(lam, v / lam, factors / z, np.log(z), dn, iterations)
 
     def _lp_minimal_branch(self, mu, tol, max_iter, fold_rtol):
-        from .branch import g_of, locate_fold  # deferred: branch builds on this module
+        from .branch import TraceConfig, _march, g_of, locate_fold  # deferred: cycle
+        state = diag = err = None
+        try:
+            state = self._lp_newton_negative(mu, tol, max_iter)
+        except (NoConvergence, BlowupDetected) as e:
+            err = e
+        else:
+            diag = g_of(self, state)
+        if diag is not None and diag.g >= G_DIRECT:
+            return state
+        below = diag is not None and diag.g > 0.0     # converged on the minimal branch
+        start = state if below else self.solve_mp(0.0, tol=tol)
+        last = [(start, diag if below else g_of(self, start))]   # the last two pairs
 
-        def trial_mu(lam, guess_state, solved):
-            if lam not in solved:
-                solved[lam] = self._newton(lam, guess_state.psi.copy(), tol, max_iter)
-            return solved[lam].mu - mu
+        def on_state(s):             # keeps the pair, and ends the march once g <= 0
+            d = g_of(self, s)
+            last[:] = [last[-1], (s, d)]
+            return d.eta if d.g > 0.0 else None
 
-        def root_between(lam_lo, lam_hi, guess_state, hi_state=None):
-            # trials start from guess_state (at lam_lo), as did hi_state if
-            # given; brentq returns an evaluated point.  `solved` goes in by
-            # args since brentq keeps its function in a reference cycle
-            solved = {lam_lo: guess_state}
-            if hi_state is not None:
-                solved[lam_hi] = hi_state
-            return solved[brentq(trial_mu, lam_lo, lam_hi, args=(guess_state, solved),
-                                 xtol=1e-12, rtol=8.9e-16)]
-
-        # march up in lambda until mu is safely bracketed or the fold shows;
-        # "safely" means clear of the fold band, where mu(lambda) flattens and
-        # the root in lambda loses meaning
-        step = np.pi / 4
-        lam_top = EIGHT_PI * (1 - 1e-6)
-        lam_prev, state_prev = 0.0, self.solve_mp(0.0, tol=tol)
-        diag_prev = None                                # g diagnostics of state_prev
-        mu_prev = state_prev.mu
-        lam_below, state_below = lam_prev, state_prev  # last state with mu < target
-        safe = mu * (1.0 + fold_rtol)
-        while True:
-            if lam_prev >= lam_top - 1e-12:
-                raise NoConvergence(
-                    f"mu={mu:.6g} not reached on the minimal branch below 8 pi")
-            lam = min(lam_prev + step, lam_top)
-            try:
-                state = self._newton(lam, state_prev.psi.copy(), tol, max_iter)
-            except (NoConvergence, BlowupDetected):
-                step *= 0.5
-                if step < 1e-6:
-                    raise
-                continue
-            if state.mu >= safe:
-                return root_between(lam_below, lam, state_below,
-                                    state if state_prev is state_below else None)
-            diag = None if state.mu < mu_prev else g_of(self, state)
-            if diag is None or diag.g <= 0.0:
-                # at or past the fold: judge the request against the fold value
-                fold = locate_fold(
-                    self, (state_prev, diag_prev or g_of(self, state_prev)),
-                    (state, diag or g_of(self, state)),
-                    newton_tol=tol, max_iter=max_iter)
-                if mu >= fold.mu * (1.0 - fold_rtol):
-                    if mu <= fold.mu * (1.0 + fold_rtol):
-                        return fold
-                    raise NoConvergence(
-                        f"mu={mu:.6g} exceeds the fold value {fold.mu:.6g}; "
-                        "no minimal-branch solution")
-                return root_between(lam_below, fold.lam, state_below)
-            if state.mu < mu:
-                lam_below, state_below = lam, state
-            lam_prev, state_prev, diag_prev, mu_prev = lam, state, diag, state.mu
-            step = np.pi / 4
+        cfg = TraceConfig()
+        lam_end = EIGHT_PI - cfg.eps_stop
+        targets = np.arange(start.lam + cfg.pos_step, lam_end, cfg.pos_step)
+        _march(self, (start, last[0][1].eta), [*targets, lam_end], cfg, on_state)
+        if last[-1][1].g <= 0.0:
+            fold = locate_fold(self, *last, newton_tol=tol, max_iter=max_iter)
+            if mu > fold.mu * (1.0 + fold_rtol):
+                raise NoConvergence(f"mu={mu:.6g} exceeds the fold value {fold.mu:.6g}; "
+                                    "no minimal-branch solution")
+            if mu >= fold.mu * (1.0 - fold_rtol):
+                return fold
+        if below:
+            return state
+        raise NoConvergence(f"Newton on v missed the minimal branch at mu={mu:.6g}",
+                            iterations=getattr(err or state, "iterations", None),
+                            residual=getattr(err or state, "residual", None)) from err
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end runs of the console entry point, in process via cli.main."""
 
+import argparse
 import json
 import math
 
@@ -196,6 +197,33 @@ def test_freeenergy_artifacts(tmp_path, capsys):
         assert entry["n"] == 10
         for name, slack in entry["slacks"].items():
             assert slack >= -1e-9, name
+
+
+def test_freeenergy_builds_one_mesh_and_one_collar(tmp_path, monkeypatch, capsys):
+    # the mesh and the collar depend on the config and delta only; every
+    # cell must still match a run that builds both afresh
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    calls = []
+    for name in ("build_mesh", "collar_density"):
+        def counting(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counting)
+    rc = cli.main(["freeenergy", "--config", cfg, "--out", str(out),
+                   "--lambda", "-2", "--lambda", "-20", "--n", "10", "--n", "100",
+                   "--delta", "0.2"])
+    assert rc == 0
+    capsys.readouterr()
+    assert sorted(calls) == ["build_mesh", "collar_density"]
+    monkeypatch.undo()
+    run = cli.run_config(argparse.Namespace(config=cfg, out=str(tmp_path / "ref")))
+    bounds = json.loads((out / "bounds.json").read_text())
+    for entry in bounds:
+        problem = cli.build_problem(run, floor_n=entry["n"])
+        state = cli.minimize_free_energy(problem, entry["lambda"], n=entry["n"])
+        report = cli.verify_energy_bound(problem, entry["lambda"], 0.2, minimizer=state)
+        assert entry["slacks"] == report.slacks
 
 
 def test_plot_roundtrip(branch_run, tmp_path, capsys):

@@ -1,6 +1,5 @@
-import gc
 import math
-import weakref
+import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +7,11 @@ import scipy.sparse as sp
 from scipy.special import logsumexp
 
 import radial_oracle as oracle
+from gelfand.branch import g_of
 from gelfand.errors import BlowupDetected, NoConvergence, OverflowGuard
 from gelfand.geometry import DomainSpec, SingularitySpec, build_mesh, build_weight
-from gelfand.meanfield import (EIGHT_PI, Linearization, MeanFieldProblem,
+from gelfand.meanfield import (EIGHT_PI, G_DIRECT, NEWTON_MAX_ITER, NEWTON_TOL,
+                               TRUST_SUP, Linearization, MeanFieldProblem,
                                load_psi, save_state)
 
 
@@ -286,44 +287,95 @@ class TestSolveLP:
         with pytest.raises(NoConvergence):
             disk_problem.solve_lp(2.2)
 
-    def test_root_search_solves_each_start_once(self, disk_problem, monkeypatch):
-        # every Newton solve inside one request is new: no (lambda, start)
-        # pair repeats, and no solve restarts from a state it already
-        # returned at that lambda (the bracket's lower state included)
-        calls, newton = [], disk_problem._newton
+    def test_one_v_solve_below_band(self, disk_problem, monkeypatch):
+        # a request clear of the fold band is one Newton solve on v from
+        # v = 0: no march in lambda and no psi-form solve
+        calls = []
+        lp_newton, newton = disk_problem._lp_newton_negative, disk_problem._newton
 
-        def recording_newton(lam, psi, tol, max_iter):
-            start = psi.tobytes()
-            state = newton(lam, psi, tol, max_iter)
-            calls.append((lam, start, state.psi.tobytes()))
-            return state
+        def recording_lp_newton(*args):
+            calls.append("v")
+            return lp_newton(*args)
 
+        def recording_newton(*args):
+            calls.append("psi")
+            return newton(*args)
+
+        monkeypatch.setattr(disk_problem, "_lp_newton_negative", recording_lp_newton)
         monkeypatch.setattr(disk_problem, "_newton", recording_newton)
         state = disk_problem.solve_lp(1.0)
+        assert calls == ["v"]
         assert state.mu == pytest.approx(1.0, rel=1e-9)
-        starts = [(lam, start) for lam, start, _ in calls]
-        assert len(set(starts)) == len(starts)
-        solved = {(lam, result) for lam, _, result in calls}
-        assert not any((lam, start) in solved for lam, start in starts)
 
-    def test_root_search_keeps_no_trial_states(self, disk_problem, monkeypatch):
-        # brentq holds its function in a reference cycle; once the request
-        # returns, no trial state may hang off it until a collection
-        refs, newton = [], disk_problem._newton
+    @pytest.mark.parametrize("mu", [0.5, 1.5, 1.9, 1.97])
+    def test_returned_state_on_minimal_branch(self, disk_problem, mu):
+        state = disk_problem.solve_lp(mu)
+        assert state.mu == pytest.approx(mu, rel=1e-9)
+        assert g_of(disk_problem, state).g > 0.0
 
-        def recording_newton(lam, psi, tol, max_iter):
-            state = newton(lam, psi, tol, max_iter)
-            refs.append(weakref.ref(state))
-            return state
+    def test_below_band_near_fold_returns_direct_state(self, disk_problem):
+        # g of the direct state is under G_DIRECT here, so the fold is
+        # located; the request lies below the band, so the direct state stands
+        mu = 1.97
+        direct = disk_problem._lp_newton_negative(mu, NEWTON_TOL, NEWTON_MAX_ITER)
+        assert 0.0 < g_of(disk_problem, direct).g < G_DIRECT
+        state = disk_problem.solve_lp(mu)
+        assert np.array_equal(state.psi, direct.psi) and state.lam == direct.lam
 
-        monkeypatch.setattr(disk_problem, "_newton", recording_newton)
-        gc.disable()
-        try:
-            state = disk_problem.solve_lp(1.0)
-            alive = [r() for r in refs if r() is not None]
-        finally:
-            gc.enable()
-        assert len(refs) > 2 and len(alive) == 1 and alive[0] is state
+    def test_failed_solve_below_band_keeps_context(self, disk_problem, monkeypatch):
+        # the fold lies above the request, so the failure of Newton on v
+        # stands, with its iterations and residual
+        def failing(mu, tol, max_iter):
+            raise NoConvergence("line search failed", iterations=3, residual=0.5)
+
+        monkeypatch.setattr(disk_problem, "_lp_newton_negative", failing)
+        with pytest.raises(NoConvergence, match="missed the minimal branch") as info:
+            disk_problem.solve_lp(1.0)
+        assert (info.value.iterations, info.value.residual) == (3, 0.5)
+
+    @pytest.mark.parametrize("which", ["disk_problem", "coarse_problem"])
+    def test_above_fold_raises_without_overflow(self, which, request):
+        # past the fold the trust cap stops Newton on v before exp overflows
+        # (uncapped, the coarse disk overflows), and the fold fallback then
+        # rejects the request
+        problem = request.getfixturevalue(which)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowupDetected) as info:
+                problem._lp_newton_negative(2.2, NEWTON_TOL, NEWTON_MAX_ITER)
+            assert info.value.sup > TRUST_SUP
+            with pytest.raises(NoConvergence, match="exceeds the fold value"):
+                problem.solve_lp(2.2)
+
+
+@pytest.fixture(scope="module", params=["offcenter_disk", "ellipse"])
+def nonradial_problem(request):
+    """Coarse non-symmetric domains: alpha = 0.5 at (0.5, 0) in the unit
+    disk, and alpha = 1 at (0.3, 0.2) in the 1.3 x 0.8 ellipse."""
+    if request.param == "offcenter_disk":
+        domain, sing = DomainSpec.unit_disk(), SingularitySpec.of((0.5, 0.0, 0.5))
+    else:
+        domain, sing = DomainSpec.ellipse(1.3, 0.8), SingularitySpec.of((0.3, 0.2, 1.0))
+    mesh = build_mesh(domain, sing, h_max=0.1)
+    return MeanFieldProblem(mesh, build_weight(mesh, sing))
+
+
+@pytest.mark.parametrize("lam", [2.0, 10.0])
+def test_lp_round_trip_nonradial(nonradial_problem, lam):
+    # mu of the lambda state leads solve_lp back to the same state
+    mu = nonradial_problem.solve_mp(lam).mu
+    state = nonradial_problem.solve_lp(mu)
+    assert state.lam == pytest.approx(lam, rel=1e-8)
+    assert g_of(nonradial_problem, state).g > 0.0
+
+
+def test_v_newton_accepts_trial_below_tol(coarse_problem, monkeypatch):
+    # a trial that meets the tolerance is accepted even when it misses the
+    # Armijo decrease, as in the psi-form Newton
+    norms = iter([1.0, 1.0 - 1e-6])
+    monkeypatch.setattr(coarse_problem.dirichlet, "dual_norm", lambda r: next(norms))
+    state = coarse_problem._lp_newton_negative(-5.0, 1.0 - 1e-7, NEWTON_MAX_ITER)
+    assert state.iterations == 1 and state.residual == 1.0 - 1e-6
 
 
 def test_save_load_roundtrip(tmp_path, disk_problem):
