@@ -38,7 +38,7 @@ from scipy.optimize import brentq
 from .errors import BlowupDetected, FoldSingularity, NoConvergence, NoFoldInRange
 from .meanfield import (EIGHT_PI, NEWTON_TOL, Linearization, MeanFieldProblem,
                         MeanFieldState)
-from .spectrum import SpectrumReport, WarmStart, expand_modes, weighted_eigs
+from .spectrum import WarmStart, weighted_eigs
 from .svg import line_plot
 
 CSV_HEADER = "lambda,mu,E,dEdlambda,g,sigma1,tau1,CP,sup_psi,residual"
@@ -83,6 +83,18 @@ class BranchDiagram:
     def positive_rows(self):
         return [p for p in self.points if p.lam > 0]
 
+    def summary(self):
+        """The JSON summary: kind, termination, fold and the mu trends."""
+        return {
+            "kind": self.kind,
+            "termination": self.termination,
+            "fold": None if self.fold is None else
+                {"lambda": self.fold[0], "E": self.fold[1], "mu": self.fold[2]},
+            "mu_at_min": self.mu_at_min,
+            "mu1_estimate": self.mu1_estimate,
+            "rows": len(self.points),
+        }
+
 
 @dataclass
 class TraceConfig:
@@ -117,32 +129,18 @@ class GDiagnostics:
     eta: np.ndarray
 
 
-@dataclass
-class DerivativePair:
-    direct: float
-    spectral: float
-    remainder: float
-
-
 # ---------------------------------------------------------------------------
 # pointwise branch quantities
 
 
 def solve_eta(problem: MeanFieldProblem, state: MeanFieldState,
-              lin: Linearization | None = None, spectrum_free: bool = True,
-              k: int = 10) -> np.ndarray:
+              lin: Linearization | None = None) -> np.ndarray:
     """The branch derivative d psi / d lambda as a Dirichlet field.
 
-    Solves the linearized equation with load rho (psi - <psi>).  With
-    spectrum_free=False the field is instead reconstructed from the first k
-    eigenmodes (a truncation, used for cross-checks).
+    Solves the linearized equation with load rho (psi - <psi>).
     """
     if lin is None:
         lin = Linearization.at_state(problem, state)
-    if not spectrum_free:
-        report = weighted_eigs(problem, state, k=k, lin=lin)
-        coeffs = expand_modes(problem, state, np.zeros_like(state.psi), report, lin=lin)
-        return report.phis @ (coeffs.a / report.sigmas)
     rhs = (lin.M_rho @ state.psi - lin.rho_average(state.psi) * lin.b)[problem.interior]
     eta = np.zeros(problem.mesh.n_vertices)
     eta[problem.interior] = lin.solve(rhs, rtol=1e-10)
@@ -169,22 +167,10 @@ def g_of(problem: MeanFieldProblem, state: MeanFieldState,
 
 
 def dE_dlambda(problem: MeanFieldProblem, state: MeanFieldState,
-               eta: np.ndarray, report: SpectrumReport | None = None,
-               lin: Linearization | None = None) -> DerivativePair:
-    """Energy derivative along the branch, direct and spectrally truncated.
-
-    The direct value pairs eta with the state through the stiffness form and
-    is authoritative; the truncated sum over modes approaches it from below
-    since every term (lambda + sigma_j) sigma_j b_j^2 is positive.
-    """
-    direct = float(eta @ (problem.A @ state.psi))
-    if report is None:
-        return DerivativePair(direct=direct, spectral=math.nan, remainder=math.nan)
-    coeffs = expand_modes(problem, state, eta, report, lin=lin)
-    terms = (state.lam + report.sigmas) * report.sigmas * coeffs.b ** 2
-    spectral = float(np.sum(terms))
-    return DerivativePair(direct=direct, spectral=spectral,
-                          remainder=direct - spectral)
+               eta: np.ndarray) -> float:
+    """Energy derivative along the branch: eta paired with the state through
+    the stiffness form."""
+    return float(eta @ (problem.A @ state.psi))
 
 
 def _branch_point(problem, state, cfg, warm=None):
@@ -194,11 +180,10 @@ def _branch_point(problem, state, cfg, warm=None):
     """
     lin = Linearization.at_state(problem, state)
     diag = g_of(problem, state, lin=lin)
-    deriv = dE_dlambda(problem, state, diag.eta, lin=lin)
     report = weighted_eigs(problem, state, k=cfg.spectrum_k, lin=lin, warm=warm)
     row = BranchPoint(
         lam=state.lam, mu=state.mu, energy=state.energy,
-        dE_dlambda=deriv.direct, g_value=diag.g,
+        dE_dlambda=dE_dlambda(problem, state, diag.eta), g_value=diag.g,
         sigma1=float(report.sigmas[0]), tau1=report.tau1,
         poincare=report.poincare, sup_norm=float(np.abs(state.psi).max()),
         residual=state.residual)
@@ -244,15 +229,16 @@ def _positive_targets(cfg):
     return targets
 
 
-def _march(problem, start, targets, cfg, on_state):
-    """Continuation through the target list with a tangent predictor.
+def _march(problem, start, targets, cfg, on_state, tol, max_iter):
+    """Continuation through the target list, each Newton solve to tol.
 
     start is the (state, eta) pair to march from.  Each solve starts from
-    the Euler predictor psi + (target - lambda) eta of the last accepted
-    state; on_state(state) returns the eta of every accepted state, or None
-    to stop there.  A solve is retried at the midpoint when Newton works too
-    hard or the iterate jumps; failures below the minimum gap end the march
-    gracefully.  Returns the last state and the termination tag.
+    the predictor psi + (target - lambda) eta of the last accepted state;
+    on_state(state) returns the eta of every accepted state (the tangent
+    along a trace, a secant in a cold solve_mp), or None to stop there.  A
+    solve is retried at the midpoint when Newton works too hard or the
+    iterate jumps; failures below the minimum gap end the march gracefully.
+    Returns the last state and the termination tag.
     """
     state, eta = start
     stack = list(reversed(targets))
@@ -262,7 +248,7 @@ def _march(problem, start, targets, cfg, on_state):
         gap = abs(target - state.lam)
         try:
             guess = state.psi + (target - state.lam) * eta
-            nxt = problem._newton(target, guess, NEWTON_TOL, 40)
+            nxt = problem._newton(target, guess, tol, max_iter)
             jumped = (np.abs(nxt.psi).max()
                       > cfg.sup_jump * max(np.abs(state.psi).max(), 0.05))
             trouble = nxt.iterations > cfg.newton_budget or jumped
@@ -326,11 +312,11 @@ def trace_branch(problem: MeanFieldProblem, cfg: TraceConfig | None = None,
     warm = WarmStart()
     row0, diag0 = _branch_point(problem, state0, cfg, warm)
     _, term_neg = _march(problem, (state0, diag0.eta), _negative_targets(cfg),
-                         cfg, collect(rows_neg, warm.copy()))
+                         cfg, collect(rows_neg, warm.copy()), NEWTON_TOL, 40)
     if on_row is not None:
         on_row(row0)
     _, term_pos = _march(problem, (state0, diag0.eta), _positive_targets(cfg),
-                         cfg, collect(rows_pos, warm.copy()))
+                         cfg, collect(rows_pos, warm.copy()), NEWTON_TOL, 40)
 
     points = rows_neg[::-1] + [row0] + rows_pos
     diagram = BranchDiagram(points=points, termination=term_pos)
@@ -473,6 +459,13 @@ def write_csv(points, path):
     return path
 
 
+def write_json(obj, path):
+    with open(path, "w") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
+    return path
+
+
 def read_csv(path):
     with open(path) as f:
         header = f.readline().strip()
@@ -489,20 +482,7 @@ def emit_diagram(diagram: BranchDiagram, out_dir, stem="branch"):
     paths = []
     csv_path = os.path.join(out_dir, f"{stem}.csv")
     paths.append(write_csv(diagram.points, csv_path))
-    summary = {
-        "kind": diagram.kind,
-        "termination": diagram.termination,
-        "fold": None if diagram.fold is None else
-            {"lambda": diagram.fold[0], "E": diagram.fold[1], "mu": diagram.fold[2]},
-        "mu_at_min": diagram.mu_at_min,
-        "mu1_estimate": diagram.mu1_estimate,
-        "rows": len(diagram.points),
-    }
-    json_path = os.path.join(out_dir, f"{stem}.json")
-    with open(json_path, "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
-    paths.append(json_path)
+    paths.append(write_json(diagram.summary(), os.path.join(out_dir, f"{stem}.json")))
     paths.extend(plot_csv(csv_path, out_dir, stem=stem))
     return paths
 

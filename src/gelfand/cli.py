@@ -16,7 +16,8 @@ import math
 import os
 import sys
 
-from .branch import TraceConfig, emit_diagram, plot_csv, trace_branch, write_csv
+from .branch import (TraceConfig, emit_diagram, plot_csv, trace_branch, write_csv,
+                     write_json)
 from .errors import (BlowupDetected, ConfigError, GelfandError, InvalidDelta,
                      InvalidDensity, InvalidSingularity, InvalidWeight,
                      NoConvergence, UnsupportedRegime)
@@ -120,13 +121,6 @@ def _finite_or_none(x):
     return float(x)
 
 
-def write_json(obj, path):
-    with open(path, "w") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
-    return path
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -200,15 +194,7 @@ def cmd_spectrum(args):
 def cmd_classify(args):
     rc, diagram = _trace(args)
     write_csv(diagram.points, os.path.join(rc.out_dir, "branch.csv"))
-    write_json({
-        "kind": diagram.kind,
-        "termination": diagram.termination,
-        "fold": None if diagram.fold is None else
-            {"lambda": diagram.fold[0], "E": diagram.fold[1], "mu": diagram.fold[2]},
-        "mu_at_min": diagram.mu_at_min,
-        "mu1_estimate": diagram.mu1_estimate,
-        "rows": len(diagram.points),
-    }, os.path.join(rc.out_dir, "classification.json"))
+    write_json(diagram.summary(), os.path.join(rc.out_dir, "classification.json"))
     print(diagram.kind)
     return 0
 

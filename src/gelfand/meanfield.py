@@ -8,8 +8,8 @@ and is uniquely solvable for every lambda below 8 pi, which makes lambda the
 robust continuation parameter.  The classical form -Delta v = mu h e^v is
 recovered through mu = lambda / int h e^(lambda psi), u = lambda psi.
 
-Newton's method works on the dual-norm residual with Armijo backtracking.
-The Jacobian is the linearized operator
+One damped Newton driver, Armijo backtracking on the dual-norm residual
+under a sup-norm trust cap, serves both forms; the mean-field Jacobian is
 
     L eta = -Delta eta - lambda rho (eta - <eta>),
 
@@ -147,61 +147,78 @@ class MeanFieldProblem:
                  max_iter=NEWTON_MAX_ITER) -> MeanFieldState:
         """Solve the mean-field problem at the given lambda.
 
-        Cold starts above 2 pi run a short internal continuation from
-        lambda = 0 so Newton always starts near the branch.  Iterates whose
-        sup norm crosses 50/max(1, lambda) raise BlowupDetected; so does a
-        converged state at lambda >= 8 pi whose density is concentrated below
-        the local mesh resolution, since no trusted solution exists there.
+        Cold starts above 2 pi march from lambda = 0 (_continued_solve) so
+        Newton always starts near the branch.  Iterates whose sup norm
+        crosses 50/max(1, lambda) raise BlowupDetected; so does a converged
+        state at lambda >= 8 pi whose density is concentrated below the local
+        mesh resolution, since no trusted solution exists there.
         """
         lam = float(lam)
         if initial_guess is None and lam > 2 * np.pi:
-            return self._continued_solve(lam, tol, max_iter)
-        psi = np.zeros(self.mesh.n_vertices) if initial_guess is None \
-            else np.array(initial_guess, dtype=float)
-        state = self._newton(lam, psi, tol, max_iter)
+            state = self._continued_solve(lam, tol, max_iter)
+        else:
+            psi = np.zeros(self.mesh.n_vertices) if initial_guess is None \
+                else np.array(initial_guess, dtype=float)
+            state = self._newton(lam, psi, tol, max_iter)
         if lam >= EIGHT_PI - 1e-12 and self._is_concentrated(state):
             raise BlowupDetected(
                 "density concentrates below mesh resolution at lambda >= 8 pi",
                 lam=lam, psi=state.psi, sup=float(np.abs(state.psi).max()))
         return state
 
-    def _newton(self, lam, psi, tol, max_iter):
-        cap = TRUST_SUP / max(1.0, lam)
-        b, factors, log_z = self._load(lam, psi)
-        r = (self.A @ psi - b)[self.interior]
-        dn = self.dirichlet.dual_norm(r)
+    def _damped_newton(self, x, residual, linear_solve, cap, tol, max_iter, where,
+                       name="Newton", lam=None):
+        """Damped Newton on the interior values of x, with Armijo backtracking.
+
+        residual(x) returns (aux, r, dn): what linear_solve(aux, r) needs for
+        the step on the interior residual r, and the dual norm dn of r.  A
+        trial past the sup-norm cap raises BlowupDetected (with lam and the
+        trial if lam is given); a step below 2^-24, a singular linearization
+        or dn > tol after max_iter steps raise NoConvergence.  Messages name
+        the form and parameter.  Returns (x, aux, dn, iterations).
+        """
+        aux, r, dn = residual(x)
         it = 0
         while dn > tol:
             if it >= max_iter:
-                raise NoConvergence(
-                    f"Newton stalled at lambda={lam:.6g}", iterations=it, residual=dn)
-            lin = Linearization(self, lam, factors, b)
+                raise NoConvergence(f"{name} stalled at {where}", iterations=it, residual=dn)
             try:
-                delta = lin.solve(-r)
+                delta = linear_solve(aux, r)
             except FoldSingularity:
-                raise NoConvergence(
-                    f"singular linearization at lambda={lam:.6g}",
-                    iterations=it, residual=dn) from None
+                raise NoConvergence(f"singular linearization at {where}",
+                                    iterations=it, residual=dn) from None
             step = 1.0
             while True:
-                trial = psi.copy()
+                trial = x.copy()
                 trial[self.interior] += step * delta
-                if np.abs(trial).max() > cap:
-                    raise BlowupDetected(
-                        f"iterate exceeded trust cap at lambda={lam:.6g}",
-                        lam=lam, psi=trial, sup=float(np.abs(trial).max()))
-                b_t, factors_t, log_z_t = self._load(lam, trial)
-                r_t = (self.A @ trial - b_t)[self.interior]
-                dn_t = self.dirichlet.dual_norm(r_t)
+                sup = float(np.abs(trial).max())
+                if sup > cap:
+                    raise BlowupDetected(f"iterate exceeded trust cap at {where}", lam=lam,
+                                         psi=None if lam is None else trial, sup=sup)
+                aux_t, r_t, dn_t = residual(trial)
                 if dn_t <= (1.0 - 1e-4 * step) * dn or dn_t < tol:
                     break
                 step *= 0.5
                 if step < 2.0 ** -24:
-                    raise NoConvergence(
-                        f"line search failed at lambda={lam:.6g}",
-                        iterations=it, residual=dn)
-            psi, b, factors, log_z, r, dn = trial, b_t, factors_t, log_z_t, r_t, dn_t
+                    raise NoConvergence(f"line search failed at {where}",
+                                        iterations=it, residual=dn)
+            x, aux, r, dn = trial, aux_t, r_t, dn_t
             it += 1
+        return x, aux, dn, it
+
+    def _newton(self, lam, psi, tol, max_iter):
+        def residual(psi):
+            b, factors, log_z = self._load(lam, psi)
+            r = (self.A @ psi - b)[self.interior]
+            return (b, factors, log_z), r, self.dirichlet.dual_norm(r)
+
+        def linear_solve(aux, r):
+            b, factors, _ = aux
+            return Linearization(self, lam, factors, b).solve(-r)
+
+        psi, (_, factors, log_z), dn, it = self._damped_newton(
+            psi, residual, linear_solve, TRUST_SUP / max(1.0, lam), tol, max_iter,
+            f"lambda={lam:.6g}", lam=lam)
         return self._finalize(lam, psi, factors, log_z, dn, it)
 
     def _finalize(self, lam, psi, factors, log_z, dn, iterations):
@@ -230,30 +247,24 @@ class MeanFieldProblem:
         d2 = np.sum((self.quad.pos - self.mesh.vertices[peak]) ** 2, axis=-1)
         return float(np.sum((self.quad.w * factors)[d2 < radius * radius])) >= 0.5
 
-    def _continued_solve(self, lam_target, tol, max_iter):
-        state = self.solve_mp(0.0, initial_guess=np.zeros(self.mesh.n_vertices),
-                              tol=tol, max_iter=max_iter)
-        lam = 0.0
-        step = np.pi / 2
-        while lam < lam_target:
-            step = min(step, lam_target - lam)
-            try:
-                nxt = self._newton(lam + step, state.psi.copy(), tol, max_iter)
-            except (NoConvergence, BlowupDetected) as e:
-                step *= 0.5
-                if step < 1e-4 * (1.0 + lam_target):
-                    sup = float(np.abs(state.psi).max())
-                    raise BlowupDetected(
-                        f"continuation stalled at lambda={lam:.6g} "
-                        f"en route to {lam_target:.6g}",
-                        lam=lam, psi=state.psi, sup=sup) from e
-                continue
-            state, lam = nxt, lam + step
-            step = min(2.0 * step, np.pi / 2)
-        if lam_target >= EIGHT_PI - 1e-12 and self._is_concentrated(state):
+    def _continued_solve(self, lam, tol, max_iter):
+        """branch._march from lambda = 0 in pi/2 steps, secant-predicted."""
+        from .branch import TraceConfig, _march  # deferred: cycle
+        state = self.solve_mp(0.0, tol=tol, max_iter=max_iter)
+
+        def on_state(s):             # the secant slope from the last accepted state
+            nonlocal state
+            slope = (s.psi - state.psi) / (s.lam - state.lam)
+            state = s
+            return slope
+
+        targets = [*np.arange(np.pi / 2, lam, np.pi / 2), lam]
+        state, termination = _march(self, (state, np.zeros_like(state.psi)), targets,
+                                    TraceConfig(), on_state, tol, max_iter)
+        if termination != "completed":
             raise BlowupDetected(
-                "density concentrates below mesh resolution at lambda >= 8 pi",
-                lam=lam_target, psi=state.psi, sup=float(np.abs(state.psi).max()))
+                f"continuation stalled at lambda={state.lam:.6g} en route to {lam:.6g}",
+                lam=state.lam, psi=state.psi, sup=float(np.abs(state.psi).max()))
         return state
 
     # -- Gelfand form ---------------------------------------------------------
@@ -290,37 +301,17 @@ class MeanFieldProblem:
             r = (self.A @ v - mu * self.quad.assemble_load(factors))[self.interior]
             return factors, r, self.dirichlet.dual_norm(r)
 
-        v = np.zeros(self.mesh.n_vertices)
-        factors, r, dn = residual(v)
-        for it in range(max_iter):
-            if dn < tol:
-                return self._state_from_lp(mu, v, factors, dn, it)
+        def linear_solve(factors, r):
             M = self.quad.assemble_mass(factors)
             J_ii = self.jacobian_pattern(M).interior(mu, M)
-            delta = splu(J_ii, permc_spec=PERMC_SPEC).solve(-r)
-            step = 1.0
-            while True:
-                trial = v.copy()
-                trial[self.interior] += step * delta
-                sup = float(np.abs(trial).max())
-                if sup > TRUST_SUP:
-                    raise BlowupDetected(
-                        f"iterate exceeded trust cap at mu={mu:.6g}", sup=sup)
-                factors_t, r_t, dn_t = residual(trial)
-                if dn_t <= (1 - 1e-4 * step) * dn or dn_t < tol:
-                    break
-                step *= 0.5
-                if step < 2.0 ** -24:
-                    raise NoConvergence(
-                        f"line search failed at mu={mu:.6g}", iterations=it, residual=dn)
-            v, factors, r, dn = trial, factors_t, r_t, dn_t
-        raise NoConvergence(f"Gelfand Newton stalled at mu={mu:.6g}",
-                            iterations=max_iter, residual=dn)
+            return splu(J_ii, permc_spec=PERMC_SPEC).solve(-r)
 
-    def _state_from_lp(self, mu, v, factors, dn, iterations):
+        v, factors, dn, it = self._damped_newton(
+            np.zeros(self.mesh.n_vertices), residual, linear_solve, TRUST_SUP, tol,
+            max_iter, f"mu={mu:.6g}", name="Gelfand Newton")
         z = self.quad.integrate(factors)          # int h e^v
         lam = mu * z                              # mu = 0 never comes here
-        return self._finalize(lam, v / lam, factors / z, np.log(z), dn, iterations)
+        return self._finalize(lam, v / lam, factors / z, np.log(z), dn, it)
 
     def _lp_minimal_branch(self, mu, tol, max_iter, fold_rtol):
         from .branch import TraceConfig, _march, g_of, locate_fold  # deferred: cycle
@@ -334,7 +325,7 @@ class MeanFieldProblem:
         if diag is not None and diag.g >= G_DIRECT:
             return state
         below = diag is not None and diag.g > 0.0     # converged on the minimal branch
-        start = state if below else self.solve_mp(0.0, tol=tol)
+        start = state if below else self.solve_mp(0.0, tol=tol, max_iter=max_iter)
         last = [(start, diag if below else g_of(self, start))]   # the last two pairs
 
         def on_state(s):             # keeps the pair, and ends the march once g <= 0
@@ -345,7 +336,8 @@ class MeanFieldProblem:
         cfg = TraceConfig()
         lam_end = EIGHT_PI - cfg.eps_stop
         targets = np.arange(start.lam + cfg.pos_step, lam_end, cfg.pos_step)
-        _march(self, (start, last[0][1].eta), [*targets, lam_end], cfg, on_state)
+        _march(self, (start, last[0][1].eta), [*targets, lam_end], cfg, on_state,
+               tol, max_iter)
         if last[-1][1].g <= 0.0:
             fold = locate_fold(self, *last, newton_tol=tol, max_iter=max_iter)
             if mu > fold.mu * (1.0 + fold_rtol):

@@ -67,7 +67,7 @@ def test_criterion_04_derivative_identity(disk_problem):
         eta = solve_eta(disk_problem, state)
         report = weighted_eigs(disk_problem, state, k=20)
         coeffs = expand_modes(disk_problem, state, eta, report)
-        direct = dE_dlambda(disk_problem, state, eta).direct
+        direct = dE_dlambda(disk_problem, state, eta)
         e_plus = disk_problem.solve_mp(lam + d_lam, initial_guess=state.psi).energy
         e_minus = disk_problem.solve_mp(lam - d_lam, initial_guess=state.psi).energy
         fd = (e_plus - e_minus) / (2.0 * d_lam)

@@ -34,17 +34,17 @@ def test_derivative_direct_vs_finite_difference(disk_problem):
     lam, dl = 1.0, 1e-3
     state = disk_problem.solve_mp(lam)
     eta = solve_eta(disk_problem, state)
-    pair = dE_dlambda(disk_problem, state, eta)
+    direct = dE_dlambda(disk_problem, state, eta)
     e_plus = disk_problem.solve_mp(lam + dl, initial_guess=state.psi).energy
     e_minus = disk_problem.solve_mp(lam - dl, initial_guess=state.psi).energy
     fd = (e_plus - e_minus) / (2.0 * dl)
-    assert pair.direct == pytest.approx(fd, abs=1e-6)
+    assert direct == pytest.approx(fd, abs=1e-6)
 
 
 def test_spectral_sum_from_below(disk_problem):
     state = disk_problem.solve_mp(6.0)
     eta = solve_eta(disk_problem, state)
-    direct = dE_dlambda(disk_problem, state, eta).direct
+    direct = dE_dlambda(disk_problem, state, eta)
     report = weighted_eigs(disk_problem, state, k=20)
     modes = expand_modes(disk_problem, state, eta, report)
     terms = (state.lam + report.sigmas) * report.sigmas * modes.b ** 2

@@ -1,5 +1,7 @@
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,11 +182,21 @@ def test_exp_factors_shift_for_negative_lambda(which, request):
     assert problem.quad.integrate(factors) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_negative_mu_line_search_stall_raises(coarse_problem, monkeypatch):
+# the two callers of the damped Newton driver, each from the zero field:
+# psi at lambda = -5 and v at mu = -5
+NEWTON_FORMS = {
+    "psi": lambda problem, tol, max_iter: problem._newton(
+        -5.0, np.zeros(problem.mesh.n_vertices), tol, max_iter),
+    "v": lambda problem, tol, max_iter: problem._lp_newton_negative(-5.0, tol, max_iter),
+}
+
+
+@pytest.mark.parametrize("form", sorted(NEWTON_FORMS))
+def test_negative_mu_line_search_stall_raises(coarse_problem, monkeypatch, form):
     # a residual that never decreases stalls the line search at once
     monkeypatch.setattr(coarse_problem.dirichlet, "dual_norm", lambda r: 1.0)
     with pytest.raises(NoConvergence, match="line search failed") as info:
-        coarse_problem.solve_lp(-5.0)
+        NEWTON_FORMS[form](coarse_problem, NEWTON_TOL, NEWTON_MAX_ITER)
     assert info.value.iterations == 0
     assert info.value.residual == 1.0
 
@@ -333,6 +345,20 @@ class TestSolveLP:
             disk_problem.solve_lp(1.0)
         assert (info.value.iterations, info.value.residual) == (3, 0.5)
 
+    def test_fold_fallback_keeps_callers_tol(self, disk_problem, monkeypatch):
+        # g of the direct state is under G_DIRECT at mu = 1.97, so the march
+        # and the fold location run; each of their psi solves takes the
+        # request's tol and iteration budget
+        budgets, newton = [], disk_problem._newton
+
+        def recording_newton(lam, psi, tol, max_iter):
+            budgets.append((tol, max_iter))
+            return newton(lam, psi, tol, max_iter)
+
+        monkeypatch.setattr(disk_problem, "_newton", recording_newton)
+        disk_problem.solve_lp(1.97, tol=1e-6)
+        assert budgets and set(budgets) == {(1e-6, NEWTON_MAX_ITER)}
+
     @pytest.mark.parametrize("which", ["disk_problem", "coarse_problem"])
     def test_above_fold_raises_without_overflow(self, which, request):
         # past the fold the trust cap stops Newton on v before exp overflows
@@ -369,13 +395,37 @@ def test_lp_round_trip_nonradial(nonradial_problem, lam):
     assert g_of(nonradial_problem, state).g > 0.0
 
 
-def test_v_newton_accepts_trial_below_tol(coarse_problem, monkeypatch):
+@pytest.mark.parametrize("form", sorted(NEWTON_FORMS))
+def test_v_newton_accepts_trial_below_tol(coarse_problem, monkeypatch, form):
     # a trial that meets the tolerance is accepted even when it misses the
-    # Armijo decrease, as in the psi-form Newton
+    # Armijo decrease
     norms = iter([1.0, 1.0 - 1e-6])
     monkeypatch.setattr(coarse_problem.dirichlet, "dual_norm", lambda r: next(norms))
-    state = coarse_problem._lp_newton_negative(-5.0, 1.0 - 1e-7, NEWTON_MAX_ITER)
+    state = NEWTON_FORMS[form](coarse_problem, 1.0 - 1e-7, NEWTON_MAX_ITER)
     assert state.iterations == 1 and state.residual == 1.0 - 1e-6
+
+
+@pytest.mark.parametrize("form", sorted(NEWTON_FORMS))
+def test_newton_converges_on_last_allowed_iteration(disk_problem, form):
+    # the converge test follows every step, the last allowed one included
+    state = NEWTON_FORMS[form](disk_problem, NEWTON_TOL, NEWTON_MAX_ITER)
+    again = NEWTON_FORMS[form](disk_problem, NEWTON_TOL, state.iterations)
+    assert again.iterations == state.iterations and again.residual == state.residual
+    assert np.array_equal(again.psi, state.psi) and again.lam == state.lam
+
+
+def test_one_line_search_floor():
+    # one damped Newton driver serves the psi and v forms, so the 2^-24
+    # step floor of its line search sits in exactly one function
+    src = Path(__file__).resolve().parents[1] / "src" / "gelfand"
+    holders = sorted(
+        f"{path.name}:{fn.name}"
+        for path in src.glob("*.py")
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(isinstance(node, ast.BinOp) and ast.unparse(node) == "2.0 ** (-24)"
+                for node in ast.walk(fn)))
+    assert len(holders) == 1, holders
 
 
 def test_save_load_roundtrip(tmp_path, disk_problem):
