@@ -34,7 +34,6 @@ from .meanfield import (
     EIGHT_PI,
     MeanFieldProblem,
     MeanFieldState,
-    RhoField,
     load_psi,
     save_state,
 )
@@ -66,7 +65,6 @@ from .freeenergy import (
     EnergyBoundReport,
     collar_density,
     free_energy_of,
-    interaction_energy,
     minimize_free_energy,
     verify_energy_bound,
 )
@@ -81,7 +79,7 @@ __all__ = [
     "DomainSpec", "GreenField", "Mesh", "SingularitySpec", "WeightField",
     "build_mesh", "build_weight", "domain_from_config", "green_function",
     "uniform_weight", "write_mesh",
-    "EIGHT_PI", "MeanFieldProblem", "MeanFieldState", "RhoField",
+    "EIGHT_PI", "MeanFieldProblem", "MeanFieldState",
     "load_psi", "save_state",
     "SpectrumReport", "dense_sigma_oracle", "expand_modes",
     "poincare_constant", "standard_tau1", "weighted_eigs",
@@ -89,6 +87,6 @@ __all__ = [
     "dE_dlambda", "emit_diagram", "find_fold", "g_of", "plot_csv",
     "read_csv", "solve_eta", "trace_branch", "write_csv",
     "DensityState", "EnergyBoundReport", "collar_density", "free_energy_of",
-    "interaction_energy", "minimize_free_energy", "verify_energy_bound",
+    "minimize_free_energy", "verify_energy_bound",
     "__version__",
 ]

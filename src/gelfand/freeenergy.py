@@ -13,7 +13,10 @@ update
 
 damped so the free energy never increases.  The update reuses the Newton
 solver's assembly path verbatim, so the fixed point agrees with the Newton
-solution of the same discrete system to solver tolerance.
+solution of the same discrete system to solver tolerance.  Each F evaluation
+evaluates psi at the quadrature points once, in MeanFieldProblem._load; the
+entropy and weight terms, the Jensen slack and the returned state all read
+those point values, and each accepted iterate's vertex density is formed once.
 
 Two evaluation paths coexist on purpose.  Arbitrary vertex densities (collar
 densities, test inputs) are evaluated as P1 fields with their own potential
@@ -125,13 +128,6 @@ def free_energy_of(problem: MeanFieldProblem, rho, lam, n=None) -> DensityState:
         lam=lam, n=n if n is not None else _weight_index(problem))
 
 
-def interaction_energy(problem: MeanFieldProblem, rho) -> float:
-    """E(rho) = (1/2) int rho (G*rho) for a P1 density."""
-    M = assemble_mass(problem.mesh)
-    potential = problem.dirichlet.solve(M @ np.asarray(rho, dtype=float))
-    return 0.5 * float(np.asarray(rho) @ (M @ potential))
-
-
 def collar_density(mesh: Mesh, delta: float) -> np.ndarray:
     """Uniform probability density on the inner delta-collar of the boundary.
 
@@ -165,39 +161,6 @@ def collar_density(mesh: Mesh, delta: float) -> np.ndarray:
 # minimization
 
 
-def _quad_level_state(problem, lam, psi, n, iterations, el_residual, jensen_slack):
-    """Assemble a DensityState for the fixed point, at quadrature accuracy."""
-    factors, log_z = problem._exp_factors(lam, psi)
-    rho = problem.vertex_density(lam, psi, log_z)
-    m = _lumped_mass(problem)
-    rho = rho / float(m @ rho)
-    entropy, linear = _entropy_and_linear(problem, lam, psi, factors, log_z)
-    energy = 0.5 * float(psi @ (problem.A @ psi))
-    e_dual = 0.5 * float(np.sum(problem.quad.w * factors * problem.quad.eval(psi)))
-    if abs(energy - e_dual) > 1e-6 * max(abs(energy), 1e-12):
-        raise SolverError(f"interaction energy duality violated: {energy!r} vs {e_dual!r}")
-    return DensityState(
-        rho=rho, potential=psi, free_energy=entropy - lam * energy - linear,
-        entropy_term=entropy, energy=energy, linear_term=linear,
-        lam=lam, n=n, iterations=iterations, el_residual=el_residual,
-        jensen_min_slack=jensen_slack)
-
-
-def _entropy_and_linear(problem, lam, psi, factors, log_z):
-    """int rho log rho and int rho log h for rho = h e^(lam psi) / Z at the points."""
-    quad = problem.quad
-    wf = quad.w * factors
-    return (float(np.sum(wf * (quad.log_h + lam * quad.eval(psi) - log_z))),
-            float(np.sum(wf * quad.log_h)))
-
-
-def _jensen_slack(problem, lam, psi, log_z):
-    """log of int h e^(lam psi) over its Jensen lower bound (nonnegative)."""
-    h_mass = problem.weight_mass
-    h_avg_psi = problem.quad.integrate(problem.quad.eval(psi))
-    return log_z - (np.log(h_mass) + lam * h_avg_psi / h_mass)
-
-
 def minimize_free_energy(problem: MeanFieldProblem, lam, tol=L1_TOL,
                          max_iter=MAX_ITER, n=None) -> DensityState:
     """Minimize the functional by the damped Euler-Lagrange fixed point.
@@ -209,35 +172,38 @@ def minimize_free_energy(problem: MeanFieldProblem, lam, tol=L1_TOL,
     cannot distinguish a contraction from the mild divergence an undamped
     update exhibits at strongly negative lambda.  The step regrows only
     after a sustained run of shrinking updates.  Convergence is declared on
-    the L1 change of the vertex density.
+    the L1 change of the vertex density, which raises OverflowGuard where it
+    leaves the float range.
     """
     if lam >= 0:
         raise UnsupportedRegime("free-energy minimization requires lambda < 0")
     n = n if n is not None else _weight_index(problem)
     m = _lumped_mass(problem)
-    w = problem.weight.vertex_values()
-
-    def density(psi, log_z):
-        return w * np.exp(lam * psi - log_z)
+    quad = problem.quad
+    log_h_mass = np.log(problem.weight_mass)
 
     def f_value(psi):
-        """F at the density generated by psi, and the next fixed-point target."""
-        b, factors, log_z = problem._load(lam, psi)
+        """F at the density generated by psi, the next fixed-point target, log Z
+        and (w factors, psi at the points, entropy term, linear term)."""
+        b, factors, log_z, psi_q = problem._load(lam, psi)
         target = np.zeros_like(psi)
         target[problem.interior] = problem.dirichlet.solve_interior(b[problem.interior])
         energy = 0.5 * float(b @ target)
-        entropy, linear = _entropy_and_linear(problem, lam, psi, factors, log_z)
-        return entropy - lam * energy - linear, target, log_z
+        wf = quad.w * factors       # rho dx at the points, rho = h e^(lam psi) / Z
+        entropy = float(np.sum(wf * (quad.log_h + lam * psi_q - log_z)))
+        linear = float(np.sum(wf * quad.log_h))
+        return entropy - lam * energy - linear, target, log_z, (wf, psi_q, entropy, linear)
 
     psi = np.zeros(problem.mesh.n_vertices)
-    f_cur, target, log_z = f_value(psi)
+    f_cur, target, log_z, _ = f_value(psi)
+    rho = problem.vertex_density(lam, psi, log_z)
     jensen_min = np.inf  # tracked over the visited iterates, not the zero start
     step, prev_l1, shrinking = 1.0, np.inf, 0
     for it in range(1, max_iter + 1):
         direction = target - psi
         while True:
             trial = psi + step * direction
-            f_trial, target_trial, log_z_trial = f_value(trial)
+            f_trial, target_trial, log_z_trial, ev_trial = f_value(trial)
             if f_trial <= f_cur + 1e-13 * max(1.0, abs(f_cur)):
                 break
             step *= 0.5
@@ -245,9 +211,13 @@ def minimize_free_energy(problem: MeanFieldProblem, lam, tol=L1_TOL,
                 raise NoConvergence(
                     f"free-energy descent stalled at lambda={lam:.6g}",
                     iterations=it, residual=f_trial - f_cur)
-        l1_change = float(m @ np.abs(density(trial, log_z_trial) - density(psi, log_z)))
-        psi, f_cur, target, log_z = trial, f_trial, target_trial, log_z_trial
-        jensen_min = min(jensen_min, _jensen_slack(problem, lam, psi, log_z))
+        rho_trial = problem.vertex_density(lam, trial, log_z_trial)
+        l1_change = float(m @ np.abs(rho_trial - rho))
+        psi, f_cur, target, log_z, rho = trial, f_trial, target_trial, log_z_trial, rho_trial
+        wf, psi_q, entropy, linear = ev_trial
+        # log of int h e^(lam psi) over its Jensen lower bound (nonnegative)
+        jensen_min = min(jensen_min, log_z - (
+            log_h_mass + lam * quad.integrate(psi_q) / problem.weight_mass))
         if l1_change > prev_l1:
             step, shrinking = max(step * 0.5, 1e-8), 0
         else:
@@ -261,8 +231,17 @@ def minimize_free_energy(problem: MeanFieldProblem, lam, tol=L1_TOL,
             d = (psi - target)[problem.interior]
             el_residual = float(np.sqrt(max(d @ (problem.dirichlet.A_ii @ d), 0.0)))
             if el_residual <= 1e-8:
-                return _quad_level_state(problem, lam, psi, n, it, el_residual,
-                                         jensen_min)
+                energy = 0.5 * float(psi @ (problem.A @ psi))
+                e_dual = 0.5 * float(np.sum(wf * psi_q))
+                if abs(energy - e_dual) > 1e-6 * max(abs(energy), 1e-12):
+                    raise SolverError(
+                        f"interaction energy duality violated: {energy!r} vs {e_dual!r}")
+                return DensityState(
+                    rho=rho / float(m @ rho), potential=psi,
+                    free_energy=entropy - lam * energy - linear,
+                    entropy_term=entropy, energy=energy, linear_term=linear,
+                    lam=lam, n=n, iterations=it, el_residual=el_residual,
+                    jensen_min_slack=jensen_min)
     raise NoConvergence(f"free-energy iteration cap at lambda={lam:.6g}",
                         iterations=max_iter)
 

@@ -23,10 +23,12 @@ from scipy.spatial import Delaunay, cKDTree
 
 from .errors import ConfigError, InvalidSingularity, InvalidWeight, MeshFailure
 
-# Grading ratio toward singular points and default quality threshold.
+# Grading ratio toward singular points, minimum-angle threshold and the
+# smoothing rounds of every mesh.
 GRADING_RATIO = 0.5
 RING_POINTS = 12
 MIN_ANGLE_DEG = 15.0
+SMOOTHING_ROUNDS = 3
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +430,7 @@ def _point_segment_distance(pts, a, b, cap=np.inf):
     return best
 
 
-def build_mesh(domain: DomainSpec, sing: SingularitySpec, h_max: float,
-               smoothing_rounds: int = 3, min_angle: float = MIN_ANGLE_DEG) -> Mesh:
+def build_mesh(domain: DomainSpec, sing: SingularitySpec, h_max: float) -> Mesh:
     """Triangulate the domain with geometric grading toward singular points."""
     if h_max <= 0:
         raise ConfigError(f"h_max must be positive, got {h_max}")
@@ -543,7 +544,7 @@ def build_mesh(domain: DomainSpec, sing: SingularitySpec, h_max: float,
     tri = Delaunay(points)
     simplices = _interior_triangles(points, tri.simplices, shape)
 
-    for _ in range(smoothing_rounds):
+    for _ in range(SMOOTHING_ROUNDS):
         points = _smooth(points, simplices, n_fixed, shape)
         tri = Delaunay(points)
         simplices = _interior_triangles(points, tri.simplices, shape)
@@ -563,7 +564,7 @@ def build_mesh(domain: DomainSpec, sing: SingularitySpec, h_max: float,
         singularities=sing,
         h_max=float(h_max),
     )
-    _validate_mesh(mesh, n_boundary, min_angle)
+    _validate_mesh(mesh, n_boundary)
     return mesh
 
 
@@ -608,10 +609,10 @@ def _orient_ccw(points, simplices):
     return out
 
 
-def _validate_mesh(mesh, n_boundary, min_angle):
+def _validate_mesh(mesh, n_boundary):
     ang = mesh.min_angle()
-    if ang < min_angle:
-        raise MeshFailure(f"min triangle angle {ang:.2f} deg below {min_angle}")
+    if ang < MIN_ANGLE_DEG:
+        raise MeshFailure(f"min triangle angle {ang:.2f} deg below {MIN_ANGLE_DEG}")
     # every boundary segment between consecutive samples must be a mesh edge
     edges = {tuple(e) for e in np.sort(
         np.vstack([mesh.triangles[:, [0, 1]], mesh.triangles[:, [1, 2]],
@@ -741,18 +742,14 @@ def uniform_weight(mesh: Mesh) -> WeightField:
     )
 
 
-def build_weight(mesh: Mesh, sing: SingularitySpec | None = None,
-                 greens: list[GreenField] | None = None,
-                 floor_n: float | None = None) -> WeightField:
+def build_weight(mesh: Mesh, sing: SingularitySpec | None = None) -> WeightField:
     """Assemble the weight from the Green functions of the singular points."""
     if sing is None:
         sing = mesh.singularities
     if len(sing) == 0:
-        w = uniform_weight(mesh)
-        return w.with_floor(floor_n) if floor_n else w
+        return uniform_weight(mesh)
     sing.validate()
-    if greens is None:
-        greens = [green_function(mesh, p) for p in sing.points]
+    greens = [green_function(mesh, p) for p in sing.points]
 
     exponent = np.zeros(mesh.n_vertices)
     for j, g in enumerate(greens):
@@ -776,7 +773,6 @@ def build_weight(mesh: Mesh, sing: SingularitySpec | None = None,
         exponents=2.0 * sing.alphas.astype(float),
         coefficients=coeffs,
         points=np.asarray(sing.points, dtype=float),
-        floor=1.0 / floor_n if floor_n else 0.0,
     )
     w.validate()
     return w

@@ -59,15 +59,6 @@ PERMC_SPEC = "MMD_AT_PLUS_A"
 
 
 @dataclass
-class RhoField:
-    """Normalized density rho = h e^(lambda psi) / Z at the mesh vertices."""
-
-    values: np.ndarray
-    log_z: float
-    mass: float
-
-
-@dataclass
 class MeanFieldState:
     """A converged point on the solution branch."""
 
@@ -108,9 +99,9 @@ class MeanFieldProblem:
 
     # -- density ------------------------------------------------------------
 
-    def _exp_factors(self, lam, psi):
-        """Point factors e^(lam psi)/Z at the quadrature points, plus log Z."""
-        vals = lam * self.quad.eval(psi)
+    def _exp_factors(self, lam, psi_q):
+        """Point factors e^(lam psi)/Z and log Z, from psi_q = quad.eval(psi)."""
+        vals = lam * psi_q
         shift = float(np.max(vals))
         if not np.isfinite(shift):
             raise OverflowGuard("non-finite field in exponential")
@@ -120,13 +111,6 @@ class MeanFieldProblem:
             raise OverflowGuard("exponential integral lost all mass")
         log_z = shift + np.log(z_shifted)
         return raw / z_shifted, log_z
-
-    def rho_of(self, psi, lam) -> RhoField:
-        """Density rho_lambda for a given field, with exact unit quadrature mass."""
-        factors, log_z = self._exp_factors(lam, psi)
-        mass = self.quad.integrate(factors)
-        values = self.vertex_density(lam, psi, log_z)
-        return RhoField(values=values, log_z=log_z, mass=mass)
 
     def vertex_density(self, lam, psi, log_z):
         """h e^(lam psi - log Z) at the vertices; OverflowGuard if not finite."""
@@ -140,8 +124,14 @@ class MeanFieldProblem:
     # -- Newton solver ------------------------------------------------------
 
     def _load(self, lam, psi):
-        factors, log_z = self._exp_factors(lam, psi)
-        return self.quad.assemble_load(factors), factors, log_z
+        """Load b, point factors and log Z at psi, plus psi at the points.
+
+        psi is evaluated at the quadrature points once; callers that need
+        those values again read the returned psi_q.
+        """
+        psi_q = self.quad.eval(psi)
+        factors, log_z = self._exp_factors(lam, psi_q)
+        return self.quad.assemble_load(factors), factors, log_z, psi_q
 
     def solve_mp(self, lam, initial_guess=None, tol=NEWTON_TOL,
                  max_iter=NEWTON_MAX_ITER) -> MeanFieldState:
@@ -208,7 +198,7 @@ class MeanFieldProblem:
 
     def _newton(self, lam, psi, tol, max_iter):
         def residual(psi):
-            b, factors, log_z = self._load(lam, psi)
+            b, factors, log_z, _ = self._load(lam, psi)
             r = (self.A @ psi - b)[self.interior]
             return (b, factors, log_z), r, self.dirichlet.dual_norm(r)
 
@@ -241,7 +231,7 @@ class MeanFieldProblem:
         lam, psi = state.lam, state.psi
         if lam <= 0:
             return False
-        factors, _ = self._exp_factors(lam, psi)
+        factors, _ = self._exp_factors(lam, self.quad.eval(psi))
         peak = int(np.argmax(psi))
         radius = 3.0 * float(self.mesh.size_target[peak])
         d2 = np.sum((self.quad.pos - self.mesh.vertices[peak]) ** 2, axis=-1)
@@ -435,7 +425,7 @@ class Linearization:
 
     @classmethod
     def at_state(cls, problem, state: MeanFieldState):
-        factors, _ = problem._exp_factors(state.lam, state.psi)
+        factors, _ = problem._exp_factors(state.lam, problem.quad.eval(state.psi))
         return cls(problem, state.lam, factors)
 
     @cached_property

@@ -6,8 +6,7 @@ import pytest
 import radial_oracle as oracle
 from gelfand.errors import (InvalidDelta, InvalidDensity, NoConvergence,
                             OverflowGuard, UnsupportedRegime)
-from gelfand.freeenergy import (_quad_level_state, collar_density, free_energy_of,
-                                interaction_energy, minimize_free_energy,
+from gelfand.freeenergy import (collar_density, free_energy_of, minimize_free_energy,
                                 verify_energy_bound)
 from gelfand.geometry import (DomainSpec, SingularitySpec, build_mesh,
                               build_weight, uniform_weight)
@@ -31,7 +30,7 @@ def test_uniform_density_terms(disk_problem):
 def test_collar_oracle(disk_problem):
     for delta in (0.2, 0.1):
         rho = collar_density(disk_problem.mesh, delta)
-        e = interaction_energy(disk_problem, rho)
+        e = free_energy_of(disk_problem, rho, -1.0).energy
         assert e == pytest.approx(oracle.collar_energy(delta), rel=0.03), delta
 
 
@@ -41,12 +40,12 @@ def test_collar_oracle_thin_needs_resolved_boundary():
     mesh = build_mesh(dom, SingularitySpec.none(), h_max=0.1)
     problem = MeanFieldProblem(mesh, uniform_weight(mesh))
     rho = collar_density(mesh, 0.05)
-    e = interaction_energy(problem, rho)
+    e = free_energy_of(problem, rho, -1.0).energy
     assert e == pytest.approx(oracle.collar_energy(0.05), rel=0.03)
 
 
 def test_collar_energy_decreases(disk_problem):
-    es = [interaction_energy(disk_problem, collar_density(disk_problem.mesh, d))
+    es = [free_energy_of(disk_problem, collar_density(disk_problem.mesh, d), -1.0).energy
           for d in (0.2, 0.1, 0.05)]
     assert es[0] > es[1] > es[2] > 0
 
@@ -142,12 +141,33 @@ def test_quad_state_consistency(disk_problem):
 
 def test_quad_state_overflow_raises(disk_problem):
     # a vertex spike puts lam psi - log Z beyond the float range at that
-    # vertex (the quadrature points see at most ~0.82 of it); the state must
-    # raise like rho_of instead of clipping the exponent.  The helper does not
-    # look at the sign of lambda; lambda > 0 keeps the quadrature-level
-    # exponentials finite, so the vertex guard is what fires.
+    # vertex (the quadrature points see at most ~0.82 of it); the minimizer's
+    # vertex density must raise instead of clipping the exponent.  The helper
+    # does not look at the sign of lambda; lambda > 0 keeps the
+    # quadrature-level exponentials finite, so the vertex guard is what fires.
     psi = np.zeros(disk_problem.mesh.n_vertices)
     psi[disk_problem.interior[len(disk_problem.interior) // 2]] = 1e4
     with pytest.raises(OverflowGuard, match="density overflow at vertices"):
-        _quad_level_state(disk_problem, 1.0, psi, n=math.inf, iterations=0,
-                          el_residual=0.0, jensen_slack=0.0)
+        disk_problem.vertex_density(1.0, psi, disk_problem._load(1.0, psi)[2])
+
+
+def test_minimizer_evaluates_each_iterate_once(disk_problem, monkeypatch):
+    # each F evaluation evaluates psi at the quadrature points once, and each
+    # accepted iterate (and the start) forms its vertex density once, through
+    # the guarded MeanFieldProblem.vertex_density
+    counts = {"eval": 0, "load": 0, "density": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(disk_problem.quad, "eval", counted("eval", disk_problem.quad.eval))
+    monkeypatch.setattr(disk_problem, "_load", counted("load", disk_problem._load))
+    monkeypatch.setattr(disk_problem, "vertex_density",
+                        counted("density", disk_problem.vertex_density))
+    state = minimize_free_energy(disk_problem, -2.0)
+    assert counts["load"] > state.iterations > 0
+    assert counts["eval"] == counts["load"]
+    assert counts["density"] == state.iterations + 1

@@ -67,9 +67,8 @@ def test_average_decomposition(disk_problem):
 
 def test_rho_normalization(disk_problem):
     state = disk_problem.solve_mp(-3.0)
-    rho = disk_problem.rho_of(state.psi, state.lam)
-    assert rho.mass == pytest.approx(1.0, rel=1e-12)
-    assert np.all(rho.values >= 0)
+    assert state.mass_check == pytest.approx(1.0, rel=1e-12)
+    assert np.all(state.rho >= 0)
 
 
 def test_mu_lambda_consistency(disk_problem):
@@ -156,11 +155,9 @@ def spike_field(problem, height):
 def test_overflow_guard_on_accepted_state(disk_problem):
     # the quadrature points see at most ~0.82 of a vertex spike, so lam psi
     # - log Z exceeds the float range at the spike vertex; with a tolerance
-    # that accepts the start, the state is finalized at once and must raise
-    # like rho_of instead of clipping the exponent
+    # that accepts the start, the state is finalized at once and its vertex
+    # density must raise instead of clipping the exponent
     psi = spike_field(disk_problem, 1e4)
-    with pytest.raises(OverflowGuard, match="density overflow at vertices"):
-        disk_problem.rho_of(psi, 1.0)
     with pytest.raises(OverflowGuard, match="density overflow at vertices"):
         disk_problem.solve_mp(1.0, initial_guess=psi, tol=1e300)
 
@@ -176,7 +173,7 @@ def test_exp_factors_shift_for_negative_lambda(which, request):
     vals = problem.quad.eval(psi)
     assert vals.min() < -8000.0 and vals.max() <= 0.0
     with np.errstate(over="raise"):
-        factors, log_z = problem._exp_factors(lam, psi)
+        factors, log_z = problem._exp_factors(lam, vals)
     assert factors.shape == vals.shape
     assert log_z == pytest.approx(logsumexp(lam * vals, b=problem.quad.w), rel=1e-13)
     assert problem.quad.integrate(factors) == pytest.approx(1.0, rel=1e-12)
