@@ -148,13 +148,11 @@ def solve_eta(problem: MeanFieldProblem, state: MeanFieldState,
 
 
 def g_of(problem: MeanFieldProblem, state: MeanFieldState,
-         lin: Linearization | None = None,
-         eta: np.ndarray | None = None) -> GDiagnostics:
+         lin: Linearization | None = None) -> GDiagnostics:
     """The fold indicator g = 1 - lambda <z> and the related z diagnostics."""
     if lin is None:
         lin = Linearization.at_state(problem, state)
-    if eta is None:
-        eta = solve_eta(problem, state, lin=lin)
+    eta = solve_eta(problem, state, lin=lin)
     eta_avg = lin.rho_average(eta)
     z = state.psi + state.lam * eta
     z_avg = 2.0 * state.energy + state.lam * eta_avg
@@ -209,7 +207,6 @@ def _positive_targets(cfg):
     while lam < cfg.tail_start + 1e-12 and lam < EIGHT_PI - cfg.eps_stop:
         out.append(min(lam, EIGHT_PI - cfg.eps_stop))
         lam += cfg.pos_step
-    gap = (EIGHT_PI - cfg.eps_stop) - out[-1] if out else EIGHT_PI - cfg.eps_stop
     lam = out[-1] if out else 0.0
     g = (EIGHT_PI - lam) * (1 - cfg.tail_ratio)
     while EIGHT_PI - lam > cfg.eps_stop * (1 + 1e-9):

@@ -22,7 +22,7 @@ from .errors import (BlowupDetected, ConfigError, GelfandError, InvalidDelta,
                      InvalidDensity, InvalidSingularity, InvalidWeight,
                      NoConvergence, UnsupportedRegime)
 from .freeenergy import collar_density, minimize_free_energy, verify_energy_bound
-from .geometry import (build_mesh, build_weight, domain_from_config,
+from .geometry import (build_mesh, build_weight, config_number, domain_from_config,
                        uniform_weight)
 from .meanfield import EIGHT_PI, MeanFieldProblem, save_state
 from .spectrum import weighted_eigs
@@ -44,12 +44,6 @@ class RunConfig:
     trace: TraceConfig
     tol: float
     out_dir: str
-
-    def validate(self):
-        if self.tol <= 0:
-            raise ConfigError("solver tolerance must be positive")
-        if not (self.trace.lam_min < 0 < EIGHT_PI - self.trace.eps_stop):
-            raise ConfigError("trace grid must satisfy lam_min < 0 < 8*pi - eps_stop")
 
 
 def load_json(path):
@@ -74,15 +68,25 @@ def run_config(args) -> RunConfig:
     if not isinstance(overrides, dict):
         raise ConfigError("'trace' must be an object")
     known = {f.name for f in dataclasses.fields(TraceConfig)}
-    for key in overrides:
+    for key, value in overrides.items():
         if key not in known:
             raise ConfigError(f"unknown trace option {key!r}")
-    if overrides:
-        trace = dataclasses.replace(trace, **overrides)
+        x = config_number(value, f"trace option {key!r}")
+        kind = type(getattr(trace, key))
+        if kind(x) != x:
+            raise ConfigError(f"trace option {key!r} must be an integer, got {value!r}")
+        setattr(trace, key, kind(x))
+    # outside these ranges a target list of the trace never ends
+    if not (trace.lam_min < 0 < EIGHT_PI - trace.eps_stop and trace.eps_stop > 0
+            and 0 < trace.neg_ratio < 1 and trace.neg_cut > 0 and trace.pos_step > 0):
+        raise ConfigError("trace grid must satisfy lam_min < 0 < 8*pi - eps_stop, "
+                          "eps_stop > 0, 0 < neg_ratio < 1, neg_cut > 0, pos_step > 0")
+    if trace.spectrum_k < 1:
+        raise ConfigError(f"trace option 'spectrum_k' must be >= 1, got {trace.spectrum_k}")
     out_dir = getattr(args, "out", ".")
     rc = RunConfig(domain=domain, singularities=sing, h_max=h_max, trace=trace,
-                   tol=float(cfg.get("tol", 1e-9)), out_dir=out_dir)
-    rc.validate()
+                   tol=config_number(cfg.get("tol", 1e-9), "tol", positive=True),
+                   out_dir=out_dir)
     os.makedirs(out_dir, exist_ok=True)
     if not os.access(out_dir, os.W_OK):
         raise ConfigError(f"output directory {out_dir!r} is not writable")

@@ -243,7 +243,7 @@ def minimize_free_energy(problem: MeanFieldProblem, lam, tol=L1_TOL,
                     lam=lam, n=n, iterations=it, el_residual=el_residual,
                     jensen_min_slack=jensen_min)
     raise NoConvergence(f"free-energy iteration cap at lambda={lam:.6g}",
-                        iterations=max_iter)
+                        iterations=max_iter, residual=prev_l1)
 
 
 def verify_energy_bound(problem: MeanFieldProblem, lam, delta,

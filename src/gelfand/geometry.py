@@ -726,10 +726,6 @@ class WeightField:
         """Sup norm over the closed domain (attained away from the poles)."""
         return float(self.values.max() + self.floor)
 
-    @property
-    def n_singular(self):
-        return len(self.sing_vertices)
-
 
 def uniform_weight(mesh: Mesh) -> WeightField:
     """The trivial weight h = 1."""
@@ -827,7 +823,18 @@ def domain_from_config(cfg: dict):
 
     mesh_cfg = cfg.get("mesh", {})
     try:
-        h_max = float(mesh_cfg["h_max"])
+        h_max = mesh_cfg["h_max"]
     except (KeyError, TypeError):
         raise ConfigError("config is missing mesh.h_max") from None
-    return dom, sing, h_max
+    return dom, sing, config_number(h_max, "mesh.h_max", positive=True)
+
+
+def config_number(value, what, positive=False):
+    """A config value as a finite float, positive if asked, or ConfigError."""
+    try:
+        x = float(value)
+        if np.isfinite(x) and (x > 0 or not positive):
+            return x
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{what} must be a finite{' positive' * positive} number, got {value!r}")

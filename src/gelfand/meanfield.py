@@ -169,7 +169,7 @@ class MeanFieldProblem:
         """
         aux, r, dn = residual(x)
         it = 0
-        while dn > tol:
+        while not dn <= tol:          # a NaN residual or tol never reads as converged
             if it >= max_iter:
                 raise NoConvergence(f"{name} stalled at {where}", iterations=it, residual=dn)
             try:

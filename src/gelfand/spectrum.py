@@ -15,18 +15,15 @@ sigma_1 > 0 expresses invertibility of the linearized operator along the
 branch, and the orderings sigma_1 >= tau_1 and sigma_j + lam >= C_P hold at
 the discrete level by Rayleigh-quotient comparison.
 
-A standalone call solves each pencil cold, by implicitly restarted Lanczos
-(ARPACK) on an inverted pencil: sigma through the LU of the Dirichlet
-stiffness, tau_1 through the row's bordered LU, and C_P by shift-invert,
-which factors A + M_rho.  Along a branch trace the rows change slowly, and a
-WarmStart carrier hands each row its predecessor's eigenvectors: sigma
-starts ARPACK from them, and tau_1 and C_P are found by LOBPCG (Knyazev
-2001) started from them and preconditioned by factors already held, the
-row's bordered LU and one LU of A + M_rho from the first row.  C_P is a
-near-double pair on symmetric domains, so its block holds two vectors.  A
-LOBPCG run that misses its tolerance falls back to the cold ARPACK solve, so
-no returned value is unconverged.  A dense full-spectrum path covers small
-meshes and serves as the oracle the sparse solvers are tested against.
+Each pencil has one solver path.  sigma is found by implicitly restarted
+Lanczos (ARPACK) inverted through the LU of the Dirichlet stiffness; tau_1
+and C_P by LOBPCG (Knyazev 2001) preconditioned by factors already held, the
+row's bordered LU and one LU of A + M_rho, falling back to ARPACK when a run
+misses its tolerance, so no returned value is unconverged.  C_P is a
+near-double pair on symmetric domains, so its block holds two vectors.  The
+runs start from a WarmStart carrier's vectors, a trace row's predecessor's,
+or from fixed random ones.  Dense eigh solves only meshes too small for the
+iterative solvers (see _dense), and is the oracle they are tested against.
 """
 
 from __future__ import annotations
@@ -41,9 +38,8 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, lobpcg, splu
 from .errors import DegenerateWeight, SolverError
 from .meanfield import PERMC_SPEC, Linearization, MeanFieldProblem, MeanFieldState
 
-DENSE_CUTOFF = 400  # interior unknowns below which the dense path is used
-LOBPCG_TOL = 1e-10  # residual norm of B-normalized vectors a warm run must reach
-LOBPCG_MAXITER = 40  # iterations after which a warm run falls back to ARPACK
+LOBPCG_TOL = 1e-10  # residual norm of B-normalized vectors a run must reach
+LOBPCG_MAXITER = 40  # iterations after which a run falls back to ARPACK
 # the tau_1 preconditioner is one bordered LU solve, not a refined one
 TAU_PRECOND_RTOL = 1e-6
 
@@ -65,11 +61,11 @@ class SpectrumReport:
 class WarmStart:
     """The previous row's eigenvectors, to start the next row's solves from.
 
-    Every solve given a carrier stores the vectors it converged to, so the
-    next call starts from them; an empty entry starts LOBPCG from the fixed
-    random vectors the cold path starts ARPACK from.  Copies share the C_P
-    preconditioner, a SuperLU of A + M_rho built on first use; the vectors
-    are replaced, never written in place, so copies march independently.
+    Every iterative solve stores the vectors it converged to in its carrier,
+    so the next call starts from them; an empty entry starts from a fixed
+    random block.  Copies share the C_P preconditioner, a SuperLU of
+    A + M_rho built on first use; the vectors are replaced, never written in
+    place, so copies march independently.
     """
 
     sigma: np.ndarray | None = None      # (n_interior, k) sigma vectors
@@ -96,6 +92,30 @@ def _columns(f):
     return lambda X: np.column_stack([f(x) for x in X.T])
 
 
+def _dense(n_i, k=1):
+    """Whether n_i unknowns are too few for the iterative solvers: ARPACK finds
+    k < n - 1 of n eigenpairs, and scipy's LOBPCG iterates only on
+    n - constraints >= 5 * block unknowns, which 11 interior unknowns give
+    every pencil here (C_P's is a block of 2, constrained by the constants)."""
+    return n_i < 5 * 2 + 1 or k >= n_i - 1
+
+
+def _dense_eigh(lin: Linearization, pencil: str):
+    """Every eigenpair of the "sigma", "tau" or "poincare" pencil at lin,
+    ascending, by dense eigh; the sigma pencil's values are sigma + lam."""
+    problem = lin.problem
+    if pencil == "poincare":
+        A, B = problem.A.toarray(), lin.M_rho.toarray()
+    else:
+        A, B = problem.dirichlet.A_ii.toarray(), lin.M_ii.toarray()
+        mhat = B - np.outer(lin.b_i, lin.b_i)
+        A, B = (A, mhat) if pencil == "sigma" else (A - lin.lam * mhat, B)
+    try:
+        return scipy.linalg.eigh(A, B)
+    except np.linalg.LinAlgError as e:
+        raise DegenerateWeight(f"{pencil} mass not positive definite: {e}") from e
+
+
 def _lobpcg(A, B, X, precond, Y=None):
     """Smallest eigenpairs of (A, B) by LOBPCG from the block X.
 
@@ -116,63 +136,47 @@ def _lobpcg(A, B, X, precond, Y=None):
 
 
 def _mhat_full(lin: Linearization):
-    def apply(v):
-        return lin.M_rho @ v - lin.b * (lin.b @ v)
-    return apply
+    return lambda v: lin.M_rho @ v - lin.b * (lin.b @ v)
 
 
 def weighted_eigs(problem: MeanFieldProblem, state: MeanFieldState, k: int = 10,
-                  dense_cutoff: int = DENSE_CUTOFF,
                   lin: Linearization | None = None,
                   warm: WarmStart | None = None) -> SpectrumReport:
     """The k smallest eigenpairs of the oscillation-paired linearization.
 
     Eigenfields are returned both as Dirichlet fields and as their mean-free
     oscillations, normalized so the rho-weighted Gram matrix of the
-    oscillations is the identity.  A WarmStart carrier starts the sparse
-    solves from its vectors and receives the new ones.
+    oscillations is the identity.  The solves start from the WarmStart
+    carrier's vectors, if given, and store the new ones in it.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if lin is None:
         lin = Linearization.at_state(problem, state)
+    warm = warm or WarmStart()
     idx = problem.interior
     n_i = len(idx)
     k = min(k, n_i)
     lam = state.lam
-    if n_i <= dense_cutoff or k >= n_i - 1:
-        sig, vecs, method = _sigma_dense(problem, lin, lam, k)
+    if _dense(n_i, k):
+        s, vecs = _dense_eigh(lin, "sigma")
+        sig, vecs, method = s[:k] - lam, vecs[:, :k], "dense"
     else:
-        v0 = None if warm is None or warm.sigma is None else warm.sigma.sum(axis=1)
-        sig, vecs, method = _sigma_sparse(problem, lin, lam, k, v0=v0)
-        if warm is not None:
-            warm.sigma = vecs
+        v0 = None if warm.sigma is None else warm.sigma.sum(axis=1)
+        sig, vecs = _sigma_sparse(problem, lin, lam, k, v0=v0)
+        warm.sigma, method = vecs, "sparse"
     phis = np.zeros((problem.mesh.n_vertices, k))
     phis[idx] = vecs
-    averages = lin.b @ phis
-    phi_hats = phis - averages[None, :]
-    mhat = _mhat_full(lin)
-    gram = phis.T @ np.column_stack([mhat(phis[:, j]) for j in range(k)])
+    phi_hats = phis - (lin.b @ phis)[None, :]
+    gram = phis.T @ _columns(_mhat_full(lin))(phis)
     ortho_error = float(np.abs(gram - np.eye(k)).max())
     mean_error = float(np.abs(lin.b @ phi_hats).max()) if k else 0.0
     return SpectrumReport(
         lam=lam, sigmas=sig, phis=phis, phi_hats=phi_hats,
-        tau1=standard_tau1(problem, state, lin=lin, dense_cutoff=dense_cutoff,
-                           warm=warm),
-        poincare=poincare_constant(problem, state, lin=lin, dense_cutoff=dense_cutoff,
-                                   warm=warm),
+        tau1=standard_tau1(problem, state, lin=lin, warm=warm),
+        poincare=poincare_constant(problem, state, lin=lin, warm=warm),
         ortho_error=ortho_error, mean_error=mean_error, method=method,
     )
-
-
-def _sigma_dense(problem, lin, lam, k):
-    A_d = problem.dirichlet.A_ii.toarray()
-    Mhat_d = lin.M_ii.toarray() - np.outer(lin.b_i, lin.b_i)
-    try:
-        w, V = scipy.linalg.eigh(A_d, Mhat_d)
-    except np.linalg.LinAlgError as e:
-        raise DegenerateWeight(f"oscillation mass not positive definite: {e}") from e
-    return w[:k] - lam, V[:, :k], "dense"
 
 
 def _sigma_sparse(problem, lin, lam, k, v0=None):
@@ -196,92 +200,76 @@ def _sigma_sparse(problem, lin, lam, k, v0=None):
     vecs = vecs / np.sqrt(theta)[None, :]
     sig = 1.0 / theta - lam
     order = np.argsort(sig)
-    return sig[order], vecs[:, order], "sparse"
+    return sig[order], vecs[:, order]
 
 
 def dense_sigma_oracle(problem, state, k=5):
     """Brute-force full eigensolve of the same pencil, for cross-checking."""
-    lin = Linearization.at_state(problem, state)
-    sig, _, _ = _sigma_dense(problem, lin, state.lam, k)
-    return sig
+    return _dense_eigh(Linearization.at_state(problem, state), "sigma")[0][:k] - state.lam
 
 
 def standard_tau1(problem: MeanFieldProblem, state: MeanFieldState,
                   lin: Linearization | None = None,
-                  dense_cutoff: int = DENSE_CUTOFF,
                   warm: WarmStart | None = None) -> float:
     """Smallest eigenvalue of the linearization against the full density mass.
 
-    With a carrier the sparse path runs LOBPCG on (J, M_ii), where
-    J = A_ii - lam (M_ii - b b') is applied by the bordered linearization and
-    preconditioned by one solve with its LU, started from the carrier's
-    vector; without one, or when LOBPCG misses, ARPACK solves it cold.
+    LOBPCG runs on (J, M_ii), where J = A_ii - lam (M_ii - b b') is applied
+    by the bordered linearization and preconditioned by one solve with its
+    LU, started from the carrier's vector; when it misses, ARPACK solves the
+    inverted pencil.
     """
     if lin is None:
         lin = Linearization.at_state(problem, state)
+    warm = warm or WarmStart()
     n_i = len(problem.interior)
-    if n_i <= dense_cutoff:
-        A_d = problem.dirichlet.A_ii.toarray()
-        Mhat_d = lin.M_ii.toarray() - np.outer(lin.b_i, lin.b_i)
-        w = scipy.linalg.eigh(A_d - state.lam * Mhat_d, lin.M_ii.toarray(),
-                              eigvals_only=True)
-        return float(w[0])
-    if warm is not None:
-        start = warm.tau if warm.tau is not None else _fixed_start((n_i, 1))
-        found = _lobpcg(_columns(lin.apply), lin.M_ii, start,
-                        _columns(lambda r: lin.solve(r, rtol=TAU_PRECOND_RTOL)))
-        if found is not None:
-            vals, warm.tau = found
-            return float(vals[0])
+    if _dense(n_i):
+        return float(_dense_eigh(lin, "tau")[0][0])
+    start = warm.tau if warm.tau is not None else _fixed_start((n_i, 1))
+    found = _lobpcg(_columns(lin.apply), lin.M_ii, start,
+                    _columns(lambda r: lin.solve(r, rtol=TAU_PRECOND_RTOL)))
+    if found is not None:
+        vals, warm.tau = found
+        return float(vals[0])
     # inverted pencil: M_rho v = theta (A - lam Mhat) v, largest theta
-    op_m = LinearOperator((n_i, n_i), matvec=lambda x: lin.M_ii @ x)
     op_j = LinearOperator((n_i, n_i), matvec=lin.apply)
     j_inv = LinearOperator((n_i, n_i), matvec=lambda r: lin.solve(r, rtol=1e-12))
     try:
-        theta, vec = eigsh(op_m, k=1, M=op_j, Minv=j_inv, which="LA",
-                           v0=_fixed_start(n_i), tol=0)
+        theta, warm.tau = eigsh(lin.M_ii, k=1, M=op_j, Minv=j_inv, which="LA",
+                                v0=_fixed_start(n_i), tol=0)
     except ArpackError as e:
         raise SolverError(f"tau eigensolver failed: {e}") from e
-    if warm is not None:
-        warm.tau = vec
     return float(1.0 / theta[0])
 
 
 def poincare_constant(problem: MeanFieldProblem, state: MeanFieldState,
                       lin: Linearization | None = None,
-                      dense_cutoff: int = DENSE_CUTOFF,
                       warm: WarmStart | None = None) -> float:
     """Second eigenvalue of the full-space stiffness/density pencil.
 
     The first eigenvalue is zero with constant eigenfield; every other
     eigenfield is automatically mean-free in the rho pairing, so this is the
-    infimum of the Dirichlet-to-weighted-variance quotient.  With a carrier
-    the sparse path runs block-2 LOBPCG constrained against the constants,
-    started from the carrier's block and preconditioned by its LU of
-    A + M_rho; without one, or when LOBPCG misses, ARPACK solves it cold.
+    infimum of the Dirichlet-to-weighted-variance quotient.  Block-2 LOBPCG
+    runs constrained against the constants, started from the carrier's
+    block and preconditioned by its LU of A + M_rho; when it misses, ARPACK
+    solves the pencil by shift-invert.
     """
     if lin is None:
         lin = Linearization.at_state(problem, state)
+    warm = warm or WarmStart()
+    if _dense(len(problem.interior)):
+        return float(_dense_eigh(lin, "poincare")[0][1])
     n = problem.mesh.n_vertices
-    if n <= dense_cutoff:
-        w = scipy.linalg.eigh(problem.A.toarray(), lin.M_rho.toarray(),
-                              eigvals_only=True)
-        return float(w[1])
-    if warm is not None:
-        if warm.precond is None:
-            warm.precond = splu((problem.A + lin.M_rho).tocsc(), permc_spec=PERMC_SPEC)
-        start = warm.poincare if warm.poincare is not None else _fixed_start((n, 2))
-        found = _lobpcg(problem.A, lin.M_rho, start, warm.precond.solve,
-                        Y=np.ones((n, 1)))
-        if found is not None:
-            vals, warm.poincare = found
-            return float(vals.min())
+    if warm.precond is None:
+        warm.precond = splu((problem.A + lin.M_rho).tocsc(), permc_spec=PERMC_SPEC)
+    start = warm.poincare if warm.poincare is not None else _fixed_start((n, 2))
+    found = _lobpcg(problem.A, lin.M_rho, start, warm.precond.solve, Y=np.ones((n, 1)))
+    if found is not None:
+        vals, warm.poincare = found
+        return float(vals.min())
     # a fallback leaves the carrier's block as it was
-    A_full = problem.A.tocsc()
-    M_full = lin.M_rho.tocsc()
     try:
-        vals = eigsh(A_full, k=2, M=M_full, sigma=-1.0, which="LM",
-                     v0=_fixed_start(n), mode="normal",
+        vals = eigsh(problem.A.tocsc(), k=2, M=lin.M_rho.tocsc(), sigma=-1.0,
+                     which="LM", v0=_fixed_start(n), mode="normal",
                      return_eigenvectors=False)
     except ArpackError as e:
         raise SolverError(f"Poincare eigensolver failed: {e}") from e

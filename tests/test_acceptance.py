@@ -15,7 +15,7 @@ from gelfand.branch import dE_dlambda, g_of, solve_eta
 from gelfand.freeenergy import minimize_free_energy, verify_energy_bound
 from gelfand.geometry import uniform_weight
 from gelfand.meanfield import MeanFieldProblem
-from gelfand.spectrum import expand_modes, weighted_eigs
+from gelfand.spectrum import dense_sigma_oracle, expand_modes, weighted_eigs
 
 
 def verdict(num, ok, detail):
@@ -181,11 +181,10 @@ def test_criterion_10_dense_sparse_equivalence(coarse_problem):
     n_i = len(coarse_problem.interior)
     assert n_i <= 500, n_i
     state = coarse_problem.solve_mp(2.0)
-    dense = weighted_eigs(coarse_problem, state, k=5, dense_cutoff=10**9)
-    sparse = weighted_eigs(coarse_problem, state, k=5, dense_cutoff=0)
-    assert dense.method == "dense" and sparse.method == "sparse"
-    rel = float(np.max(np.abs(dense.sigmas - sparse.sigmas)
-                       / np.abs(dense.sigmas)))
+    dense = dense_sigma_oracle(coarse_problem, state, k=5)
+    sparse = weighted_eigs(coarse_problem, state, k=5)
+    assert sparse.method == "sparse"
+    rel = float(np.max(np.abs(dense - sparse.sigmas) / np.abs(dense)))
     verdict(10, rel <= 1e-8, f"max rel sigma_1..5 gap {rel:.2e} "
                              f"on {n_i} unknowns")
 

@@ -135,6 +135,31 @@ def test_missing_config_file(tmp_path, capsys):
     assert "cannot read config file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [
+    {"tol": float("nan")}, {"tol": "abc"}, {"tol": 0.0}, {"tol": float("inf")},
+    {"mesh": {"h_max": "abc"}}, {"mesh": {"h_max": float("nan")}},
+    {"trace": {"lam_min": "abc"}}, {"trace": {"lam_min": float("-inf")}},
+    {"trace": {"max_rows": 2.5}}, {"trace": {"pos_step": 0.0}},
+    {"trace": {"neg_ratio": 1.0}}, {"trace": {"neg_ratio": 0.0}},
+    {"trace": {"neg_cut": 0.0}}, {"trace": {"eps_stop": 0.0}},
+    {"trace": {"spectrum_k": 0}},
+], ids=lambda extra: json.dumps(extra))
+def test_bad_numbers_are_config_errors(tmp_path, extra):
+    # each is refused where the config is read, before a mesh is built or a
+    # target list that would never end is formed
+    cfg = write_config(tmp_path, **extra)
+    with pytest.raises(cli.ConfigError):
+        cli.run_config(argparse.Namespace(config=cfg, out=str(tmp_path / "out")))
+
+
+def test_nan_tol_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, tol=float("nan"))
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", cfg, "--out", str(out), "--lambda", "5"]) == 2
+    assert "tol must be a finite positive number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_trace_key(tmp_path, capsys):
     cfg = write_config(tmp_path, trace={"lam_mn": -10.0})
     rc = cli.main(["branch", "--config", cfg, "--out", str(tmp_path / "out")])

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import radial_oracle as oracle
+from gelfand.cli import error_payload
 from gelfand.errors import (InvalidDelta, InvalidDensity, NoConvergence,
                             OverflowGuard, UnsupportedRegime)
-from gelfand.freeenergy import (collar_density, free_energy_of, minimize_free_energy,
-                                verify_energy_bound)
+from gelfand.freeenergy import (L1_TOL, collar_density, free_energy_of,
+                                minimize_free_energy, verify_energy_bound)
 from gelfand.geometry import (DomainSpec, SingularitySpec, build_mesh,
                               build_weight, uniform_weight)
 from gelfand.meanfield import MeanFieldProblem
@@ -107,8 +108,12 @@ def test_unsupported_regime(disk_problem):
 
 
 def test_descent_cap_raises(disk_problem):
-    with pytest.raises(NoConvergence):
+    # the cap carries the last L1 density change, which error.json reports
+    with pytest.raises(NoConvergence, match="iteration cap") as info:
         minimize_free_energy(disk_problem, -20.0, max_iter=2)
+    assert info.value.iterations == 2
+    assert math.isfinite(info.value.residual) and info.value.residual > L1_TOL
+    assert error_payload(info.value)["residual"] == info.value.residual
 
 
 def test_energy_bound_chain(disk_problem):

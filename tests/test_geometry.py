@@ -142,6 +142,12 @@ def test_domain_from_config_errors():
         domain_from_config({"shape": "unit_disk", "singularities": [{"x": 0.0}]})
 
 
+@pytest.mark.parametrize("h_max", ["abc", None, float("nan"), float("inf"), 0.0, -0.1])
+def test_domain_from_config_rejects_bad_h_max(h_max):
+    with pytest.raises(ConfigError, match="mesh.h_max"):
+        domain_from_config({"shape": "unit_disk", "mesh": {"h_max": h_max}})
+
+
 def test_domain_from_config_roundtrip():
     cfg = {
         "schema": 1,

@@ -411,6 +411,12 @@ def test_newton_converges_on_last_allowed_iteration(disk_problem, form):
     assert np.array_equal(again.psi, state.psi) and again.lam == state.lam
 
 
+@pytest.mark.parametrize("form", sorted(NEWTON_FORMS))
+def test_nan_tol_never_reads_as_converged(coarse_problem, form):
+    with pytest.raises(NoConvergence):
+        NEWTON_FORMS[form](coarse_problem, math.nan, 3)
+
+
 def test_one_line_search_floor():
     # one damped Newton driver serves the psi and v forms, so the 2^-24
     # step floor of its line search sits in exactly one function

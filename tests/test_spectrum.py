@@ -1,11 +1,15 @@
+import contextlib
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import radial_oracle as oracle
+from conftest import make_problem
 from gelfand import branch, spectrum
 from gelfand.branch import solve_eta, trace_branch
+from gelfand.geometry import DomainSpec, SingularitySpec
 from gelfand.meanfield import Linearization
 from gelfand.spectrum import (WarmStart, dense_sigma_oracle, expand_modes,
                               poincare_constant, standard_tau1, weighted_eigs)
@@ -14,6 +18,26 @@ from gelfand.spectrum import (WarmStart, dense_sigma_oracle, expand_modes,
 @pytest.fixture(scope="module")
 def coarse_states(coarse_problem):
     return {lam: coarse_problem.solve_mp(lam) for lam in (0.0, -20.0, 4.0 * math.pi)}
+
+
+def dense_references(problem, state):
+    """sigma_1, tau_1 and C_P by dense eigh of the three pencils."""
+    lin = Linearization.at_state(problem, state)
+    A, M = problem.dirichlet.A_ii.toarray(), lin.M_ii.toarray()
+    mhat = M - np.outer(lin.b_i, lin.b_i)
+    sigma1 = scipy.linalg.eigh(A, mhat, eigvals_only=True)[0] - state.lam
+    tau1 = scipy.linalg.eigh(A - state.lam * mhat, M, eigvals_only=True)[0]
+    poincare = scipy.linalg.eigh(problem.A.toarray(), lin.M_rho.toarray(),
+                                 eigvals_only=True)[1]
+    return sigma1, tau1, poincare
+
+
+@contextlib.contextmanager
+def arpack_only():
+    """Every LOBPCG run misses, so tau_1 and C_P are solved by ARPACK."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(spectrum, "_lobpcg", lambda *args, **kwargs: None)
+        yield
 
 
 def test_bessel_oracles_at_lambda_zero(coarse_problem, coarse_states):
@@ -37,12 +61,10 @@ def test_orderings(coarse_problem, coarse_states):
 def test_dense_matches_sparse(coarse_problem, coarse_states):
     state = coarse_states[0.0]
     assert len(coarse_problem.interior) <= 500
-    dense = weighted_eigs(coarse_problem, state, k=5, dense_cutoff=10 ** 9)
-    sparse = weighted_eigs(coarse_problem, state, k=5, dense_cutoff=0)
-    assert dense.method == "dense" and sparse.method == "sparse"
-    assert np.max(np.abs(dense.sigmas - sparse.sigmas)) < 1e-8
-    ref = dense_sigma_oracle(coarse_problem, state, k=5)
-    assert np.max(np.abs(ref - dense.sigmas[:5])) < 1e-10
+    dense = dense_sigma_oracle(coarse_problem, state, k=5)
+    sparse = weighted_eigs(coarse_problem, state, k=5)
+    assert sparse.method == "sparse"
+    assert np.max(np.abs(dense - sparse.sigmas)) < 1e-8
 
 
 def test_vectors_clean(coarse_problem, coarse_states):
@@ -92,13 +114,29 @@ def test_spectral_eta_reconstruction_improves(coarse_problem):
 
 
 def test_tau1_and_poincare_standalone(coarse_problem, coarse_states):
-    state = coarse_states[-20.0]
-    t = standard_tau1(coarse_problem, state)
-    c = poincare_constant(coarse_problem, state)
-    assert t > 0 and c > 0
-    report = weighted_eigs(coarse_problem, state, k=1)
-    assert t == pytest.approx(report.tau1, rel=1e-10)
-    assert c == pytest.approx(report.poincare, rel=1e-10)
+    for lam, state in coarse_states.items():
+        t = standard_tau1(coarse_problem, state)
+        c = poincare_constant(coarse_problem, state)
+        assert t > 0 and c > 0
+        _, tau1, poincare = dense_references(coarse_problem, state)
+        assert t == pytest.approx(tau1, rel=1e-10), lam
+        assert c == pytest.approx(poincare, rel=1e-10), lam
+
+
+@pytest.mark.parametrize("h_max, n_interior, method", [
+    (0.9, 1, "dense"), (0.7, 2, "dense"), (0.5, 8, "dense"), (0.38, 16, "sparse")])
+def test_tiny_meshes_match_dense(h_max, n_interior, method):
+    # meshes on both sides of the size below which the iterative solvers
+    # cannot run, down to a single interior unknown
+    problem = make_problem(DomainSpec.unit_disk(), SingularitySpec.none(), h_max)
+    assert len(problem.interior) == n_interior
+    state = problem.solve_mp(4.0)
+    report = weighted_eigs(problem, state, k=1)
+    assert report.method == method
+    sigma1, tau1, poincare = dense_references(problem, state)
+    assert report.sigmas[0] == pytest.approx(sigma1, rel=1e-10)
+    assert report.tau1 == pytest.approx(tau1, rel=1e-10)
+    assert report.poincare == pytest.approx(poincare, rel=1e-10)
 
 
 def counting_eigsh(monkeypatch):
@@ -116,12 +154,12 @@ def counting_eigsh(monkeypatch):
 @pytest.mark.parametrize("case", ["disk_problem", "offcenter_problem", "fine_problem"])
 def test_warm_started_trace_matches_cold_solves(case, request, monkeypatch):
     # every row of a trace, warm-started from its predecessor, against a cold
-    # solve of the same state and linearization.  Only the h = 0.05 disk
-    # shows why C_P needs a block of 2: a single warm vector is off by up to
-    # 4e-4 on the negative pass and by up to 2e-6 past the crossing of the
-    # near-double pair near lambda = 15.5
+    # ARPACK solve of the same state and linearization.  Only the h = 0.05
+    # disk shows why C_P needs a block of 2: a single warm vector is off by
+    # up to 4e-4 on the negative pass and by up to 2e-6 past the crossing of
+    # the near-double pair near lambda = 15.5
     problem = request.getfixturevalue(case)
-    assert len(problem.interior) > spectrum.DENSE_CUTOFF
+    assert not spectrum._dense(len(problem.interior))
     calls = counting_eigsh(monkeypatch)
     rows = []
 
@@ -129,7 +167,8 @@ def test_warm_started_trace_matches_cold_solves(case, request, monkeypatch):
         before = len(calls)
         report = weighted_eigs(problem, state, k=k, lin=lin, warm=warm, **kwargs)
         warm_eigsh = len(calls) - before
-        cold = weighted_eigs(problem, state, k=k, lin=lin, **kwargs)
+        with arpack_only():
+            cold = weighted_eigs(problem, state, k=k, lin=lin, **kwargs)
         rows.append((state.lam, warm, warm_eigsh, report, cold))
         return report
 
@@ -148,8 +187,9 @@ def test_warm_started_trace_matches_cold_solves(case, request, monkeypatch):
 def test_lobpcg_miss_falls_back_to_cold_arpack(disk_problem, monkeypatch):
     state = disk_problem.solve_mp(4.0)
     lin = Linearization.at_state(disk_problem, state)
-    cold_tau = standard_tau1(disk_problem, state, lin=lin)
-    cold_cp = poincare_constant(disk_problem, state, lin=lin)
+    with arpack_only():
+        cold_tau = standard_tau1(disk_problem, state, lin=lin)
+        cold_cp = poincare_constant(disk_problem, state, lin=lin)
     warm = WarmStart()
     weighted_eigs(disk_problem, disk_problem.solve_mp(3.5), k=1, warm=warm)
     calls = counting_eigsh(monkeypatch)
