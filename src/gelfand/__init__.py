@@ -48,7 +48,6 @@ from .spectrum import (
 from .branch import (
     BranchDiagram,
     BranchPoint,
-    TraceConfig,
     classify_kind,
     dE_dlambda,
     emit_diagram,
@@ -83,7 +82,7 @@ __all__ = [
     "load_psi", "save_state",
     "SpectrumReport", "dense_sigma_oracle", "expand_modes",
     "poincare_constant", "standard_tau1", "weighted_eigs",
-    "BranchDiagram", "BranchPoint", "TraceConfig", "classify_kind",
+    "BranchDiagram", "BranchPoint", "classify_kind",
     "dE_dlambda", "emit_diagram", "find_fold", "g_of", "plot_csv",
     "read_csv", "solve_eta", "trace_branch", "write_csv",
     "DensityState", "EnergyBoundReport", "collar_density", "free_energy_of",

@@ -43,6 +43,32 @@ from .svg import line_plot
 
 CSV_HEADER = "lambda,mu,E,dEdlambda,g,sigma1,tau1,CP,sup_psi,residual"
 
+# the target grid: geometric on [lam_min, 0), uniform on (0, TAIL_START], then
+# geometric toward 8 pi, ending at 8 pi - EPS_STOP
+LAM_MIN = -200.0
+NEG_RATIO = 0.7                    # geometric spacing on (lam_min, 0]
+NEG_CUT = 0.05                     # smallest |lambda| before hitting 0
+POS_STEP = math.pi / 4             # uniform spacing on (0, TAIL_START]
+TAIL_START = 6 * math.pi
+TAIL_RATIO = 0.65                  # geometric approach to 8 pi
+EPS_STOP = EIGHT_PI * 1e-3
+
+# the march
+TRACE_MAX_ITER = 40                # Newton iterations per trial state
+NEWTON_BUDGET = 8                  # iterations above which the step halves
+SUP_JUMP = 2.0                     # sup-norm ratio above which the step halves
+MIN_GAP = 1e-4                     # no step is halved below this
+MAX_ROWS = 500
+FOLD_G_TOL = 1e-8                  # |g| at the located fold
+
+# classification
+EPS_CLASSIFY = EIGHT_PI * 5e-3     # the trace reached 8 pi within this
+SUP_DIVERGED = 5.0                 # threshold on sup|u| = lambda sup|psi|
+ENERGY_DIVERGED = 0.05
+SLOPE_DIVERGED = 0.01
+MU_COLLAPSE = 0.25                 # mu_last / mu_max below this => blowup trend
+MU_FLAT = 0.5                      # mu_last / mu_max above this => bounded
+
 
 @dataclass
 class BranchPoint:
@@ -94,28 +120,6 @@ class BranchDiagram:
             "mu1_estimate": self.mu1_estimate,
             "rows": len(self.points),
         }
-
-
-@dataclass
-class TraceConfig:
-    lam_min: float = -200.0
-    eps_stop: float = EIGHT_PI * 1e-3
-    eps_classify: float = EIGHT_PI * 5e-3
-    neg_ratio: float = 0.7             # geometric spacing on (lam_min, 0]
-    neg_cut: float = 0.05              # smallest |lambda| before hitting 0
-    pos_step: float = math.pi / 4      # uniform spacing on (0, tail_start]
-    tail_start: float = 6 * math.pi
-    tail_ratio: float = 0.65           # geometric approach to 8 pi
-    spectrum_k: int = 1
-    newton_budget: int = 8             # iterations above which the step halves
-    sup_jump: float = 2.0              # sup-norm ratio above which the step halves
-    min_gap: float = 1e-4
-    max_rows: int = 500
-    sup_diverged: float = 5.0          # threshold on sup|u| = lambda sup|psi|
-    energy_diverged: float = 0.05
-    slope_diverged: float = 0.01
-    mu_collapse: float = 0.25          # mu_last / mu_max below this => blowup trend
-    mu_flat: float = 0.5               # mu_last / mu_max above this => bounded
 
 
 @dataclass
@@ -171,14 +175,14 @@ def dE_dlambda(problem: MeanFieldProblem, state: MeanFieldState,
     return float(eta @ (problem.A @ state.psi))
 
 
-def _branch_point(problem, state, cfg, warm=None):
+def _branch_point(problem, state, warm=None):
     """The row of a state, plus its g diagnostics (which hold eta).
 
     warm is the spectrum's WarmStart carrier of the pass, if any.
     """
     lin = Linearization.at_state(problem, state)
     diag = g_of(problem, state, lin=lin)
-    report = weighted_eigs(problem, state, k=cfg.spectrum_k, lin=lin, warm=warm)
+    report = weighted_eigs(problem, state, k=1, lin=lin, warm=warm)
     row = BranchPoint(
         lam=state.lam, mu=state.mu, energy=state.energy,
         dE_dlambda=dE_dlambda(problem, state, diag.eta), g_value=diag.g,
@@ -192,41 +196,31 @@ def _branch_point(problem, state, cfg, warm=None):
 # tracing
 
 
-def _negative_targets(cfg):
+def _negative_targets(lam_min=LAM_MIN):
     mags = []
-    m = abs(cfg.lam_min)
-    while m > cfg.neg_cut:
+    m = abs(lam_min)
+    while m > NEG_CUT:
         mags.append(m)
-        m *= cfg.neg_ratio
+        m *= NEG_RATIO
     return [-m for m in reversed(mags)]          # march 0 -> lam_min reversed later
 
 
-def _positive_targets(cfg):
+def _positive_targets():
     out = []
-    lam = cfg.pos_step
-    while lam < cfg.tail_start + 1e-12 and lam < EIGHT_PI - cfg.eps_stop:
-        out.append(min(lam, EIGHT_PI - cfg.eps_stop))
-        lam += cfg.pos_step
-    lam = out[-1] if out else 0.0
-    g = (EIGHT_PI - lam) * (1 - cfg.tail_ratio)
-    while EIGHT_PI - lam > cfg.eps_stop * (1 + 1e-9):
-        lam = min(lam + g, EIGHT_PI - cfg.eps_stop)
+    lam = POS_STEP
+    while lam < TAIL_START + 1e-12:
         out.append(lam)
-        g = (EIGHT_PI - lam) * (1 - cfg.tail_ratio)
-        if g < cfg.eps_stop * 0.5:
-            out.append(EIGHT_PI - cfg.eps_stop)
-            break
-    # dedupe while preserving order
-    seen, targets = set(), []
-    for t in out:
-        key = round(t, 12)
-        if key not in seen:
-            seen.add(key)
-            targets.append(t)
-    return targets
+        lam += POS_STEP
+    lam = out[-1]
+    g = (EIGHT_PI - lam) * (1 - TAIL_RATIO)      # geometric steps while >= EPS_STOP / 2
+    while g >= EPS_STOP * 0.5:
+        lam += g
+        out.append(lam)
+        g = (EIGHT_PI - lam) * (1 - TAIL_RATIO)
+    return out + [EIGHT_PI - EPS_STOP]
 
 
-def _march(problem, start, targets, cfg, on_state, tol, max_iter):
+def _march(problem, start, targets, on_state, tol, max_iter):
     """Continuation through the target list, each Newton solve to tol.
 
     start is the (state, eta) pair to march from.  Each solve starts from
@@ -247,14 +241,14 @@ def _march(problem, start, targets, cfg, on_state, tol, max_iter):
             guess = state.psi + (target - state.lam) * eta
             nxt = problem._newton(target, guess, tol, max_iter)
             jumped = (np.abs(nxt.psi).max()
-                      > cfg.sup_jump * max(np.abs(state.psi).max(), 0.05))
-            trouble = nxt.iterations > cfg.newton_budget or jumped
+                      > SUP_JUMP * max(np.abs(state.psi).max(), 0.05))
+            trouble = nxt.iterations > NEWTON_BUDGET or jumped
             failed = was_blowup = False
         except BlowupDetected:
             trouble = failed = was_blowup = True
         except (NoConvergence, FoldSingularity):
             trouble, failed, was_blowup = True, True, False
-        if trouble and gap > cfg.min_gap:
+        if trouble and gap > MIN_GAP:
             stack.append(state.lam + 0.5 * (target - state.lam))
             continue
         if failed:
@@ -265,17 +259,18 @@ def _march(problem, start, targets, cfg, on_state, tol, max_iter):
         if eta is None:
             return state, "stopped"
         rows += 1
-        if rows >= cfg.max_rows:
+        if rows >= MAX_ROWS:
             return state, "stalled"
     return state, "completed"
 
 
-def trace_branch(problem: MeanFieldProblem, cfg: TraceConfig | None = None,
-                 on_row=None):
+def trace_branch(problem: MeanFieldProblem, lam_min: float = LAM_MIN,
+                 tol: float = NEWTON_TOL, on_row=None):
     """Trace the full branch and assemble the bifurcation diagram.
 
     Two predicted continuation passes run from the exactly-known lambda = 0
-    state: downward to lam_min and upward toward 8 pi.  Solver failures near
+    state: downward to lam_min and upward toward 8 pi, with every Newton
+    solve (the fold's too) taken to the residual tol.  Solver failures near
     8 pi terminate the upward pass gracefully with a partial diagram (that
     is the expected first-kind behavior once the blowup scale falls below
     the mesh).  The states of the positive rows either side of a sign change
@@ -285,8 +280,7 @@ def trace_branch(problem: MeanFieldProblem, cfg: TraceConfig | None = None,
     on_row callback sees every finished row in marching order, so callers
     can persist partial results across a hard failure.
     """
-    cfg = cfg or TraceConfig()
-    state0 = problem.solve_mp(0.0)
+    state0 = problem.solve_mp(0.0, tol=tol)
     rows_neg, rows_pos = [], []
     # lambda -> (state, g diagnostics) of the positive rows on either side
     # of each sign change of g; last is the previous positive row's pair
@@ -295,7 +289,7 @@ def trace_branch(problem: MeanFieldProblem, cfg: TraceConfig | None = None,
     def collect(bucket, warm):
         def add(state):
             nonlocal last
-            row, diag = _branch_point(problem, state, cfg, warm)
+            row, diag = _branch_point(problem, state, warm)
             bucket.append(row)
             if on_row is not None:
                 on_row(row)
@@ -307,13 +301,13 @@ def trace_branch(problem: MeanFieldProblem, cfg: TraceConfig | None = None,
         return add
 
     warm = WarmStart()
-    row0, diag0 = _branch_point(problem, state0, cfg, warm)
-    _, term_neg = _march(problem, (state0, diag0.eta), _negative_targets(cfg),
-                         cfg, collect(rows_neg, warm.copy()), NEWTON_TOL, 40)
+    row0, diag0 = _branch_point(problem, state0, warm)
+    _, term_neg = _march(problem, (state0, diag0.eta), _negative_targets(lam_min),
+                         collect(rows_neg, warm.copy()), tol, TRACE_MAX_ITER)
     if on_row is not None:
         on_row(row0)
-    _, term_pos = _march(problem, (state0, diag0.eta), _positive_targets(cfg),
-                         cfg, collect(rows_pos, warm.copy()), NEWTON_TOL, 40)
+    _, term_pos = _march(problem, (state0, diag0.eta), _positive_targets(),
+                         collect(rows_pos, warm.copy()), tol, TRACE_MAX_ITER)
 
     points = rows_neg[::-1] + [row0] + rows_pos
     diagram = BranchDiagram(points=points, termination=term_pos)
@@ -324,25 +318,25 @@ def trace_branch(problem: MeanFieldProblem, cfg: TraceConfig | None = None,
     if term_neg != "completed":
         diagram.termination = "stalled"
     try:
-        fold = find_fold(problem, diagram, kept)
+        fold = find_fold(problem, diagram, kept, newton_tol=tol)
         diagram.fold = (fold.lam, fold.energy, fold.mu)
     except NoFoldInRange:
         diagram.fold = None
-    diagram.kind = classify_kind(diagram, cfg)
+    diagram.kind = classify_kind(diagram)
     return diagram
 
 
 def find_fold(problem: MeanFieldProblem, diagram: BranchDiagram,
-              states=None, tol: float = 1e-8) -> MeanFieldState:
+              states=None, newton_tol: float = NEWTON_TOL) -> MeanFieldState:
     """The fold state, where g vanishes between two positive grid rows.
 
     states maps the lambda of a positive row to its (state, g diagnostics)
     pair, as kept by trace_branch; the pair bracketing the sign change of g
-    seeds locate_fold, so no state is solved from scratch.  Raises
-    NoFoldInRange when g does not change sign on the positive rows (the
-    legitimate outcome for second-kind runs or negative-only data), when it
-    changes sign more than once, or when the bracketing rows have no kept
-    states.
+    seeds locate_fold, whose Newton solves go to newton_tol, so no state is
+    solved from scratch.  Raises NoFoldInRange when g does not change sign
+    on the positive rows (the legitimate outcome for second-kind runs or
+    negative-only data), when it changes sign more than once, or when the
+    bracketing rows have no kept states.
     """
     rows = diagram.positive_rows()
     rows = [r for r in rows if r.lam < EIGHT_PI]
@@ -357,7 +351,8 @@ def find_fold(problem: MeanFieldProblem, diagram: BranchDiagram,
     if lo_row.lam not in states or hi_row.lam not in states:
         raise NoFoldInRange(f"no kept states for the sign change of g on "
                             f"[{lo_row.lam!r}, {hi_row.lam!r}]")
-    return locate_fold(problem, states[lo_row.lam], states[hi_row.lam], tol=tol)
+    return locate_fold(problem, states[lo_row.lam], states[hi_row.lam],
+                       newton_tol=newton_tol)
 
 
 class _FoldFound(Exception):
@@ -368,8 +363,9 @@ class _FoldFound(Exception):
         self.state = state
 
 
-def locate_fold(problem: MeanFieldProblem, lo, hi, tol: float = 1e-8,
-                newton_tol: float = NEWTON_TOL, max_iter: int = 40) -> MeanFieldState:
+def locate_fold(problem: MeanFieldProblem, lo, hi, tol: float = FOLD_G_TOL,
+                newton_tol: float = NEWTON_TOL,
+                max_iter: int = TRACE_MAX_ITER) -> MeanFieldState:
     """The state with |g| < tol between two solved states whose g differ in sign.
 
     lo and hi are (state, g diagnostics) pairs.  The root of g in lambda is
@@ -404,7 +400,7 @@ def locate_fold(problem: MeanFieldProblem, lo, hi, tol: float = 1e-8,
     raise NoFoldInRange(f"root search on g did not reach |g| < {tol:g} on {bracket}")
 
 
-def classify_kind(diagram: BranchDiagram, cfg: TraceConfig | None = None) -> str:
+def classify_kind(diagram: BranchDiagram) -> str:
     """First kind: the branch blows up as lambda -> 8 pi; second: it stays bounded.
 
     Divergence is read from sup|u| = lambda sup|psi| (psi itself stays small;
@@ -415,31 +411,30 @@ def classify_kind(diagram: BranchDiagram, cfg: TraceConfig | None = None) -> str
     mesh scale.  Bounded branches keep mu near its running maximum and show a
     vanishing slope of E against log(1/(8 pi - lambda)).
     """
-    cfg = cfg or TraceConfig()
     rows = diagram.positive_rows()
     if not rows:
         return "undetermined"
     last = rows[-1]
     sup_u = last.lam * last.sup_norm
-    reached = last.lam >= EIGHT_PI - cfg.eps_classify
+    reached = last.lam >= EIGHT_PI - EPS_CLASSIFY
     mu_max = max(r.mu for r in rows)
     mu_ratio = last.mu / mu_max if mu_max > 0 else math.inf
-    tail = [r for r in rows if r.lam > cfg.tail_start][-5:]
+    tail = [r for r in rows if r.lam > TAIL_START][-5:]
     if len(tail) >= 3:
         x = [math.log(1.0 / (EIGHT_PI - r.lam)) for r in tail]
         y = [r.energy for r in tail]
         slope = float(np.polyfit(x, y, 1)[0])
     else:
         slope = math.nan
-    diverged = sup_u > cfg.sup_diverged and last.energy > cfg.energy_diverged
+    diverged = sup_u > SUP_DIVERGED and last.energy > ENERGY_DIVERGED
     if diagram.termination == "blowup" and diverged:
         return "first"
     if not reached:
         return "undetermined"
-    if diverged and mu_ratio < cfg.mu_collapse:
+    if diverged and mu_ratio < MU_COLLAPSE:
         return "first"
-    if sup_u <= cfg.sup_diverged and last.energy <= cfg.energy_diverged \
-            and mu_ratio > cfg.mu_flat and abs(slope) < cfg.slope_diverged:
+    if sup_u <= SUP_DIVERGED and last.energy <= ENERGY_DIVERGED \
+            and mu_ratio > MU_FLAT and abs(slope) < SLOPE_DIVERGED:
         return "second"
     return "undetermined"
 

@@ -16,7 +16,7 @@ import math
 import os
 import sys
 
-from .branch import (TraceConfig, emit_diagram, plot_csv, trace_branch, write_csv,
+from .branch import (LAM_MIN, emit_diagram, plot_csv, trace_branch, write_csv,
                      write_json)
 from .errors import (BlowupDetected, ConfigError, GelfandError, InvalidDelta,
                      InvalidDensity, InvalidSingularity, InvalidWeight,
@@ -24,7 +24,7 @@ from .errors import (BlowupDetected, ConfigError, GelfandError, InvalidDelta,
 from .freeenergy import collar_density, minimize_free_energy, verify_energy_bound
 from .geometry import (build_mesh, build_weight, config_number, domain_from_config,
                        uniform_weight)
-from .meanfield import EIGHT_PI, MeanFieldProblem, save_state
+from .meanfield import MeanFieldProblem, save_state
 from .spectrum import weighted_eigs
 
 # errors of this kind mean the request itself was bad, not that a solve failed
@@ -41,7 +41,7 @@ class RunConfig:
     domain: object
     singularities: object
     h_max: float
-    trace: TraceConfig
+    lam_min: float
     tol: float
     out_dir: str
 
@@ -63,28 +63,17 @@ def load_json(path):
 def run_config(args) -> RunConfig:
     cfg = load_json(args.config)
     domain, sing, h_max = domain_from_config(cfg)
-    trace = TraceConfig()
-    overrides = cfg.get("trace", {})
-    if not isinstance(overrides, dict):
+    trace = cfg.get("trace", {})
+    if not isinstance(trace, dict):
         raise ConfigError("'trace' must be an object")
-    known = {f.name for f in dataclasses.fields(TraceConfig)}
-    for key, value in overrides.items():
-        if key not in known:
+    for key in trace:
+        if key != "lam_min":
             raise ConfigError(f"unknown trace option {key!r}")
-        x = config_number(value, f"trace option {key!r}")
-        kind = type(getattr(trace, key))
-        if kind(x) != x:
-            raise ConfigError(f"trace option {key!r} must be an integer, got {value!r}")
-        setattr(trace, key, kind(x))
-    # outside these ranges a target list of the trace never ends
-    if not (trace.lam_min < 0 < EIGHT_PI - trace.eps_stop and trace.eps_stop > 0
-            and 0 < trace.neg_ratio < 1 and trace.neg_cut > 0 and trace.pos_step > 0):
-        raise ConfigError("trace grid must satisfy lam_min < 0 < 8*pi - eps_stop, "
-                          "eps_stop > 0, 0 < neg_ratio < 1, neg_cut > 0, pos_step > 0")
-    if trace.spectrum_k < 1:
-        raise ConfigError(f"trace option 'spectrum_k' must be >= 1, got {trace.spectrum_k}")
+    lam_min = config_number(trace.get("lam_min", LAM_MIN), "trace option 'lam_min'")
+    if not lam_min < 0:
+        raise ConfigError(f"trace option 'lam_min' must be below 0, got {lam_min!r}")
     out_dir = getattr(args, "out", ".")
-    rc = RunConfig(domain=domain, singularities=sing, h_max=h_max, trace=trace,
+    rc = RunConfig(domain=domain, singularities=sing, h_max=h_max, lam_min=lam_min,
                    tol=config_number(cfg.get("tol", 1e-9), "tol", positive=True),
                    out_dir=out_dir)
     os.makedirs(out_dir, exist_ok=True)
@@ -150,7 +139,7 @@ def _trace(args):
     problem = build_problem(rc)
     rows = []
     try:
-        return rc, trace_branch(problem, rc.trace, on_row=rows.append)
+        return rc, trace_branch(problem, rc.lam_min, rc.tol, on_row=rows.append)
     except GelfandError:
         if rows:
             rows.sort(key=lambda r: r.lam)

@@ -239,7 +239,7 @@ class MeanFieldProblem:
 
     def _continued_solve(self, lam, tol, max_iter):
         """branch._march from lambda = 0 in pi/2 steps, secant-predicted."""
-        from .branch import TraceConfig, _march  # deferred: cycle
+        from .branch import _march  # deferred: cycle
         state = self.solve_mp(0.0, tol=tol, max_iter=max_iter)
 
         def on_state(s):             # the secant slope from the last accepted state
@@ -250,7 +250,7 @@ class MeanFieldProblem:
 
         targets = [*np.arange(np.pi / 2, lam, np.pi / 2), lam]
         state, termination = _march(self, (state, np.zeros_like(state.psi)), targets,
-                                    TraceConfig(), on_state, tol, max_iter)
+                                    on_state, tol, max_iter)
         if termination != "completed":
             raise BlowupDetected(
                 f"continuation stalled at lambda={state.lam:.6g} en route to {lam:.6g}",
@@ -259,8 +259,7 @@ class MeanFieldProblem:
 
     # -- Gelfand form ---------------------------------------------------------
 
-    def solve_lp(self, mu, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
-                 fold_rtol=FOLD_RTOL) -> MeanFieldState:
+    def solve_lp(self, mu, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER) -> MeanFieldState:
         """Solve -Delta v = mu h e^v (minimal branch for mu > 0).
 
         One damped Newton solve on v from v = 0, a subsolution for mu > 0 of
@@ -268,7 +267,7 @@ class MeanFieldProblem:
         solution, where g of branch.g_of is positive.  A state with g below
         G_DIRECT, or a failed solve, sends branch._march up from it (or from
         lambda = 0) to the sign change of g and branch.locate_fold to the
-        fold.  Requests within fold_rtol of the fold value return the fold
+        fold.  Requests within FOLD_RTOL of the fold value return the fold
         state, those beyond raise NoConvergence, and those below return the
         direct state if it converged with g > 0.
         """
@@ -277,7 +276,7 @@ class MeanFieldProblem:
             return self.solve_mp(0.0, tol=tol, max_iter=max_iter)
         if mu < 0.0:
             return self._lp_newton_negative(mu, tol, max_iter)
-        return self._lp_minimal_branch(mu, tol, max_iter, fold_rtol)
+        return self._lp_minimal_branch(mu, tol, max_iter)
 
     def _lp_newton_negative(self, mu, tol, max_iter):
         """Damped Newton directly on v from v = 0, for either sign of mu.
@@ -303,8 +302,8 @@ class MeanFieldProblem:
         lam = mu * z                              # mu = 0 never comes here
         return self._finalize(lam, v / lam, factors / z, np.log(z), dn, it)
 
-    def _lp_minimal_branch(self, mu, tol, max_iter, fold_rtol):
-        from .branch import TraceConfig, _march, g_of, locate_fold  # deferred: cycle
+    def _lp_minimal_branch(self, mu, tol, max_iter):
+        from .branch import EPS_STOP, POS_STEP, _march, g_of, locate_fold  # deferred: cycle
         state = diag = err = None
         try:
             state = self._lp_newton_negative(mu, tol, max_iter)
@@ -323,17 +322,15 @@ class MeanFieldProblem:
             last[:] = [last[-1], (s, d)]
             return d.eta if d.g > 0.0 else None
 
-        cfg = TraceConfig()
-        lam_end = EIGHT_PI - cfg.eps_stop
-        targets = np.arange(start.lam + cfg.pos_step, lam_end, cfg.pos_step)
-        _march(self, (start, last[0][1].eta), [*targets, lam_end], cfg, on_state,
-               tol, max_iter)
+        lam_end = EIGHT_PI - EPS_STOP
+        targets = np.arange(start.lam + POS_STEP, lam_end, POS_STEP)
+        _march(self, (start, last[0][1].eta), [*targets, lam_end], on_state, tol, max_iter)
         if last[-1][1].g <= 0.0:
             fold = locate_fold(self, *last, newton_tol=tol, max_iter=max_iter)
-            if mu > fold.mu * (1.0 + fold_rtol):
+            if mu > fold.mu * (1.0 + FOLD_RTOL):
                 raise NoConvergence(f"mu={mu:.6g} exceeds the fold value {fold.mu:.6g}; "
                                     "no minimal-branch solution")
-            if mu >= fold.mu * (1.0 - fold_rtol):
+            if mu >= fold.mu * (1.0 - FOLD_RTOL):
                 return fold
         if below:
             return state

@@ -49,11 +49,10 @@ class SpectrumReport:
     lam: float
     sigmas: np.ndarray          # ascending, k smallest
     phis: np.ndarray            # (n_vertices, k), zero on the boundary
-    phi_hats: np.ndarray        # mean-free versions, variance-normalized
     tau1: float
     poincare: float
     ortho_error: float          # max deviation of the Gram matrix from I
-    mean_error: float           # max |<phi_hat_j>|
+    mean_error: float           # max |<phi_j - <phi_j>>|
     method: str = "sparse"
 
 
@@ -167,12 +166,12 @@ def weighted_eigs(problem: MeanFieldProblem, state: MeanFieldState, k: int = 10,
         warm.sigma, method = vecs, "sparse"
     phis = np.zeros((problem.mesh.n_vertices, k))
     phis[idx] = vecs
-    phi_hats = phis - (lin.b @ phis)[None, :]
     gram = phis.T @ _columns(_mhat_full(lin))(phis)
     ortho_error = float(np.abs(gram - np.eye(k)).max())
-    mean_error = float(np.abs(lin.b @ phi_hats).max()) if k else 0.0
+    mean_free = phis - (lin.b @ phis)[None, :]
+    mean_error = float(np.abs(lin.b @ mean_free).max()) if k else 0.0
     return SpectrumReport(
-        lam=lam, sigmas=sig, phis=phis, phi_hats=phi_hats,
+        lam=lam, sigmas=sig, phis=phis,
         tau1=standard_tau1(problem, state, lin=lin, warm=warm),
         poincare=poincare_constant(problem, state, lin=lin, warm=warm),
         ortho_error=ortho_error, mean_error=mean_error, method=method,

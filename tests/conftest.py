@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from gelfand.branch import TraceConfig, trace_branch
+from gelfand.branch import trace_branch
 from gelfand.geometry import (DomainSpec, SingularitySpec, build_mesh,
                               build_weight, uniform_weight)
 from gelfand.meanfield import MeanFieldProblem
@@ -75,5 +75,4 @@ def centered_trace():
     """Weight vanishing like r^2 at the origin: bounded second-kind branch."""
     sing = SingularitySpec.of((0.0, 0.0, 1.0))
     problem = make_problem(DomainSpec.unit_disk(), sing, 0.08)
-    cfg = TraceConfig()
-    return {"diagram": trace_branch(problem, cfg), "problem": problem, "alpha": 1.0}
+    return {"diagram": trace_branch(problem), "problem": problem, "alpha": 1.0}

@@ -5,11 +5,10 @@ import pytest
 
 import radial_oracle as oracle
 from gelfand import branch
-from gelfand.branch import (CSV_HEADER, BranchDiagram, BranchPoint,
-                            TraceConfig, _negative_targets, _positive_targets,
-                            classify_kind, dE_dlambda, emit_diagram, find_fold,
-                            g_of, locate_fold, plot_csv, read_csv, solve_eta,
-                            trace_branch, write_csv)
+from gelfand.branch import (CSV_HEADER, EPS_STOP, BranchDiagram, BranchPoint,
+                            _negative_targets, _positive_targets, classify_kind,
+                            dE_dlambda, emit_diagram, find_fold, g_of, locate_fold,
+                            plot_csv, read_csv, solve_eta, trace_branch, write_csv)
 from gelfand.errors import NoFoldInRange
 from gelfand.meanfield import EIGHT_PI, MeanFieldProblem
 from gelfand.spectrum import expand_modes, weighted_eigs
@@ -247,8 +246,7 @@ def test_fold_located_from_kept_states(disk_problem, counted_trace):
 
 def test_predicted_march_hits_every_target(counted_trace):
     # a halved step would add its midpoint as a row
-    cfg = TraceConfig()
-    targets = _negative_targets(cfg)[::-1] + [0.0] + _positive_targets(cfg)
+    targets = _negative_targets()[::-1] + [0.0] + _positive_targets()
     diagram = counted_trace["diagram"]
     assert [p.lam for p in diagram.points] == targets
     assert diagram.termination == "completed"
@@ -256,6 +254,23 @@ def test_predicted_march_hits_every_target(counted_trace):
 
 def test_predicted_trace_newton_work(counted_trace):
     assert counted_trace["work"]["iters"] <= 130
+
+
+def test_negative_grid_pinned():
+    # every default trace row sits on these lambdas: a changed grid moves every artifact
+    targets = _negative_targets()
+    assert len(targets) == 24
+    assert targets[0] == -0.05473749468016178 and targets[-1] == -200.0
+    assert math.fsum(targets) == -666.5389458457463
+
+
+def test_positive_grid_pinned():
+    targets = _positive_targets()
+    assert len(targets) == 37
+    assert all(a < b for a, b in zip(targets, targets[1:]))
+    assert targets[23] == 18.84955592153877     # 24 summed steps of pi/4, just above 6 pi
+    assert targets[-1] == EIGHT_PI - EPS_STOP == 25.107608487489628
+    assert math.fsum(targets) == 550.7175516229596
 
 
 def test_locate_fold_requires_sign_change(disk_problem):

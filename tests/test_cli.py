@@ -104,6 +104,16 @@ def test_newton_failure_error_context(tmp_path, capsys):
     assert type(payload["residual"]) is float and payload["residual"] > 0.0
 
 
+@pytest.mark.parametrize("command", ["branch", "classify"])
+def test_trace_solves_to_config_tol(tmp_path, capsys, command):
+    # the trace honours tol like solve does: below roundoff no state converges
+    cfg = write_config(tmp_path, h_max=0.2, tol=1e-30, trace={"lam_min": -1.0})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert "NoConvergence" in capsys.readouterr().err
+    assert json.loads((out / "error.json").read_text())["error"] == "NoConvergence"
+
+
 def test_blowup_error_context(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
@@ -139,6 +149,8 @@ def test_missing_config_file(tmp_path, capsys):
     {"tol": float("nan")}, {"tol": "abc"}, {"tol": 0.0}, {"tol": float("inf")},
     {"mesh": {"h_max": "abc"}}, {"mesh": {"h_max": float("nan")}},
     {"trace": {"lam_min": "abc"}}, {"trace": {"lam_min": float("-inf")}},
+    {"trace": {"lam_min": 0.0}}, {"trace": {"lam_min": 5.0}},
+    # grid knobs that once took these values are now unknown trace options
     {"trace": {"max_rows": 2.5}}, {"trace": {"pos_step": 0.0}},
     {"trace": {"neg_ratio": 1.0}}, {"trace": {"neg_ratio": 0.0}},
     {"trace": {"neg_cut": 0.0}}, {"trace": {"eps_stop": 0.0}},
@@ -160,8 +172,11 @@ def test_nan_tol_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_unknown_trace_key(tmp_path, capsys):
-    cfg = write_config(tmp_path, trace={"lam_mn": -10.0})
+@pytest.mark.parametrize("key", ["lam_mn", "pos_step", "spectrum_k", "max_rows",
+                                 "sup_diverged"])
+def test_unknown_trace_key(tmp_path, capsys, key):
+    # lam_min is the one trace option; the grid and thresholds are fixed
+    cfg = write_config(tmp_path, trace={key: 1.0})
     rc = cli.main(["branch", "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "unknown trace option" in capsys.readouterr().err
@@ -283,7 +298,7 @@ def test_trace_failure_writes_sorted_partial_csv(tmp_path, monkeypatch, capsys, 
     # the trace fails after three rows: both commands keep them, sorted by lambda
     real_trace = cli.trace_branch
 
-    def failing_trace(problem, cfg, on_row=None):
+    def failing_trace(problem, *args, on_row=None):
         seen = []
 
         def row_then_fail(row):
@@ -291,7 +306,7 @@ def test_trace_failure_writes_sorted_partial_csv(tmp_path, monkeypatch, capsys, 
             seen.append(row.lam)
             if len(seen) == 3:
                 raise cli.NoConvergence("stopped by the test", iterations=1, residual=1.0)
-        return real_trace(problem, cfg, on_row=row_then_fail)
+        return real_trace(problem, *args, on_row=row_then_fail)
 
     monkeypatch.setattr(cli, "trace_branch", failing_trace)
     cfg = write_config(tmp_path, trace={"lam_min": -10.0})
