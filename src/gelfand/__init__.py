@@ -25,7 +25,6 @@ from .geometry import (
     WeightField,
     build_mesh,
     build_weight,
-    domain_from_config,
     green_function,
     uniform_weight,
     write_mesh,
@@ -59,6 +58,7 @@ from .branch import (
     trace_branch,
     write_csv,
 )
+from .cli import domain_from_config
 from .freeenergy import (
     DensityState,
     EnergyBoundReport,

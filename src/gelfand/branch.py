@@ -19,10 +19,11 @@ row's own g diagnostics.  The fold is the root of g between the two kept
 row states that bracket its sign change, found by Brent's method with each
 trial state predicted from the lower one.
 
-Classification at the 8 pi end reads the computed asymptotics: on first-kind
-domains sup|u| and E diverge, with E growing like log(1/(8 pi - lambda))
-at slope about 1/(8 pi); on second-kind domains both stay bounded and the
-slope vanishes.
+Classification follows the definition of the kind: a domain is of first
+kind when the mean-field equation has no solution at lambda = 8 pi, so the
+branch blows up there, and of second kind when one exists.  After an upward
+march that completes, one solve_mp at 8 pi from the last row's predictor
+decides it; solve_mp alone judges whether a state there is trusted.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import BlowupDetected, FoldSingularity, NoConvergence, NoFoldInRange
+from .errors import (BlowupDetected, ConfigError, FoldSingularity, NoConvergence,
+                     NoFoldInRange)
 from .meanfield import (EIGHT_PI, NEWTON_TOL, Linearization, MeanFieldProblem,
                         MeanFieldState)
 from .spectrum import WarmStart, weighted_eigs
@@ -60,14 +62,6 @@ SUP_JUMP = 2.0                     # sup-norm ratio above which the step halves
 MIN_GAP = 1e-4                     # no step is halved below this
 MAX_ROWS = 500
 FOLD_G_TOL = 1e-8                  # |g| at the located fold
-
-# classification
-EPS_CLASSIFY = EIGHT_PI * 5e-3     # the trace reached 8 pi within this
-SUP_DIVERGED = 5.0                 # threshold on sup|u| = lambda sup|psi|
-ENERGY_DIVERGED = 0.05
-SLOPE_DIVERGED = 0.01
-MU_COLLAPSE = 0.25                 # mu_last / mu_max below this => blowup trend
-MU_FLAT = 0.5                      # mu_last / mu_max above this => bounded
 
 
 @dataclass
@@ -196,6 +190,13 @@ def _branch_point(problem, state, warm=None):
 # tracing
 
 
+def check_lam_min(lam_min):
+    """lam_min itself, or ConfigError unless it is finite and below 0."""
+    if not (math.isfinite(lam_min) and lam_min < 0):
+        raise ConfigError(f"lam_min must be finite and below 0, got {lam_min!r}")
+    return lam_min
+
+
 def _negative_targets(lam_min=LAM_MIN):
     mags = []
     m = abs(lam_min)
@@ -278,12 +279,15 @@ def trace_branch(problem: MeanFieldProblem, lam_min: float = LAM_MIN,
     from the lambda = 0 row's eigenvectors and then from its previous row's,
     through its own copy of one spectrum.WarmStart carrier.  The optional
     on_row callback sees every finished row in marching order, so callers
-    can persist partial results across a hard failure.
+    can persist partial results across a hard failure.  The kind comes from
+    classify_kind on the upward pass's termination and last row.  Raises
+    ConfigError, before any solve, unless lam_min is finite and below 0.
     """
+    check_lam_min(lam_min)
     state0 = problem.solve_mp(0.0, tol=tol)
     rows_neg, rows_pos = [], []
     # lambda -> (state, g diagnostics) of the positive rows on either side
-    # of each sign change of g; last is the previous positive row's pair
+    # of each sign change of g; last is the latest positive row's pair
     kept, last = {}, None
 
     def collect(bucket, warm):
@@ -322,7 +326,7 @@ def trace_branch(problem: MeanFieldProblem, lam_min: float = LAM_MIN,
         diagram.fold = (fold.lam, fold.energy, fold.mu)
     except NoFoldInRange:
         diagram.fold = None
-    diagram.kind = classify_kind(diagram)
+    diagram.kind = classify_kind(problem, term_pos, last, tol=tol)
     return diagram
 
 
@@ -400,43 +404,33 @@ def locate_fold(problem: MeanFieldProblem, lo, hi, tol: float = FOLD_G_TOL,
     raise NoFoldInRange(f"root search on g did not reach |g| < {tol:g} on {bracket}")
 
 
-def classify_kind(diagram: BranchDiagram) -> str:
-    """First kind: the branch blows up as lambda -> 8 pi; second: it stays bounded.
+def classify_kind(problem: MeanFieldProblem, termination: str, last,
+                  tol: float = NEWTON_TOL) -> str:
+    """First kind: no solution at lambda = 8 pi; second kind: one exists.
 
-    Divergence is read from sup|u| = lambda sup|psi| (psi itself stays small;
-    u is what blows up) together with the mu trend: one-point blowup forces
-    mu proportional to (8 pi - lambda), so mu at the last rows collapses
-    relative to its maximum.  The collapse ratio is the mesh-robust signal; a
-    fixed sup threshold alone saturates once the bubble width falls below the
-    mesh scale.  Bounded branches keep mu near its running maximum and show a
-    vanishing slope of E against log(1/(8 pi - lambda)).
+    termination is the upward march's tag and last the (state, g
+    diagnostics) pair of its last row, or None when it kept no row.  A march
+    that blew up means first kind, and one that stalled, or kept no row,
+    leaves the kind undetermined; neither solves anything.  After a completed
+    march, one solve_mp at 8 pi starts from the Euler predictor
+    psi + (8 pi - lambda) eta of the last row: BlowupDetected (its density
+    concentrates below the mesh scale, or an iterate passes the trust cap)
+    means first kind, a converged state second kind, and NoConvergence
+    undetermined.
     """
-    rows = diagram.positive_rows()
-    if not rows:
+    if last is None:
         return "undetermined"
-    last = rows[-1]
-    sup_u = last.lam * last.sup_norm
-    reached = last.lam >= EIGHT_PI - EPS_CLASSIFY
-    mu_max = max(r.mu for r in rows)
-    mu_ratio = last.mu / mu_max if mu_max > 0 else math.inf
-    tail = [r for r in rows if r.lam > TAIL_START][-5:]
-    if len(tail) >= 3:
-        x = [math.log(1.0 / (EIGHT_PI - r.lam)) for r in tail]
-        y = [r.energy for r in tail]
-        slope = float(np.polyfit(x, y, 1)[0])
-    else:
-        slope = math.nan
-    diverged = sup_u > SUP_DIVERGED and last.energy > ENERGY_DIVERGED
-    if diagram.termination == "blowup" and diverged:
+    if termination != "completed":
+        return "first" if termination == "blowup" else "undetermined"
+    state, diag = last
+    guess = state.psi + (EIGHT_PI - state.lam) * diag.eta
+    try:
+        problem.solve_mp(EIGHT_PI, initial_guess=guess, tol=tol)
+    except BlowupDetected:
         return "first"
-    if not reached:
+    except NoConvergence:
         return "undetermined"
-    if diverged and mu_ratio < MU_COLLAPSE:
-        return "first"
-    if sup_u <= SUP_DIVERGED and last.energy <= ENERGY_DIVERGED \
-            and mu_ratio > MU_FLAT and abs(slope) < SLOPE_DIVERGED:
-        return "second"
-    return "undetermined"
+    return "second"
 
 
 # ---------------------------------------------------------------------------

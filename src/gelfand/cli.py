@@ -16,13 +16,13 @@ import math
 import os
 import sys
 
-from .branch import (LAM_MIN, emit_diagram, plot_csv, trace_branch, write_csv,
-                     write_json)
+from .branch import (LAM_MIN, check_lam_min, emit_diagram, plot_csv, trace_branch,
+                     write_csv, write_json)
 from .errors import (BlowupDetected, ConfigError, GelfandError, InvalidDelta,
                      InvalidDensity, InvalidSingularity, InvalidWeight,
                      NoConvergence, UnsupportedRegime)
 from .freeenergy import collar_density, minimize_free_energy, verify_energy_bound
-from .geometry import (build_mesh, build_weight, config_number, domain_from_config,
+from .geometry import (DomainSpec, SingularitySpec, build_mesh, build_weight,
                        uniform_weight)
 from .meanfield import MeanFieldProblem, save_state
 from .spectrum import weighted_eigs
@@ -60,6 +60,68 @@ def load_json(path):
         ) from None
 
 
+def domain_from_config(cfg: dict):
+    """Parse the JSON document layout into specs.
+
+    Expected keys: schema (=1), shape, params, singularities, mesh.h_max.
+    Returns (DomainSpec, SingularitySpec, h_max).
+    """
+    if not isinstance(cfg, dict):
+        raise ConfigError("config root must be an object")
+    schema = cfg.get("schema", 1)
+    if schema != 1:
+        raise ConfigError(f"unsupported schema version {schema}")
+    try:
+        shape = cfg["shape"]
+    except KeyError:
+        raise ConfigError("config is missing required key 'shape'") from None
+    params = cfg.get("params", {})
+    if shape == "unit_disk":
+        dom = DomainSpec.unit_disk(boundary_size=params.get("boundary_size"))
+    elif shape == "ellipse":
+        try:
+            dom = DomainSpec.ellipse(params["a"], params["b"],
+                                     boundary_size=params.get("boundary_size"))
+        except KeyError as e:
+            raise ConfigError(f"ellipse params need key {e}") from None
+    elif shape == "polygon":
+        try:
+            dom = DomainSpec.polygon(params["vertices"])
+        except KeyError:
+            raise ConfigError("polygon params need key 'vertices'") from None
+    else:
+        raise ConfigError(f"unknown shape {shape!r}")
+
+    sing_cfg = cfg.get("singularities", [])
+    if not isinstance(sing_cfg, list):
+        raise ConfigError("'singularities' must be a list")
+    triples = []
+    for item in sing_cfg:
+        try:
+            triples.append((item["x"], item["y"], item["alpha"]))
+        except (KeyError, TypeError):
+            raise ConfigError("each singularity needs keys x, y, alpha") from None
+    sing = SingularitySpec.of(*triples)
+
+    mesh_cfg = cfg.get("mesh", {})
+    try:
+        h_max = mesh_cfg["h_max"]
+    except (KeyError, TypeError):
+        raise ConfigError("config is missing mesh.h_max") from None
+    return dom, sing, config_number(h_max, "mesh.h_max", positive=True)
+
+
+def config_number(value, what, positive=False):
+    """A config value as a finite float, positive if asked, or ConfigError."""
+    try:
+        x = float(value)
+        if math.isfinite(x) and (x > 0 or not positive):
+            return x
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{what} must be a finite{' positive' * positive} number, got {value!r}")
+
+
 def run_config(args) -> RunConfig:
     cfg = load_json(args.config)
     domain, sing, h_max = domain_from_config(cfg)
@@ -69,9 +131,8 @@ def run_config(args) -> RunConfig:
     for key in trace:
         if key != "lam_min":
             raise ConfigError(f"unknown trace option {key!r}")
-    lam_min = config_number(trace.get("lam_min", LAM_MIN), "trace option 'lam_min'")
-    if not lam_min < 0:
-        raise ConfigError(f"trace option 'lam_min' must be below 0, got {lam_min!r}")
+    lam_min = check_lam_min(config_number(trace.get("lam_min", LAM_MIN),
+                                          "trace option 'lam_min'"))
     out_dir = getattr(args, "out", ".")
     rc = RunConfig(domain=domain, singularities=sing, h_max=h_max, lam_min=lam_min,
                    tol=config_number(cfg.get("tol", 1e-9), "tol", positive=True),

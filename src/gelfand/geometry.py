@@ -772,69 +772,3 @@ def build_weight(mesh: Mesh, sing: SingularitySpec | None = None) -> WeightField
     )
     w.validate()
     return w
-
-
-# ---------------------------------------------------------------------------
-# configuration ingestion
-
-
-def domain_from_config(cfg: dict):
-    """Parse the JSON document layout into specs.
-
-    Expected keys: schema (=1), shape, params, singularities, mesh.h_max.
-    Returns (DomainSpec, SingularitySpec, h_max).
-    """
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be an object")
-    schema = cfg.get("schema", 1)
-    if schema != 1:
-        raise ConfigError(f"unsupported schema version {schema}")
-    try:
-        shape = cfg["shape"]
-    except KeyError:
-        raise ConfigError("config is missing required key 'shape'") from None
-    params = cfg.get("params", {})
-    if shape == "unit_disk":
-        dom = DomainSpec.unit_disk(boundary_size=params.get("boundary_size"))
-    elif shape == "ellipse":
-        try:
-            dom = DomainSpec.ellipse(params["a"], params["b"],
-                                     boundary_size=params.get("boundary_size"))
-        except KeyError as e:
-            raise ConfigError(f"ellipse params need key {e}") from None
-    elif shape == "polygon":
-        try:
-            dom = DomainSpec.polygon(params["vertices"])
-        except KeyError:
-            raise ConfigError("polygon params need key 'vertices'") from None
-    else:
-        raise ConfigError(f"unknown shape {shape!r}")
-
-    sing_cfg = cfg.get("singularities", [])
-    if not isinstance(sing_cfg, list):
-        raise ConfigError("'singularities' must be a list")
-    triples = []
-    for item in sing_cfg:
-        try:
-            triples.append((item["x"], item["y"], item["alpha"]))
-        except (KeyError, TypeError):
-            raise ConfigError("each singularity needs keys x, y, alpha") from None
-    sing = SingularitySpec.of(*triples)
-
-    mesh_cfg = cfg.get("mesh", {})
-    try:
-        h_max = mesh_cfg["h_max"]
-    except (KeyError, TypeError):
-        raise ConfigError("config is missing mesh.h_max") from None
-    return dom, sing, config_number(h_max, "mesh.h_max", positive=True)
-
-
-def config_number(value, what, positive=False):
-    """A config value as a finite float, positive if asked, or ConfigError."""
-    try:
-        x = float(value)
-        if np.isfinite(x) and (x > 0 or not positive):
-            return x
-    except (TypeError, ValueError):
-        pass
-    raise ConfigError(f"{what} must be a finite{' positive' * positive} number, got {value!r}")

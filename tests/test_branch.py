@@ -9,7 +9,8 @@ from gelfand.branch import (CSV_HEADER, EPS_STOP, BranchDiagram, BranchPoint,
                             _negative_targets, _positive_targets, classify_kind,
                             dE_dlambda, emit_diagram, find_fold, g_of, locate_fold,
                             plot_csv, read_csv, solve_eta, trace_branch, write_csv)
-from gelfand.errors import NoFoldInRange
+from gelfand.errors import ConfigError, NoFoldInRange
+from gelfand.geometry import DomainSpec, SingularitySpec, build_mesh, uniform_weight
 from gelfand.meanfield import EIGHT_PI, MeanFieldProblem
 from gelfand.spectrum import expand_modes, weighted_eigs
 
@@ -153,13 +154,38 @@ def test_fold_rejects_multiple_crossings(disk_problem):
 
 
 def test_classify_requires_rows():
-    assert classify_kind(BranchDiagram(points=[])) == "undetermined"
+    # no problem is passed, so a solve would raise
+    assert classify_kind(None, "completed", None) == "undetermined"
 
 
-def test_classify_short_run_undetermined():
-    # a branch that never reaches the sampling edge stays undetermined
-    points = [_row(l, 0.9) for l in np.linspace(0.5, 12.0, 8)]
-    assert classify_kind(BranchDiagram(points=points)) == "undetermined"
+def test_classify_short_run_undetermined(disk_problem):
+    # a march that stalled short of 8 pi decides nothing; one that blew up
+    # shows the blowup that defines the first kind; neither needs a solve
+    state = disk_problem.solve_mp(1.0)
+    last = (state, g_of(disk_problem, state))
+    assert classify_kind(None, "stalled", last) == "undetermined"
+    assert classify_kind(None, "blowup", last) == "first"
+
+
+def test_classify_long_ellipse_is_second_kind():
+    # long thin domains are the classical second-kind examples: the solve at
+    # 8 pi from the last grid state converges
+    mesh = build_mesh(DomainSpec.ellipse(4.0, 0.5), SingularitySpec.none(), h_max=0.08)
+    problem = MeanFieldProblem(mesh, uniform_weight(mesh))
+    state = problem.solve_mp(EIGHT_PI - EPS_STOP)
+    assert classify_kind(problem, "completed", (state, g_of(problem, state))) == "second"
+
+
+@pytest.mark.parametrize("lam_min", [5.0, 0.0, math.nan, -math.inf])
+def test_trace_refuses_bad_lam_min(coarse_problem, monkeypatch, lam_min):
+    # unchecked, _negative_targets would march 5.0 to -5, skip the march for
+    # NaN and never finish the target list for -inf
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved before lam_min was checked")
+
+    monkeypatch.setattr(coarse_problem, "solve_mp", refuse)
+    with pytest.raises(ConfigError, match="lam_min"):
+        trace_branch(coarse_problem, lam_min=lam_min)
 
 
 def test_emit_diagram_files(tmp_path, disk_trace):

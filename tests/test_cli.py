@@ -7,6 +7,8 @@ import math
 import pytest
 
 from gelfand import cli
+from gelfand.cli import domain_from_config
+from gelfand.errors import ConfigError
 
 E0 = 1.0 / (16.0 * math.pi)
 
@@ -164,6 +166,39 @@ def test_bad_numbers_are_config_errors(tmp_path, extra):
         cli.run_config(argparse.Namespace(config=cfg, out=str(tmp_path / "out")))
 
 
+def test_domain_from_config_errors():
+    with pytest.raises(ConfigError):
+        domain_from_config([])
+    with pytest.raises(ConfigError):
+        domain_from_config({"schema": 2, "shape": "unit_disk"})
+    with pytest.raises(ConfigError):
+        domain_from_config({"shape": "hexagon"})
+    with pytest.raises(ConfigError):
+        domain_from_config({"shape": "ellipse", "params": {"a": 1.0}})
+    with pytest.raises(ConfigError):
+        domain_from_config({"shape": "unit_disk", "singularities": [{"x": 0.0}]})
+
+
+@pytest.mark.parametrize("h_max", ["abc", None, float("nan"), float("inf"), 0.0, -0.1])
+def test_domain_from_config_rejects_bad_h_max(h_max):
+    with pytest.raises(ConfigError, match="mesh.h_max"):
+        domain_from_config({"shape": "unit_disk", "mesh": {"h_max": h_max}})
+
+
+def test_domain_from_config_roundtrip():
+    cfg = {
+        "schema": 1,
+        "shape": "unit_disk",
+        "singularities": [{"x": 0.5, "y": 0.0, "alpha": 0.05}],
+        "mesh": {"h_max": 0.2},
+    }
+    dom, sing, h_max = domain_from_config(cfg)
+    assert dom.shape == "unit_disk"
+    assert len(sing) == 1
+    assert sing.alphas[0] == pytest.approx(0.05)
+    assert h_max == pytest.approx(0.2)
+
+
 def test_nan_tol_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, tol=float("nan"))
     out = tmp_path / "out"
@@ -175,7 +210,7 @@ def test_nan_tol_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("key", ["lam_mn", "pos_step", "spectrum_k", "max_rows",
                                  "sup_diverged"])
 def test_unknown_trace_key(tmp_path, capsys, key):
-    # lam_min is the one trace option; the grid and thresholds are fixed
+    # lam_min is the one trace option; the rest of the trace is fixed
     cfg = write_config(tmp_path, trace={key: 1.0})
     rc = cli.main(["branch", "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 2

@@ -9,8 +9,8 @@ from gelfand.errors import ConfigError, InvalidDelta, InvalidSingularity, Invali
 from gelfand.fem import plain_quadrature
 from gelfand.freeenergy import collar_density
 from gelfand.geometry import (DomainSpec, SingularitySpec, _point_segment_distance,
-                              build_mesh, build_weight, domain_from_config,
-                              green_function, uniform_weight, write_mesh)
+                              build_mesh, build_weight, green_function,
+                              uniform_weight, write_mesh)
 
 
 def test_disk_mesh_quality(coarse_problem):
@@ -127,39 +127,6 @@ def test_mesh_grades_toward_singularity():
     near = mesh.size_target[d < 0.05].min()
     far = mesh.size_target[d > 0.7].max()
     assert near < 0.2 * far
-
-
-def test_domain_from_config_errors():
-    with pytest.raises(ConfigError):
-        domain_from_config([])
-    with pytest.raises(ConfigError):
-        domain_from_config({"schema": 2, "shape": "unit_disk"})
-    with pytest.raises(ConfigError):
-        domain_from_config({"shape": "hexagon"})
-    with pytest.raises(ConfigError):
-        domain_from_config({"shape": "ellipse", "params": {"a": 1.0}})
-    with pytest.raises(ConfigError):
-        domain_from_config({"shape": "unit_disk", "singularities": [{"x": 0.0}]})
-
-
-@pytest.mark.parametrize("h_max", ["abc", None, float("nan"), float("inf"), 0.0, -0.1])
-def test_domain_from_config_rejects_bad_h_max(h_max):
-    with pytest.raises(ConfigError, match="mesh.h_max"):
-        domain_from_config({"shape": "unit_disk", "mesh": {"h_max": h_max}})
-
-
-def test_domain_from_config_roundtrip():
-    cfg = {
-        "schema": 1,
-        "shape": "unit_disk",
-        "singularities": [{"x": 0.5, "y": 0.0, "alpha": 0.05}],
-        "mesh": {"h_max": 0.2},
-    }
-    dom, sing, h_max = domain_from_config(cfg)
-    assert dom.shape == "unit_disk"
-    assert len(sing) == 1
-    assert sing.alphas[0] == pytest.approx(0.05)
-    assert h_max == pytest.approx(0.2)
 
 
 def test_write_mesh(tmp_path, coarse_problem):
