@@ -56,7 +56,6 @@ TAIL_RATIO = 0.65                  # geometric approach to 8 pi
 EPS_STOP = EIGHT_PI * 1e-3
 
 # the march
-TRACE_MAX_ITER = 40                # Newton iterations per trial state
 NEWTON_BUDGET = 8                  # iterations above which the step halves
 SUP_JUMP = 2.0                     # sup-norm ratio above which the step halves
 MIN_GAP = 1e-4                     # no step is halved below this
@@ -221,16 +220,16 @@ def _positive_targets():
     return out + [EIGHT_PI - EPS_STOP]
 
 
-def _march(problem, start, targets, on_state, tol, max_iter):
+def _march(problem, start, targets, on_state, tol):
     """Continuation through the target list, each Newton solve to tol.
 
     start is the (state, eta) pair to march from.  Each solve starts from
     the predictor psi + (target - lambda) eta of the last accepted state;
     on_state(state) returns the eta of every accepted state (the tangent
     along a trace, a secant in a cold solve_mp), or None to stop there.  A
-    solve is retried at the midpoint when Newton works too hard or the
-    iterate jumps; failures below the minimum gap end the march gracefully.
-    Returns the last state and the termination tag.
+    solve is retried at the midpoint when Newton fails within NEWTON_MAX_ITER,
+    takes more than NEWTON_BUDGET iterations or jumps; failures below the
+    minimum gap end the march gracefully.  Returns the last state and tag.
     """
     state, eta = start
     stack = list(reversed(targets))
@@ -240,7 +239,7 @@ def _march(problem, start, targets, on_state, tol, max_iter):
         gap = abs(target - state.lam)
         try:
             guess = state.psi + (target - state.lam) * eta
-            nxt = problem._newton(target, guess, tol, max_iter)
+            nxt = problem._newton(target, guess, tol)
             jumped = (np.abs(nxt.psi).max()
                       > SUP_JUMP * max(np.abs(state.psi).max(), 0.05))
             trouble = nxt.iterations > NEWTON_BUDGET or jumped
@@ -307,11 +306,11 @@ def trace_branch(problem: MeanFieldProblem, lam_min: float = LAM_MIN,
     warm = WarmStart()
     row0, diag0 = _branch_point(problem, state0, warm)
     _, term_neg = _march(problem, (state0, diag0.eta), _negative_targets(lam_min),
-                         collect(rows_neg, warm.copy()), tol, TRACE_MAX_ITER)
+                         collect(rows_neg, warm.copy()), tol)
     if on_row is not None:
         on_row(row0)
     _, term_pos = _march(problem, (state0, diag0.eta), _positive_targets(),
-                         collect(rows_pos, warm.copy()), tol, TRACE_MAX_ITER)
+                         collect(rows_pos, warm.copy()), tol)
 
     points = rows_neg[::-1] + [row0] + rows_pos
     diagram = BranchDiagram(points=points, termination=term_pos)
@@ -342,8 +341,7 @@ def find_fold(problem: MeanFieldProblem, diagram: BranchDiagram,
     negative-only data), when it changes sign more than once, or when the
     bracketing rows have no kept states.
     """
-    rows = diagram.positive_rows()
-    rows = [r for r in rows if r.lam < EIGHT_PI]
+    rows = [r for r in diagram.positive_rows() if r.lam < EIGHT_PI]
     crossings = [(a, b) for a, b in zip(rows, rows[1:])
                  if a.g_value > 0 >= b.g_value or a.g_value <= 0 < b.g_value]
     if not crossings:
@@ -367,21 +365,20 @@ class _FoldFound(Exception):
         self.state = state
 
 
-def locate_fold(problem: MeanFieldProblem, lo, hi, tol: float = FOLD_G_TOL,
-                newton_tol: float = NEWTON_TOL,
-                max_iter: int = TRACE_MAX_ITER) -> MeanFieldState:
-    """The state with |g| < tol between two solved states whose g differ in sign.
+def locate_fold(problem: MeanFieldProblem, lo, hi,
+                newton_tol: float = NEWTON_TOL) -> MeanFieldState:
+    """The state with |g| < FOLD_G_TOL between two solved states of opposite g.
 
     lo and hi are (state, g diagnostics) pairs.  The root of g in lambda is
     found by Brent's method; each trial lambda is one Newton solve started
     from the Euler predictor psi_lo + (lambda - lambda_lo) eta_lo, then one
     g evaluation.  Raises NoFoldInRange, naming the bracket, when g has no
-    sign change on it or the root search ends without meeting tol.
+    sign change on it or the root search ends without meeting FOLD_G_TOL.
     """
     (s_lo, d_lo), (s_hi, d_hi) = lo, hi
     bracket = f"[{s_lo.lam!r}, {s_hi.lam!r}] (g = {d_lo.g!r}, {d_hi.g!r})"
     for state, diag in (lo, hi):
-        if abs(diag.g) < tol:
+        if abs(diag.g) < FOLD_G_TOL:
             return state
     if (d_lo.g > 0) == (d_hi.g > 0):
         raise NoFoldInRange(f"g does not change sign on {bracket}")
@@ -391,9 +388,9 @@ def locate_fold(problem: MeanFieldProblem, lo, hi, tol: float = FOLD_G_TOL,
         if lam in known:
             return known[lam]
         guess = s_lo.psi + (lam - s_lo.lam) * d_lo.eta
-        state = problem._newton(lam, guess, newton_tol, max_iter)
+        state = problem._newton(lam, guess, newton_tol)
         value = g_of(problem, state).g
-        if abs(value) < tol:
+        if abs(value) < FOLD_G_TOL:
             raise _FoldFound(state)
         return value
 
@@ -401,7 +398,8 @@ def locate_fold(problem: MeanFieldProblem, lo, hi, tol: float = FOLD_G_TOL,
         brentq(g, s_lo.lam, s_hi.lam, xtol=1e-14, rtol=8.9e-16, disp=False)
     except _FoldFound as found:
         return found.state
-    raise NoFoldInRange(f"root search on g did not reach |g| < {tol:g} on {bracket}")
+    raise NoFoldInRange(
+        f"root search on g did not reach |g| < {FOLD_G_TOL:g} on {bracket}")
 
 
 def classify_kind(problem: MeanFieldProblem, termination: str, last,
@@ -460,16 +458,16 @@ def read_csv(path):
         return [BranchPoint.from_csv_row(line) for line in f if line.strip()]
 
 
-def emit_diagram(diagram: BranchDiagram, out_dir, stem="branch"):
-    """CSV + summary JSON + the four standard SVG views of the diagram."""
+def emit_diagram(diagram: BranchDiagram, out_dir):
+    """branch.csv + branch.json + the four standard SVG views of the diagram."""
     if not diagram.points:
         raise ValueError("empty diagram")
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    csv_path = os.path.join(out_dir, f"{stem}.csv")
+    csv_path = os.path.join(out_dir, "branch.csv")
     paths.append(write_csv(diagram.points, csv_path))
-    paths.append(write_json(diagram.summary(), os.path.join(out_dir, f"{stem}.json")))
-    paths.extend(plot_csv(csv_path, out_dir, stem=stem))
+    paths.append(write_json(diagram.summary(), os.path.join(out_dir, "branch.json")))
+    paths.extend(plot_csv(csv_path, out_dir))
     return paths
 
 

@@ -22,8 +22,7 @@ from .errors import (BlowupDetected, ConfigError, GelfandError, InvalidDelta,
                      InvalidDensity, InvalidSingularity, InvalidWeight,
                      NoConvergence, UnsupportedRegime)
 from .freeenergy import collar_density, minimize_free_energy, verify_energy_bound
-from .geometry import (DomainSpec, SingularitySpec, build_mesh, build_weight,
-                       uniform_weight)
+from .geometry import DomainSpec, SingularitySpec, build_mesh, build_weight
 from .meanfield import MeanFieldProblem, save_state
 from .spectrum import weighted_eigs
 
@@ -147,10 +146,7 @@ def build_problem(rc: RunConfig, floor_n=None, mesh=None) -> MeanFieldProblem:
     """The configured problem; mesh, if given, is the configured mesh already built."""
     if mesh is None:
         mesh = build_mesh(rc.domain, rc.singularities, h_max=rc.h_max)
-    if len(rc.singularities):
-        weight = build_weight(mesh, rc.singularities)
-    else:
-        weight = uniform_weight(mesh)
+    weight = build_weight(mesh)
     if floor_n is not None:
         weight = weight.with_floor(floor_n)
     return MeanFieldProblem(mesh, weight)
@@ -265,7 +261,7 @@ def cmd_freeenergy(args):
             mesh = problem.mesh
             collar = collar_density(mesh, args.delta)
         for lam in lams:
-            state = minimize_free_energy(problem, lam, n=n)
+            state = minimize_free_energy(problem, lam)
             report = verify_energy_bound(problem, lam, args.delta, minimizer=state,
                                          collar=collar)
             rows.append(f"{lam!r},{n!r},{state.free_energy!r},{state.entropy_term!r},"

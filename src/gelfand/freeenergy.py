@@ -39,6 +39,7 @@ from .meanfield import MeanFieldProblem
 
 L1_TOL = 1e-10
 MAX_ITER = 5000
+STEP_FLOOR = 1e-8   # fixed-point step below which the mesh limits the descent
 
 
 @dataclass
@@ -93,7 +94,7 @@ def _weight_index(problem):
     return 1.0 / floor if floor > 0 else np.inf
 
 
-def free_energy_of(problem: MeanFieldProblem, rho, lam, n=None) -> DensityState:
+def free_energy_of(problem: MeanFieldProblem, rho, lam) -> DensityState:
     """Evaluate the functional at a P1 probability density.
 
     The density must be nonnegative with unit lumped mass to 1e-8; the
@@ -125,7 +126,7 @@ def free_energy_of(problem: MeanFieldProblem, rho, lam, n=None) -> DensityState:
     return DensityState(
         rho=rho, potential=potential, free_energy=free_energy,
         entropy_term=entropy_term, energy=e_pair, linear_term=linear_term,
-        lam=lam, n=n if n is not None else _weight_index(problem))
+        lam=lam, n=_weight_index(problem))
 
 
 def collar_density(mesh: Mesh, delta: float) -> np.ndarray:
@@ -161,8 +162,7 @@ def collar_density(mesh: Mesh, delta: float) -> np.ndarray:
 # minimization
 
 
-def minimize_free_energy(problem: MeanFieldProblem, lam, tol=L1_TOL,
-                         max_iter=MAX_ITER, n=None) -> DensityState:
+def minimize_free_energy(problem: MeanFieldProblem, lam) -> DensityState:
     """Minimize the functional by the damped Euler-Lagrange fixed point.
 
     The step size persists between iterations.  Two monitors control it: the
@@ -172,12 +172,13 @@ def minimize_free_energy(problem: MeanFieldProblem, lam, tol=L1_TOL,
     cannot distinguish a contraction from the mild divergence an undamped
     update exhibits at strongly negative lambda.  The step regrows only
     after a sustained run of shrinking updates.  Convergence is declared on
-    the L1 change of the vertex density, which raises OverflowGuard where it
-    leaves the float range.
+    an L1 change of the vertex density below L1_TOL, which raises
+    OverflowGuard where it leaves the float range.  NoConvergence is raised
+    after MAX_ITER iterations, and once either monitor halves the step below
+    STEP_FLOOR, where the mesh, not the iteration, limits the minimizer.
     """
     if lam >= 0:
         raise UnsupportedRegime("free-energy minimization requires lambda < 0")
-    n = n if n is not None else _weight_index(problem)
     m = _lumped_mass(problem)
     quad = problem.quad
     log_h_mass = np.log(problem.weight_mass)
@@ -194,23 +195,27 @@ def minimize_free_energy(problem: MeanFieldProblem, lam, tol=L1_TOL,
         linear = float(np.sum(wf * quad.log_h))
         return entropy - lam * energy - linear, target, log_z, (wf, psi_q, entropy, linear)
 
+    def halved(step, it, l1_change):      # l1_change: the last L1 density change
+        if step * 0.5 < STEP_FLOOR:
+            raise NoConvergence(
+                f"free-energy step fell below {STEP_FLOOR:g} at lambda={lam:.6g}; the "
+                "mesh, not the iteration, limits the minimizer",
+                iterations=it, residual=l1_change)
+        return step * 0.5
+
     psi = np.zeros(problem.mesh.n_vertices)
     f_cur, target, log_z, _ = f_value(psi)
     rho = problem.vertex_density(lam, psi, log_z)
     jensen_min = np.inf  # tracked over the visited iterates, not the zero start
     step, prev_l1, shrinking = 1.0, np.inf, 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         direction = target - psi
         while True:
             trial = psi + step * direction
             f_trial, target_trial, log_z_trial, ev_trial = f_value(trial)
             if f_trial <= f_cur + 1e-13 * max(1.0, abs(f_cur)):
                 break
-            step *= 0.5
-            if step < 1e-8:
-                raise NoConvergence(
-                    f"free-energy descent stalled at lambda={lam:.6g}",
-                    iterations=it, residual=f_trial - f_cur)
+            step = halved(step, it, prev_l1)
         rho_trial = problem.vertex_density(lam, trial, log_z_trial)
         l1_change = float(m @ np.abs(rho_trial - rho))
         psi, f_cur, target, log_z, rho = trial, f_trial, target_trial, log_z_trial, rho_trial
@@ -219,13 +224,13 @@ def minimize_free_energy(problem: MeanFieldProblem, lam, tol=L1_TOL,
         jensen_min = min(jensen_min, log_z - (
             log_h_mass + lam * quad.integrate(psi_q) / problem.weight_mass))
         if l1_change > prev_l1:
-            step, shrinking = max(step * 0.5, 1e-8), 0
+            step, shrinking = halved(step, it, l1_change), 0
         else:
             shrinking += 1
             if shrinking >= 25:
                 step, shrinking = min(1.0, step * 1.2), 0
         prev_l1 = l1_change
-        if l1_change < tol:
+        if l1_change < L1_TOL:
             # dual-norm Euler-Lagrange defect; equals the energy norm of
             # psi - G*rho(psi), which the loop has already computed
             d = (psi - target)[problem.interior]
@@ -240,10 +245,10 @@ def minimize_free_energy(problem: MeanFieldProblem, lam, tol=L1_TOL,
                     rho=rho / float(m @ rho), potential=psi,
                     free_energy=entropy - lam * energy - linear,
                     entropy_term=entropy, energy=energy, linear_term=linear,
-                    lam=lam, n=n, iterations=it, el_residual=el_residual,
-                    jensen_min_slack=jensen_min)
+                    lam=lam, n=_weight_index(problem), iterations=it,
+                    el_residual=el_residual, jensen_min_slack=jensen_min)
     raise NoConvergence(f"free-energy iteration cap at lambda={lam:.6g}",
-                        iterations=max_iter, residual=prev_l1)
+                        iterations=MAX_ITER, residual=prev_l1)
 
 
 def verify_energy_bound(problem: MeanFieldProblem, lam, delta,

@@ -9,7 +9,8 @@ robust continuation parameter.  The classical form -Delta v = mu h e^v is
 recovered through mu = lambda / int h e^(lambda psi), u = lambda psi.
 
 One damped Newton driver, Armijo backtracking on the dual-norm residual
-under a sup-norm trust cap, serves both forms; the mean-field Jacobian is
+under a sup-norm trust cap, serves both forms within the one iteration
+budget NEWTON_MAX_ITER (the march and the fold search too); the Jacobian is
 
     L eta = -Delta eta - lambda rho (eta - <eta>),
 
@@ -133,8 +134,7 @@ class MeanFieldProblem:
         factors, log_z = self._exp_factors(lam, psi_q)
         return self.quad.assemble_load(factors), factors, log_z, psi_q
 
-    def solve_mp(self, lam, initial_guess=None, tol=NEWTON_TOL,
-                 max_iter=NEWTON_MAX_ITER) -> MeanFieldState:
+    def solve_mp(self, lam, initial_guess=None, tol=NEWTON_TOL) -> MeanFieldState:
         """Solve the mean-field problem at the given lambda.
 
         Cold starts above 2 pi march from lambda = 0 (_continued_solve) so
@@ -145,18 +145,18 @@ class MeanFieldProblem:
         """
         lam = float(lam)
         if initial_guess is None and lam > 2 * np.pi:
-            state = self._continued_solve(lam, tol, max_iter)
+            state = self._continued_solve(lam, tol)
         else:
             psi = np.zeros(self.mesh.n_vertices) if initial_guess is None \
                 else np.array(initial_guess, dtype=float)
-            state = self._newton(lam, psi, tol, max_iter)
+            state = self._newton(lam, psi, tol)
         if lam >= EIGHT_PI - 1e-12 and self._is_concentrated(state):
             raise BlowupDetected(
                 "density concentrates below mesh resolution at lambda >= 8 pi",
                 lam=lam, psi=state.psi, sup=float(np.abs(state.psi).max()))
         return state
 
-    def _damped_newton(self, x, residual, linear_solve, cap, tol, max_iter, where,
+    def _damped_newton(self, x, residual, linear_solve, cap, tol, where,
                        name="Newton", lam=None):
         """Damped Newton on the interior values of x, with Armijo backtracking.
 
@@ -164,13 +164,13 @@ class MeanFieldProblem:
         the step on the interior residual r, and the dual norm dn of r.  A
         trial past the sup-norm cap raises BlowupDetected (with lam and the
         trial if lam is given); a step below 2^-24, a singular linearization
-        or dn > tol after max_iter steps raise NoConvergence.  Messages name
-        the form and parameter.  Returns (x, aux, dn, iterations).
+        or dn > tol after NEWTON_MAX_ITER steps raise NoConvergence.  Messages
+        name the form and parameter.  Returns (x, aux, dn, iterations).
         """
         aux, r, dn = residual(x)
         it = 0
         while not dn <= tol:          # a NaN residual or tol never reads as converged
-            if it >= max_iter:
+            if it >= NEWTON_MAX_ITER:
                 raise NoConvergence(f"{name} stalled at {where}", iterations=it, residual=dn)
             try:
                 delta = linear_solve(aux, r)
@@ -196,7 +196,7 @@ class MeanFieldProblem:
             it += 1
         return x, aux, dn, it
 
-    def _newton(self, lam, psi, tol, max_iter):
+    def _newton(self, lam, psi, tol):
         def residual(psi):
             b, factors, log_z, _ = self._load(lam, psi)
             r = (self.A @ psi - b)[self.interior]
@@ -207,7 +207,7 @@ class MeanFieldProblem:
             return Linearization(self, lam, factors, b).solve(-r)
 
         psi, (_, factors, log_z), dn, it = self._damped_newton(
-            psi, residual, linear_solve, TRUST_SUP / max(1.0, lam), tol, max_iter,
+            psi, residual, linear_solve, TRUST_SUP / max(1.0, lam), tol,
             f"lambda={lam:.6g}", lam=lam)
         return self._finalize(lam, psi, factors, log_z, dn, it)
 
@@ -237,10 +237,10 @@ class MeanFieldProblem:
         d2 = np.sum((self.quad.pos - self.mesh.vertices[peak]) ** 2, axis=-1)
         return float(np.sum((self.quad.w * factors)[d2 < radius * radius])) >= 0.5
 
-    def _continued_solve(self, lam, tol, max_iter):
+    def _continued_solve(self, lam, tol):
         """branch._march from lambda = 0 in pi/2 steps, secant-predicted."""
         from .branch import _march  # deferred: cycle
-        state = self.solve_mp(0.0, tol=tol, max_iter=max_iter)
+        state = self.solve_mp(0.0, tol=tol)
 
         def on_state(s):             # the secant slope from the last accepted state
             nonlocal state
@@ -250,7 +250,7 @@ class MeanFieldProblem:
 
         targets = [*np.arange(np.pi / 2, lam, np.pi / 2), lam]
         state, termination = _march(self, (state, np.zeros_like(state.psi)), targets,
-                                    on_state, tol, max_iter)
+                                    on_state, tol)
         if termination != "completed":
             raise BlowupDetected(
                 f"continuation stalled at lambda={state.lam:.6g} en route to {lam:.6g}",
@@ -259,7 +259,7 @@ class MeanFieldProblem:
 
     # -- Gelfand form ---------------------------------------------------------
 
-    def solve_lp(self, mu, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER) -> MeanFieldState:
+    def solve_lp(self, mu, tol=NEWTON_TOL) -> MeanFieldState:
         """Solve -Delta v = mu h e^v (minimal branch for mu > 0).
 
         One damped Newton solve on v from v = 0, a subsolution for mu > 0 of
@@ -269,16 +269,16 @@ class MeanFieldProblem:
         lambda = 0) to the sign change of g and branch.locate_fold to the
         fold.  Requests within FOLD_RTOL of the fold value return the fold
         state, those beyond raise NoConvergence, and those below return the
-        direct state if it converged with g > 0.
+        direct state if it converged with g > 0.  Every Newton solve goes to tol.
         """
         mu = float(mu)
         if mu == 0.0:
-            return self.solve_mp(0.0, tol=tol, max_iter=max_iter)
+            return self.solve_mp(0.0, tol=tol)
         if mu < 0.0:
-            return self._lp_newton_negative(mu, tol, max_iter)
-        return self._lp_minimal_branch(mu, tol, max_iter)
+            return self._lp_newton_negative(mu, tol)
+        return self._lp_minimal_branch(mu, tol)
 
-    def _lp_newton_negative(self, mu, tol, max_iter):
+    def _lp_newton_negative(self, mu, tol):
         """Damped Newton directly on v from v = 0, for either sign of mu.
 
         The Jacobian A_ii - mu M_ii is SPD for mu <= 0.  For mu > 0 nothing
@@ -297,16 +297,16 @@ class MeanFieldProblem:
 
         v, factors, dn, it = self._damped_newton(
             np.zeros(self.mesh.n_vertices), residual, linear_solve, TRUST_SUP, tol,
-            max_iter, f"mu={mu:.6g}", name="Gelfand Newton")
+            f"mu={mu:.6g}", name="Gelfand Newton")
         z = self.quad.integrate(factors)          # int h e^v
         lam = mu * z                              # mu = 0 never comes here
         return self._finalize(lam, v / lam, factors / z, np.log(z), dn, it)
 
-    def _lp_minimal_branch(self, mu, tol, max_iter):
+    def _lp_minimal_branch(self, mu, tol):
         from .branch import EPS_STOP, POS_STEP, _march, g_of, locate_fold  # deferred: cycle
         state = diag = err = None
         try:
-            state = self._lp_newton_negative(mu, tol, max_iter)
+            state = self._lp_newton_negative(mu, tol)
         except (NoConvergence, BlowupDetected) as e:
             err = e
         else:
@@ -314,7 +314,7 @@ class MeanFieldProblem:
         if diag is not None and diag.g >= G_DIRECT:
             return state
         below = diag is not None and diag.g > 0.0     # converged on the minimal branch
-        start = state if below else self.solve_mp(0.0, tol=tol, max_iter=max_iter)
+        start = state if below else self.solve_mp(0.0, tol=tol)
         last = [(start, diag if below else g_of(self, start))]   # the last two pairs
 
         def on_state(s):             # keeps the pair, and ends the march once g <= 0
@@ -324,9 +324,9 @@ class MeanFieldProblem:
 
         lam_end = EIGHT_PI - EPS_STOP
         targets = np.arange(start.lam + POS_STEP, lam_end, POS_STEP)
-        _march(self, (start, last[0][1].eta), [*targets, lam_end], on_state, tol, max_iter)
+        _march(self, (start, last[0][1].eta), [*targets, lam_end], on_state, tol)
         if last[-1][1].g <= 0.0:
-            fold = locate_fold(self, *last, newton_tol=tol, max_iter=max_iter)
+            fold = locate_fold(self, *last, newton_tol=tol)
             if mu > fold.mu * (1.0 + FOLD_RTOL):
                 raise NoConvergence(f"mu={mu:.6g} exceeds the fold value {fold.mu:.6g}; "
                                     "no minimal-branch solution")

@@ -312,9 +312,10 @@ def test_find_fold_needs_kept_states(disk_problem):
         find_fold(disk_problem, BranchDiagram(points=points))
 
 
-def test_locate_fold_reports_unmet_tolerance(coarse_problem):
+def test_locate_fold_reports_unmet_tolerance(coarse_problem, monkeypatch):
     pairs = [(s, g_of(coarse_problem, s)) for s in
              (coarse_problem.solve_mp(12.0), coarse_problem.solve_mp(13.0))]
     assert pairs[0][1].g > 0 > pairs[1][1].g
+    monkeypatch.setattr(branch, "FOLD_G_TOL", 0.0)
     with pytest.raises(NoFoldInRange, match=r"did not reach \|g\| < 0 on \[12\.0, 13\.0\]"):
-        locate_fold(coarse_problem, *pairs, tol=0.0)
+        locate_fold(coarse_problem, *pairs)

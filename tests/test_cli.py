@@ -8,7 +8,7 @@ import pytest
 
 from gelfand import cli
 from gelfand.cli import domain_from_config
-from gelfand.errors import ConfigError
+from gelfand.errors import ConfigError, NoConvergence
 
 E0 = 1.0 / (16.0 * math.pi)
 
@@ -296,9 +296,27 @@ def test_freeenergy_builds_one_mesh_and_one_collar(tmp_path, monkeypatch, capsys
     bounds = json.loads((out / "bounds.json").read_text())
     for entry in bounds:
         problem = cli.build_problem(run, floor_n=entry["n"])
-        state = cli.minimize_free_energy(problem, entry["lambda"], n=entry["n"])
+        state = cli.minimize_free_energy(problem, entry["lambda"])
         report = cli.verify_energy_bound(problem, entry["lambda"], 0.2, minimizer=state)
         assert entry["slacks"] == report.slacks
+
+
+def test_freeenergy_step_floor_exits_1(tmp_path, capsys):
+    # an unresolved boundary layer fails fast; error.json carries the
+    # minimizer's iterations and last L1 change
+    cfg = write_config(tmp_path, h_max=0.08)
+    out = tmp_path / "out"
+    rc = cli.main(["freeenergy", "--config", cfg, "--out", str(out),
+                   "--lambda", "-100000", "--n", "10"])
+    assert rc == 1
+    capsys.readouterr()
+    payload = json.loads((out / "error.json").read_text())
+    run = cli.run_config(argparse.Namespace(config=cfg, out=str(tmp_path / "ref")))
+    with pytest.raises(NoConvergence) as info:
+        cli.minimize_free_energy(cli.build_problem(run, floor_n=10), -1e5)
+    assert payload["error"] == "NoConvergence"
+    assert payload["iterations"] == info.value.iterations < 200
+    assert payload["residual"] == info.value.residual and math.isfinite(payload["residual"])
 
 
 def test_plot_roundtrip(branch_run, tmp_path, capsys):

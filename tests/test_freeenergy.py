@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import radial_oracle as oracle
+from gelfand import freeenergy
 from gelfand.cli import error_payload
 from gelfand.errors import (InvalidDelta, InvalidDensity, NoConvergence,
                             OverflowGuard, UnsupportedRegime)
@@ -95,7 +96,7 @@ def test_floor_invariance_for_constant_weight(disk_problem):
     outs = []
     for n in (10, 1000):
         problem = MeanFieldProblem(mesh, uniform_weight(mesh).with_floor(n))
-        outs.append(minimize_free_energy(problem, -20.0, n=n))
+        outs.append(minimize_free_energy(problem, -20.0))
     assert np.max(np.abs(outs[0].rho - outs[1].rho)) < 1e-8
     assert outs[0].energy == pytest.approx(outs[1].energy, abs=1e-10)
     assert outs[0].n == 10 and outs[1].n == 1000
@@ -107,13 +108,24 @@ def test_unsupported_regime(disk_problem):
             minimize_free_energy(disk_problem, lam)
 
 
-def test_descent_cap_raises(disk_problem):
+def test_descent_cap_raises(disk_problem, monkeypatch):
     # the cap carries the last L1 density change, which error.json reports
+    monkeypatch.setattr(freeenergy, "MAX_ITER", 2)
     with pytest.raises(NoConvergence, match="iteration cap") as info:
-        minimize_free_energy(disk_problem, -20.0, max_iter=2)
+        minimize_free_energy(disk_problem, -20.0)
     assert info.value.iterations == 2
     assert math.isfinite(info.value.residual) and info.value.residual > L1_TOL
     assert error_payload(info.value)["residual"] == info.value.residual
+
+
+def test_unresolved_boundary_layer_stops_at_step_floor(disk_problem):
+    # h = 0.08 does not resolve the boundary layer at lambda = -1e5: the step
+    # falls to STEP_FLOOR within a few dozen iterations, and the minimizer
+    # stops there with the last L1 change instead of spending all MAX_ITER
+    with pytest.raises(NoConvergence, match="the mesh, not the iteration") as info:
+        minimize_free_energy(disk_problem, -1e5)
+    assert 0 < info.value.iterations < 200
+    assert math.isfinite(info.value.residual) and info.value.residual > L1_TOL
 
 
 def test_energy_bound_chain(disk_problem):

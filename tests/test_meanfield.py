@@ -9,12 +9,12 @@ import scipy.sparse as sp
 from scipy.special import logsumexp
 
 import radial_oracle as oracle
+from gelfand import meanfield
 from gelfand.branch import g_of
 from gelfand.errors import BlowupDetected, NoConvergence, OverflowGuard
 from gelfand.geometry import DomainSpec, SingularitySpec, build_mesh, build_weight
-from gelfand.meanfield import (EIGHT_PI, G_DIRECT, NEWTON_MAX_ITER, NEWTON_TOL,
-                               TRUST_SUP, Linearization, MeanFieldProblem,
-                               load_psi, save_state)
+from gelfand.meanfield import (EIGHT_PI, G_DIRECT, NEWTON_TOL, TRUST_SUP,
+                               Linearization, MeanFieldProblem, load_psi, save_state)
 
 
 def c_of_mu_minimal(mu, beta=1.0):
@@ -182,9 +182,9 @@ def test_exp_factors_shift_for_negative_lambda(which, request):
 # the two callers of the damped Newton driver, each from the zero field:
 # psi at lambda = -5 and v at mu = -5
 NEWTON_FORMS = {
-    "psi": lambda problem, tol, max_iter: problem._newton(
-        -5.0, np.zeros(problem.mesh.n_vertices), tol, max_iter),
-    "v": lambda problem, tol, max_iter: problem._lp_newton_negative(-5.0, tol, max_iter),
+    "psi": lambda problem, tol: problem._newton(
+        -5.0, np.zeros(problem.mesh.n_vertices), tol),
+    "v": lambda problem, tol: problem._lp_newton_negative(-5.0, tol),
 }
 
 
@@ -193,7 +193,7 @@ def test_negative_mu_line_search_stall_raises(coarse_problem, monkeypatch, form)
     # a residual that never decreases stalls the line search at once
     monkeypatch.setattr(coarse_problem.dirichlet, "dual_norm", lambda r: 1.0)
     with pytest.raises(NoConvergence, match="line search failed") as info:
-        NEWTON_FORMS[form](coarse_problem, NEWTON_TOL, NEWTON_MAX_ITER)
+        NEWTON_FORMS[form](coarse_problem, NEWTON_TOL)
     assert info.value.iterations == 0
     assert info.value.residual == 1.0
 
@@ -326,7 +326,7 @@ class TestSolveLP:
         # g of the direct state is under G_DIRECT here, so the fold is
         # located; the request lies below the band, so the direct state stands
         mu = 1.97
-        direct = disk_problem._lp_newton_negative(mu, NEWTON_TOL, NEWTON_MAX_ITER)
+        direct = disk_problem._lp_newton_negative(mu, NEWTON_TOL)
         assert 0.0 < g_of(disk_problem, direct).g < G_DIRECT
         state = disk_problem.solve_lp(mu)
         assert np.array_equal(state.psi, direct.psi) and state.lam == direct.lam
@@ -334,7 +334,7 @@ class TestSolveLP:
     def test_failed_solve_below_band_keeps_context(self, disk_problem, monkeypatch):
         # the fold lies above the request, so the failure of Newton on v
         # stands, with its iterations and residual
-        def failing(mu, tol, max_iter):
+        def failing(mu, tol):
             raise NoConvergence("line search failed", iterations=3, residual=0.5)
 
         monkeypatch.setattr(disk_problem, "_lp_newton_negative", failing)
@@ -345,16 +345,16 @@ class TestSolveLP:
     def test_fold_fallback_keeps_callers_tol(self, disk_problem, monkeypatch):
         # g of the direct state is under G_DIRECT at mu = 1.97, so the march
         # and the fold location run; each of their psi solves takes the
-        # request's tol and iteration budget
-        budgets, newton = [], disk_problem._newton
+        # request's tol
+        tols, newton = [], disk_problem._newton
 
-        def recording_newton(lam, psi, tol, max_iter):
-            budgets.append((tol, max_iter))
-            return newton(lam, psi, tol, max_iter)
+        def recording_newton(lam, psi, tol):
+            tols.append(tol)
+            return newton(lam, psi, tol)
 
         monkeypatch.setattr(disk_problem, "_newton", recording_newton)
         disk_problem.solve_lp(1.97, tol=1e-6)
-        assert budgets and set(budgets) == {(1e-6, NEWTON_MAX_ITER)}
+        assert tols and set(tols) == {1e-6}
 
     @pytest.mark.parametrize("which", ["disk_problem", "coarse_problem"])
     def test_above_fold_raises_without_overflow(self, which, request):
@@ -365,7 +365,7 @@ class TestSolveLP:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(BlowupDetected) as info:
-                problem._lp_newton_negative(2.2, NEWTON_TOL, NEWTON_MAX_ITER)
+                problem._lp_newton_negative(2.2, NEWTON_TOL)
             assert info.value.sup > TRUST_SUP
             with pytest.raises(NoConvergence, match="exceeds the fold value"):
                 problem.solve_lp(2.2)
@@ -398,23 +398,25 @@ def test_v_newton_accepts_trial_below_tol(coarse_problem, monkeypatch, form):
     # Armijo decrease
     norms = iter([1.0, 1.0 - 1e-6])
     monkeypatch.setattr(coarse_problem.dirichlet, "dual_norm", lambda r: next(norms))
-    state = NEWTON_FORMS[form](coarse_problem, 1.0 - 1e-7, NEWTON_MAX_ITER)
+    state = NEWTON_FORMS[form](coarse_problem, 1.0 - 1e-7)
     assert state.iterations == 1 and state.residual == 1.0 - 1e-6
 
 
 @pytest.mark.parametrize("form", sorted(NEWTON_FORMS))
-def test_newton_converges_on_last_allowed_iteration(disk_problem, form):
+def test_newton_converges_on_last_allowed_iteration(disk_problem, monkeypatch, form):
     # the converge test follows every step, the last allowed one included
-    state = NEWTON_FORMS[form](disk_problem, NEWTON_TOL, NEWTON_MAX_ITER)
-    again = NEWTON_FORMS[form](disk_problem, NEWTON_TOL, state.iterations)
+    state = NEWTON_FORMS[form](disk_problem, NEWTON_TOL)
+    monkeypatch.setattr(meanfield, "NEWTON_MAX_ITER", state.iterations)
+    again = NEWTON_FORMS[form](disk_problem, NEWTON_TOL)
     assert again.iterations == state.iterations and again.residual == state.residual
     assert np.array_equal(again.psi, state.psi) and again.lam == state.lam
 
 
 @pytest.mark.parametrize("form", sorted(NEWTON_FORMS))
-def test_nan_tol_never_reads_as_converged(coarse_problem, form):
+def test_nan_tol_never_reads_as_converged(coarse_problem, monkeypatch, form):
+    monkeypatch.setattr(meanfield, "NEWTON_MAX_ITER", 3)
     with pytest.raises(NoConvergence):
-        NEWTON_FORMS[form](coarse_problem, math.nan, 3)
+        NEWTON_FORMS[form](coarse_problem, math.nan)
 
 
 def test_one_line_search_floor():
