@@ -18,7 +18,11 @@ a sparse matrix plus a rank-one term; systems with it are solved through a
 bordered factorization, which stays well conditioned across the fold of the
 (mu, E) diagram where the plain Gelfand linearization is singular.  The
 bordered matrix keeps one sparsity pattern per problem, so each Newton step
-only writes its values, and SuperLU orders it by minimum degree on A + A'.
+only writes its values.  Every factorization follows the package's one
+SuperLU recipe (fem.SPLU_RECIPE: minimum degree on A + A', relax = 1), and
+each of the two Jacobian patterns, S of the v form and the bordered K, is
+ordered once: its first factorization's column order is reused by all later
+ones, which then factor with the same fill and solve bit for bit alike.
 
 All exponentials are evaluated with a max-shift so only log(int h e^(lambda
 psi)) is ever formed.
@@ -42,7 +46,8 @@ from .errors import (
     NoConvergence,
     OverflowGuard,
 )
-from .fem import DirichletSolver, assemble_stiffness, plain_quadrature, weighted_quadrature
+from .fem import (SPLU_RECIPE, DirichletSolver, assemble_stiffness, plain_quadrature,
+                  weighted_quadrature)
 from .geometry import Mesh, WeightField, build_weight
 
 EIGHT_PI = 8.0 * np.pi
@@ -54,9 +59,6 @@ FOLD_RTOL = 5e-3  # solve_lp treats mu within this of the fold as a fold request
 # measured g ~ 1.9 (1 - mu/mu*)^(1/2), so g < 0.14 in the fold band
 G_DIRECT = 0.3
 TRUST_SUP = 50.0  # Newton trust cap: on sup |v|, and on max(1, lam) sup |psi|
-# fill-reducing column ordering of every factorization here: minimum degree
-# on the structure of A + A', which suits the structurally symmetric Jacobians
-PERMC_SPEC = "MMD_AT_PLUS_A"
 
 
 @dataclass
@@ -292,8 +294,8 @@ class MeanFieldProblem:
 
         def linear_solve(factors, r):
             M = self.quad.assemble_mass(factors)
-            J_ii = self.jacobian_pattern(M).interior(mu, M)
-            return splu(J_ii, permc_spec=PERMC_SPEC).solve(-r)
+            pattern = self.jacobian_pattern(M)
+            return pattern.s_order.factor(pattern.interior(mu, M)).solve(-r)
 
         v, factors, dn, it = self._damped_newton(
             np.zeros(self.mesh.n_vertices), residual, linear_solve, TRUST_SUP, tol,
@@ -353,7 +355,9 @@ class JacobianPattern:
     followed by its border-row entry, and column n holds lam b_i and the
     corner.  Values are written into the stored slots; the mass matrices
     must share the pattern of the one the layout was built from, as every
-    `Quadrature.assemble_mass` result of one quadrature does.
+    `Quadrature.assemble_mass` result of one quadrature does.  s_order and
+    k_order factor S and K; each orders its pattern once, at its first
+    factorization.
     """
 
     def __init__(self, A_ii, M, interior):
@@ -381,6 +385,8 @@ class JacobianPattern:
         self.k_indices[self.s_to_k] = self.s_indices
         self.k_indices[self.k_indptr[1:n + 1] - 1] = n
         self.k_indices[self.k_indptr[n]:] = np.arange(n + 1)
+        self.s_order = ColumnOrder(self.s_indptr, self.s_indices)
+        self.k_order = ColumnOrder(self.k_indptr, self.k_indices)
 
     def _s_data(self, s, M):
         data = self.a_data.copy()
@@ -401,6 +407,60 @@ class JacobianPattern:
         data[ptr[n]:-1] = lam * b_i
         data[-1] = 1.0
         return sp.csc_matrix((data, self.k_indices, ptr), shape=(n + 1, n + 1))
+
+
+class ColumnOrder:
+    """SuperLU factorizations of matrices that share one CSC pattern.
+
+    The first factorization runs fem.SPLU_RECIPE and its LU serves as is;
+    its perm_c is kept.  SuperLU factors A Pc = A[:, argsort(perm_c)], so a
+    later matrix of the pattern is gathered into that column order and
+    factored by the recipe under NATURAL ordering, which skips the
+    minimum-degree pass; its solution y is un-permuted as x = y[perm_c].
+    Fill and solves are then bitwise those of a fresh factorization under
+    the recipe.  Every factorization is one `splu` call; a singular one
+    raises FoldSingularity.
+    """
+
+    def __init__(self, indptr, indices):
+        self.indptr = indptr
+        self.indices = indices
+        self.perm_c = None
+
+    def factor(self, A):
+        """LU of A, a CSC matrix with this pattern's indptr and indices."""
+        try:
+            if self.perm_c is not None:
+                reordered = sp.csc_matrix(
+                    (A.data[self.gather], self.p_indices, self.p_indptr), shape=A.shape)
+                lu = splu(reordered, **{**SPLU_RECIPE, "permc_spec": "NATURAL"})
+                return _ReorderedLU(lu, self.perm_c)
+            lu = splu(A, **SPLU_RECIPE)
+        except RuntimeError as e:
+            raise FoldSingularity(f"linearized operator is singular: {e}") from e
+        self._adopt(lu.perm_c)
+        return lu
+
+    def _adopt(self, perm_c):
+        """Keep perm_c and the one gather that lays out a matrix in its order."""
+        cols = np.argsort(perm_c)
+        counts = np.diff(self.indptr)[cols]
+        self.p_indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+        self.gather = (np.repeat(self.indptr[cols] - self.p_indptr[:-1], counts)
+                       + np.arange(self.p_indptr[-1]))
+        self.p_indices = self.indices[self.gather]
+        self.perm_c = perm_c
+
+
+class _ReorderedLU:
+    """Solves with A through the LU of A[:, argsort(perm_c)]."""
+
+    def __init__(self, lu, perm_c):
+        self.lu = lu
+        self.perm_c = perm_c
+
+    def solve(self, rhs):
+        return self.lu.solve(rhs)[self.perm_c]
 
 
 class Linearization:
@@ -432,10 +492,7 @@ class Linearization:
 
     def _factor(self):
         if self._lu is None:
-            try:
-                self._lu = splu(self.K, permc_spec=PERMC_SPEC)
-            except RuntimeError as e:
-                raise FoldSingularity(f"linearized operator is singular: {e}") from e
+            self._lu = self.problem.jacobian_pattern(self.M_rho).k_order.factor(self.K)
         return self._lu
 
     def solve(self, rhs_interior, rtol=1e-10):

@@ -36,7 +36,8 @@ import scipy.linalg
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, lobpcg, splu
 
 from .errors import DegenerateWeight, SolverError
-from .meanfield import PERMC_SPEC, Linearization, MeanFieldProblem, MeanFieldState
+from .fem import SPLU_RECIPE
+from .meanfield import Linearization, MeanFieldProblem, MeanFieldState
 
 LOBPCG_TOL = 1e-10  # residual norm of B-normalized vectors a run must reach
 LOBPCG_MAXITER = 40  # iterations after which a run falls back to ARPACK
@@ -259,7 +260,7 @@ def poincare_constant(problem: MeanFieldProblem, state: MeanFieldState,
         return float(_dense_eigh(lin, "poincare")[0][1])
     n = problem.mesh.n_vertices
     if warm.precond is None:
-        warm.precond = splu((problem.A + lin.M_rho).tocsc(), permc_spec=PERMC_SPEC)
+        warm.precond = splu((problem.A + lin.M_rho).tocsc(), **SPLU_RECIPE)
     start = warm.poincare if warm.poincare is not None else _fixed_start((n, 2))
     found = _lobpcg(problem.A, lin.M_rho, start, warm.precond.solve, Y=np.ones((n, 1)))
     if found is not None:

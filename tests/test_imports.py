@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and every
-module-level _private name or UPPER_CASE constant is read by some module.
+"""Every name a package module imports is used in that module, every
+module-level _private name or UPPER_CASE constant is read by some module, and
+every SuperLU factorization passes the shared recipe `fem.SPLU_RECIPE`.
 
 pyflakes and ruff are not part of the toolchain, so these scans are the guard
 against imports, helpers and constants left behind when code is deleted.  The
@@ -88,3 +89,59 @@ def test_scan_finds_a_dead_name():
 def test_no_dead_module_names():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     assert dead_names(sources) == []
+
+
+def off_recipe_splu_calls(source):
+    """Line of each `splu(` call that does not pass the shared SPLU_RECIPE.
+
+    A call passes it when its only keywords are `**` unpackings of
+    SPLU_RECIPE, or of a dict literal that unpacks SPLU_RECIPE and overrides
+    nothing but permc_spec = "NATURAL" (for columns already in a recipe order).
+    """
+    def is_recipe(node):
+        return (isinstance(node, ast.Name) and node.id == "SPLU_RECIPE") or (
+            isinstance(node, ast.Attribute) and node.attr == "SPLU_RECIPE")
+
+    def passes_recipe(kw):
+        if kw.arg is not None:
+            return False
+        if is_recipe(kw.value):
+            return True
+        if not isinstance(kw.value, ast.Dict):
+            return False
+        pairs = list(zip(kw.value.keys, kw.value.values))
+        unpacked = [value for key, value in pairs if key is None]
+        overrides = [(ast.literal_eval(key), value) for key, value in pairs if key is not None]
+        return (len(unpacked) == 1 and is_recipe(unpacked[0])
+                and all(name == "permc_spec" and isinstance(value, ast.Constant)
+                        and value.value == "NATURAL" for name, value in overrides))
+
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "splu"
+        and not (node.keywords and all(passes_recipe(kw) for kw in node.keywords)))
+
+
+def test_scan_finds_an_off_recipe_splu():
+    source = ("lu = splu(A)\n"
+              "lu = splu(A, **SPLU_RECIPE)\n"
+              "lu = splu(A, permc_spec='MMD_AT_PLUS_A')\n"
+              "lu = linalg.splu(A, **fem.SPLU_RECIPE)\n"
+              "lu = splu(A, **{**SPLU_RECIPE, 'permc_spec': 'NATURAL'})\n"
+              "lu = splu(A, **{**SPLU_RECIPE, 'relax': 10})\n"
+              "lu = splu(A, **SPLU_RECIPE, panel_size=4)\n"
+              "lu = splu(A, **OTHER)\n")
+    assert off_recipe_splu_calls(source) == [1, 3, 6, 7, 8]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_splu_passes_the_recipe(path):
+    assert off_recipe_splu_calls(path.read_text()) == []
+
+
+def test_recipe_relax_within_panel_size():
+    # SuperLU does not check relax <= panel_size; past it, memory is corrupted
+    from gelfand.fem import SPLU_RECIPE
+    assert SPLU_RECIPE["permc_spec"] == "MMD_AT_PLUS_A"
+    assert 1 <= SPLU_RECIPE["relax"] <= SPLU_RECIPE.get("panel_size", 20)

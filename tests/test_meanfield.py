@@ -6,12 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 from scipy.special import logsumexp
 
 import radial_oracle as oracle
+from conftest import make_problem
 from gelfand import meanfield
-from gelfand.branch import g_of
+from gelfand.branch import g_of, trace_branch
 from gelfand.errors import BlowupDetected, NoConvergence, OverflowGuard
+from gelfand.fem import SPLU_RECIPE
 from gelfand.geometry import DomainSpec, SingularitySpec, build_mesh, build_weight
 from gelfand.meanfield import (EIGHT_PI, G_DIRECT, NEWTON_TOL, TRUST_SUP,
                                Linearization, MeanFieldProblem, load_psi, save_state)
@@ -431,6 +434,113 @@ def test_one_line_search_floor():
         and any(isinstance(node, ast.BinOp) and ast.unparse(node) == "2.0 ** (-24)"
                 for node in ast.walk(fn)))
     assert len(holders) == 1, holders
+
+
+# -- the SuperLU recipe: each Jacobian pattern ordered once -------------------
+
+def singular_v_jacobian(problem, monkeypatch):
+    """meanfield.splu raising SuperLU's singular error on S, the v-form Jacobian."""
+    n, real = len(problem.interior), meanfield.splu
+
+    def fake(A, **kw):
+        if A.shape[0] == n:
+            raise RuntimeError("Factor is exactly singular")
+        return real(A, **kw)
+
+    monkeypatch.setattr(meanfield, "splu", fake)
+
+
+def test_singular_v_jacobian_below_zero_is_no_convergence(coarse_problem, monkeypatch):
+    singular_v_jacobian(coarse_problem, monkeypatch)
+    with pytest.raises(NoConvergence, match="singular linearization at mu=-5") as info:
+        coarse_problem.solve_lp(-5.0)
+    assert info.value.iterations == 0
+    assert info.value.residual > 0.0
+
+
+def test_singular_v_jacobian_above_zero_falls_back_to_the_march(coarse_problem,
+                                                                 monkeypatch):
+    # the failed v solve sends the march up from lambda = 0, which factors
+    # only K; mu = 1 lies below the fold, so no state answers the request
+    # and its NoConvergence carries the v solve's
+    singular_v_jacobian(coarse_problem, monkeypatch)
+    with pytest.raises(NoConvergence, match="missed the minimal branch") as info:
+        coarse_problem.solve_lp(1.0)
+    assert info.value.iterations == 0
+    assert "singular linearization" in str(info.value.__cause__)
+
+
+@pytest.fixture(scope="module")
+def recipe_matrices():
+    """S at mu = -20 and 3 and K at lambda = 1, 10 and 24 on the h = 0.05
+    disk with weight |x|, after solves that ordered both patterns."""
+    sing = SingularitySpec.of((0.0, 0.0, 0.5))
+    mesh = build_mesh(DomainSpec.unit_disk(), sing, h_max=0.05)
+    problem = MeanFieldProblem(mesh, build_weight(mesh, sing))
+    S = []
+    for mu in (-20.0, 3.0):
+        state = problem.solve_lp(mu)
+        M = problem.quad.assemble_mass(np.exp(problem.quad.eval(state.u)))
+        S.append(problem.jacobian_pattern(M).interior(mu, M))
+    K = [Linearization.at_state(problem, problem.solve_mp(lam)).K
+         for lam in (1.0, 10.0, 24.0)]
+    pattern = problem.jacobian_pattern(M)
+    return {"s": (pattern.s_order, S), "k": (pattern.k_order, K)}
+
+
+@pytest.mark.parametrize("which, i", [("s", 0), ("s", 1), ("k", 0), ("k", 1), ("k", 2)])
+def test_reused_order_factors_as_a_fresh_recipe(recipe_matrices, which, i):
+    order, matrices = recipe_matrices[which]
+    A = matrices[i]
+    assert order.perm_c is not None       # an earlier factorization ordered it
+    reused, fresh = order.factor(A), splu(A, **SPLU_RECIPE)
+    rhs = np.random.default_rng(i).standard_normal(A.shape[0])
+    assert np.array_equal(reused.solve(rhs), fresh.solve(rhs))
+    assert reused.lu.L.nnz + reused.lu.U.nnz == fresh.L.nnz + fresh.U.nnz
+
+
+def count_splu(monkeypatch):
+    """(size, permc_spec) of every meanfield.splu call, in order."""
+    calls, real = [], meanfield.splu
+
+    def counting(A, **kw):
+        calls.append((A.shape[0], kw["permc_spec"]))
+        return real(A, **kw)
+
+    monkeypatch.setattr(meanfield, "splu", counting)
+    return calls
+
+
+def fresh_disk():
+    """A coarse disk whose Jacobian patterns no solve has ordered yet."""
+    return make_problem(DomainSpec.unit_disk(), SingularitySpec.none(), 0.14)
+
+
+def test_solve_lp_orders_each_pattern_once(monkeypatch):
+    # mu = 1 is one v-form Newton solve certified by g_of; one more g_of
+    # factors K a second time
+    problem = fresh_disk()
+    n = len(problem.interior)
+    calls = count_splu(monkeypatch)
+    state = problem.solve_lp(1.0)
+    g_of(problem, state)
+    assert calls == ([(n, "MMD_AT_PLUS_A")] + [(n, "NATURAL")] * (state.iterations - 1)
+                     + [(n + 1, "MMD_AT_PLUS_A"), (n + 1, "NATURAL")])
+
+
+def test_trace_orders_k_once_and_factors_as_often_as_before(monkeypatch):
+    problem = fresh_disk()
+    n = len(problem.interior)
+    calls = count_splu(monkeypatch)
+    trace_branch(problem)
+    kept = list(calls)
+    assert kept == [(n + 1, "MMD_AT_PLUS_A")] + [(n + 1, "NATURAL")] * (len(kept) - 1)
+    # a pattern that never keeps its order makes every factorization order
+    # anew: the factorizations themselves are the same ones
+    calls.clear()
+    monkeypatch.setattr(meanfield.ColumnOrder, "_adopt", lambda self, perm_c: None)
+    trace_branch(fresh_disk())
+    assert calls == [(n + 1, "MMD_AT_PLUS_A")] * len(kept)
 
 
 def test_save_load_roundtrip(tmp_path, disk_problem):
