@@ -95,7 +95,7 @@ class BranchDiagram:
     points: list
     fold: tuple | None = None          # (lambda*, E*, mu*)
     kind: str = "undetermined"
-    mu_at_min: float = math.nan        # mu at lambda_min (to -inf trend)
+    mu_at_min: float | None = None     # mu at lambda_min (to -inf trend), or None
     mu1_estimate: float | None = None  # mu at the last row (to 0 on first kind)
     termination: str = "completed"     # completed | blowup | stalled
 
@@ -197,11 +197,10 @@ def check_lam_min(lam_min):
 
 
 def _negative_targets(lam_min=LAM_MIN):
-    mags = []
-    m = abs(lam_min)
-    while m > NEG_CUT:
-        mags.append(m)
-        m *= NEG_RATIO
+    """Geometric from lam_min toward 0 while |lambda| > NEG_CUT; ends at lam_min."""
+    mags = [abs(lam_min)]
+    while mags[-1] * NEG_RATIO > NEG_CUT:
+        mags.append(mags[-1] * NEG_RATIO)
     return [-m for m in reversed(mags)]          # march 0 -> lam_min reversed later
 
 
@@ -225,11 +224,11 @@ def _march(problem, start, targets, on_state, tol):
 
     start is the (state, eta) pair to march from.  Each solve starts from
     the predictor psi + (target - lambda) eta of the last accepted state;
-    on_state(state) returns the eta of every accepted state (the tangent
-    along a trace, a secant in a cold solve_mp), or None to stop there.  A
-    solve is retried at the midpoint when Newton fails within NEWTON_MAX_ITER,
-    takes more than NEWTON_BUDGET iterations or jumps; failures below the
-    minimum gap end the march gracefully.  Returns the last state and tag.
+    on_state(state) returns the tangent eta = d psi / d lambda of every
+    accepted state, or None to stop there.  A solve is retried at the
+    midpoint when Newton fails within NEWTON_MAX_ITER, takes more than
+    NEWTON_BUDGET iterations or jumps; failures below the minimum gap end
+    the march gracefully.  Returns the last state and tag.
     """
     state, eta = start
     stack = list(reversed(targets))

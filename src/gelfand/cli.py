@@ -75,19 +75,30 @@ def domain_from_config(cfg: dict):
     except KeyError:
         raise ConfigError("config is missing required key 'shape'") from None
     params = cfg.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError("'params' must be an object")
+    bsize = params.get("boundary_size")
+    if bsize is not None:
+        bsize = config_number(bsize, "params.boundary_size", positive=True)
     if shape == "unit_disk":
-        dom = DomainSpec.unit_disk(boundary_size=params.get("boundary_size"))
+        dom = DomainSpec.unit_disk(boundary_size=bsize)
     elif shape == "ellipse":
         try:
-            dom = DomainSpec.ellipse(params["a"], params["b"],
-                                     boundary_size=params.get("boundary_size"))
+            a, b = params["a"], params["b"]
         except KeyError as e:
             raise ConfigError(f"ellipse params need key {e}") from None
+        dom = DomainSpec.ellipse(config_number(a, "params.a", positive=True),
+                                 config_number(b, "params.b", positive=True),
+                                 boundary_size=bsize)
     elif shape == "polygon":
         try:
-            dom = DomainSpec.polygon(params["vertices"])
+            vertices = params["vertices"]
         except KeyError:
             raise ConfigError("polygon params need key 'vertices'") from None
+        if not isinstance(vertices, list):
+            raise ConfigError("polygon vertices must be a list of [x, y] pairs")
+        dom = DomainSpec.polygon([config_point(v, f"polygon vertex {i}")
+                                  for i, v in enumerate(vertices)])
     else:
         raise ConfigError(f"unknown shape {shape!r}")
 
@@ -95,11 +106,14 @@ def domain_from_config(cfg: dict):
     if not isinstance(sing_cfg, list):
         raise ConfigError("'singularities' must be a list")
     triples = []
-    for item in sing_cfg:
+    for i, item in enumerate(sing_cfg):
         try:
-            triples.append((item["x"], item["y"], item["alpha"]))
+            x, y, alpha = item["x"], item["y"], item["alpha"]
         except (KeyError, TypeError):
             raise ConfigError("each singularity needs keys x, y, alpha") from None
+        what = f"singularity {i}"
+        triples.append((config_number(x, f"{what} x"), config_number(y, f"{what} y"),
+                        config_number(alpha, f"{what} alpha", positive=True)))
     sing = SingularitySpec.of(*triples)
 
     mesh_cfg = cfg.get("mesh", {})
@@ -119,6 +133,21 @@ def config_number(value, what, positive=False):
     except (TypeError, ValueError):
         pass
     raise ConfigError(f"{what} must be a finite{' positive' * positive} number, got {value!r}")
+
+
+def config_point(value, what):
+    """A config [x, y] pair as a tuple of finite floats, or ConfigError."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{what} must be an [x, y] pair, got {value!r}")
+    return tuple(config_number(c, what) for c in value)
+
+
+def finite_float(text):
+    """argparse type for --lambda and --mu: a finite float."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return x
 
 
 def run_config(args) -> RunConfig:
@@ -307,8 +336,8 @@ def build_parser():
 
     p = sub.add_parser("solve", help="solve one state at fixed lambda or mu")
     with_config(p)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--mu", type=float, default=None)
+    p.add_argument("--lambda", dest="lam", type=finite_float, default=None)
+    p.add_argument("--mu", type=finite_float, default=None)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("branch", help="trace the full branch, emit CSV and plots")
@@ -317,7 +346,7 @@ def build_parser():
 
     p = sub.add_parser("spectrum", help="weighted eigenvalues at one state")
     with_config(p)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    p.add_argument("--lambda", dest="lam", type=finite_float, default=0.0)
     p.add_argument("--k", type=int, default=10)
     p.set_defaults(func=cmd_spectrum)
 
@@ -327,7 +356,7 @@ def build_parser():
 
     p = sub.add_parser("freeenergy", help="free-energy minimization and bounds")
     with_config(p)
-    p.add_argument("--lambda", dest="lam", type=float, action="append",
+    p.add_argument("--lambda", dest="lam", type=finite_float, action="append",
                    help="may repeat; default -2, -20, -200")
     p.add_argument("--n", type=int, action="append",
                    help="weight floor index, may repeat; default 10, 100, 1000")

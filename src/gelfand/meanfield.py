@@ -10,7 +10,8 @@ recovered through mu = lambda / int h e^(lambda psi), u = lambda psi.
 
 One damped Newton driver, Armijo backtracking on the dual-norm residual
 under a sup-norm trust cap, serves both forms within the one iteration
-budget NEWTON_MAX_ITER (the march and the fold search too); the Jacobian is
+budget NEWTON_MAX_ITER (the march and the fold search too).  A cold
+solve_mp, at any lambda, is one such solve from psi = 0.  The Jacobian is
 
     L eta = -Delta eta - lambda rho (eta - <eta>),
 
@@ -139,19 +140,17 @@ class MeanFieldProblem:
     def solve_mp(self, lam, initial_guess=None, tol=NEWTON_TOL) -> MeanFieldState:
         """Solve the mean-field problem at the given lambda.
 
-        Cold starts above 2 pi march from lambda = 0 (_continued_solve) so
-        Newton always starts near the branch.  Iterates whose sup norm
+        One damped Newton solve from initial_guess, or from psi = 0 when
+        none is given: below 8 pi the branch has one solution at each
+        lambda, and Newton reaches it from zero.  Iterates whose sup norm
         crosses 50/max(1, lambda) raise BlowupDetected; so does a converged
         state at lambda >= 8 pi whose density is concentrated below the local
         mesh resolution, since no trusted solution exists there.
         """
         lam = float(lam)
-        if initial_guess is None and lam > 2 * np.pi:
-            state = self._continued_solve(lam, tol)
-        else:
-            psi = np.zeros(self.mesh.n_vertices) if initial_guess is None \
-                else np.array(initial_guess, dtype=float)
-            state = self._newton(lam, psi, tol)
+        psi = np.zeros(self.mesh.n_vertices) if initial_guess is None \
+            else np.array(initial_guess, dtype=float)
+        state = self._newton(lam, psi, tol)
         if lam >= EIGHT_PI - 1e-12 and self._is_concentrated(state):
             raise BlowupDetected(
                 "density concentrates below mesh resolution at lambda >= 8 pi",
@@ -238,26 +237,6 @@ class MeanFieldProblem:
         radius = 3.0 * float(self.mesh.size_target[peak])
         d2 = np.sum((self.quad.pos - self.mesh.vertices[peak]) ** 2, axis=-1)
         return float(np.sum((self.quad.w * factors)[d2 < radius * radius])) >= 0.5
-
-    def _continued_solve(self, lam, tol):
-        """branch._march from lambda = 0 in pi/2 steps, secant-predicted."""
-        from .branch import _march  # deferred: cycle
-        state = self.solve_mp(0.0, tol=tol)
-
-        def on_state(s):             # the secant slope from the last accepted state
-            nonlocal state
-            slope = (s.psi - state.psi) / (s.lam - state.lam)
-            state = s
-            return slope
-
-        targets = [*np.arange(np.pi / 2, lam, np.pi / 2), lam]
-        state, termination = _march(self, (state, np.zeros_like(state.psi)), targets,
-                                    on_state, tol)
-        if termination != "completed":
-            raise BlowupDetected(
-                f"continuation stalled at lambda={state.lam:.6g} en route to {lam:.6g}",
-                lam=state.lam, psi=state.psi, sup=float(np.abs(state.psi).max()))
-        return state
 
     # -- Gelfand form ---------------------------------------------------------
 

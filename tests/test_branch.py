@@ -290,6 +290,13 @@ def test_negative_grid_pinned():
     assert math.fsum(targets) == -666.5389458457463
 
 
+@pytest.mark.parametrize("lam_min", [-0.01, -0.05, -0.06, -1.0, -200.0])
+def test_negative_grid_ends_at_lam_min(lam_min):
+    targets = _negative_targets(lam_min)
+    assert targets[-1] == lam_min
+    assert all(a > b for a, b in zip(targets, targets[1:]))
+
+
 def test_positive_grid_pinned():
     targets = _positive_targets()
     assert len(targets) == 37

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from gelfand import cli
+from gelfand import branch, cli
 from gelfand.cli import domain_from_config
 from gelfand.errors import ConfigError, NoConvergence
 
@@ -66,6 +66,9 @@ def test_solve_flags_checked_before_mesh(tmp_path, monkeypatch, capsys):
     assert cli.main(["solve", "--config", cfg, "--out", out,
                      "--lambda", "0", "--mu", "1"]) == 2
     assert "exactly one of" in capsys.readouterr().err
+    for flag, value in [("--lambda", "nan"), ("--lambda", "inf"), ("--mu", "nan")]:
+        assert cli.main(["solve", "--config", cfg, "--out", out, flag, value]) == 2
+        assert "must be a finite number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("k", ["0", "-3"])
@@ -147,6 +150,18 @@ def test_missing_config_file(tmp_path, capsys):
     assert "cannot read config file" in capsys.readouterr().err
 
 
+# bad domain values: each must be a config error, not a traceback from the mesher
+BAD_DOMAINS = [
+    *({"params": {"boundary_size": size}} for size in (0.0, -0.1, float("nan"), "abc")),
+    {"params": []},
+    {"shape": "ellipse", "params": {"a": "x", "b": 0.5}},
+    {"shape": "ellipse", "params": {"a": float("nan"), "b": 0.5}},
+    {"shape": "polygon", "params": {"vertices": [[0, 0], [1, "a"], [0, 1]]}},
+    {"shape": "polygon", "params": {"vertices": [[0, 0], [1], [0, 1]]}},
+    {"singularities": [{"x": "a", "y": 0.0, "alpha": 0.5}]},
+]
+
+
 @pytest.mark.parametrize("extra", [
     {"tol": float("nan")}, {"tol": "abc"}, {"tol": 0.0}, {"tol": float("inf")},
     {"mesh": {"h_max": "abc"}}, {"mesh": {"h_max": float("nan")}},
@@ -157,6 +172,7 @@ def test_missing_config_file(tmp_path, capsys):
     {"trace": {"neg_ratio": 1.0}}, {"trace": {"neg_ratio": 0.0}},
     {"trace": {"neg_cut": 0.0}}, {"trace": {"eps_stop": 0.0}},
     {"trace": {"spectrum_k": 0}},
+    *BAD_DOMAINS,
 ], ids=lambda extra: json.dumps(extra))
 def test_bad_numbers_are_config_errors(tmp_path, extra):
     # each is refused where the config is read, before a mesh is built or a
@@ -177,6 +193,9 @@ def test_domain_from_config_errors():
         domain_from_config({"shape": "ellipse", "params": {"a": 1.0}})
     with pytest.raises(ConfigError):
         domain_from_config({"shape": "unit_disk", "singularities": [{"x": 0.0}]})
+    for extra in BAD_DOMAINS:
+        with pytest.raises(ConfigError):
+            domain_from_config({"shape": "unit_disk", "mesh": {"h_max": 0.1}, **extra})
 
 
 @pytest.mark.parametrize("h_max", ["abc", None, float("nan"), float("inf"), 0.0, -0.1])
@@ -253,6 +272,32 @@ def test_classify_disk_is_first_kind(tmp_path, capsys):
     assert payload["fold"]["mu"] == pytest.approx(2.0, rel=0.02)
     assert payload["rows"] > 10
     assert (out / "branch.csv").exists()
+
+
+def strict_json(path):
+    """The JSON document at path; NaN or Infinity in it is an error."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+@pytest.mark.parametrize("command, summary", [("branch", "branch.json"),
+                                              ("classify", "classification.json")])
+def test_lam_min_near_zero_is_the_negative_row(tmp_path, capsys, command, summary):
+    # a lam_min above -NEG_CUT is still marched to: mu_at_min is its mu
+    cfg = write_config(tmp_path, h_max=0.25, trace={"lam_min": -0.01})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0
+    assert strict_json(out / summary)["mu_at_min"] < 0
+    first = (out / "branch.csv").read_text().splitlines()[1]
+    assert float(first.split(",")[0]) == -0.01
+
+
+def test_summary_without_a_negative_row_is_json(tmp_path):
+    row = branch.BranchPoint(*[1.0] * 10)
+    path = branch.write_json(branch.BranchDiagram(points=[row]).summary(),
+                             tmp_path / "summary.json")
+    assert strict_json(path)["mu_at_min"] is None
 
 
 def test_freeenergy_artifacts(tmp_path, capsys):

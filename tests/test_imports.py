@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, every
-module-level _private name or UPPER_CASE constant is read by some module, and
-every SuperLU factorization passes the shared recipe `fem.SPLU_RECIPE`.
+module-level _private name or UPPER_CASE constant and every _private method
+is read by some module, and every SuperLU factorization passes the shared
+recipe `fem.SPLU_RECIPE`.
 
 pyflakes and ruff are not part of the toolchain, so these scans are the guard
 against imports, helpers and constants left behind when code is deleted.  The
@@ -46,7 +47,8 @@ def _guarded(name):
 
 def dead_names(sources):
     """(module, line, name) of each module-level _private name or UPPER_CASE
-    constant that no module reads; sources maps module names to source text.
+    constant, and of each _private method of a class, that no module reads;
+    sources maps module names to source text.
 
     A read is a loaded name, an attribute of that name, or an import of it.
     """
@@ -73,6 +75,11 @@ def dead_names(sources):
                 continue
             dead += [(module, node.lineno, name) for name in defined
                      if _guarded(name) and name not in reads]
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                dead += [(module, node.lineno, node.name) for node in cls.body
+                         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                         and _guarded(node.name) and node.name not in reads]
     return sorted(dead)
 
 
@@ -81,9 +88,11 @@ def test_scan_finds_a_dead_name():
         "a": "A = 1\nB_C = A\n_f = 2\ndef _g():\n    return B_C\nclass _H:\n    pass\n"
              "lower = 3\n",
         "b": "from a import _I\nimport a\nX = a._J\n",
+        "c": "class Box:\n    def __init__(self):\n        self._m()\n    def _m(self):\n"
+             "        pass\n    def _n(self):\n        pass\n    def o(self):\n        pass\n",
     }
     assert dead_names(sources) == [("a", 3, "_f"), ("a", 4, "_g"), ("a", 6, "_H"),
-                                   ("b", 3, "X")]
+                                   ("b", 3, "X"), ("c", 6, "_n")]
 
 
 def test_no_dead_module_names():

@@ -121,6 +121,38 @@ def test_blowup_at_eight_pi(disk_problem):
         disk_problem.solve_mp(EIGHT_PI)
 
 
+@pytest.mark.parametrize("lam", [4.0 * math.pi, EIGHT_PI - 0.5])
+def test_cold_solve_is_one_newton_solve(disk_problem, monkeypatch, lam):
+    calls, newton = [], disk_problem._newton
+
+    def counted_newton(*args):
+        calls.append(args[0])
+        return newton(*args)
+
+    monkeypatch.setattr(disk_problem, "_newton", counted_newton)
+    disk_problem.solve_mp(lam)
+    assert calls == [lam]
+
+
+def test_huge_lambda_blows_up(disk_problem):
+    # the first Newton trial passes the trust cap 50/lambda
+    with pytest.raises(BlowupDetected):
+        disk_problem.solve_mp(1e20)
+
+
+@pytest.mark.parametrize("trace", ["disk_trace", "ellipse_trace", "offcenter_trace",
+                                   "centered_trace"])
+def test_cold_solve_reproduces_traced_rows(trace, request):
+    # the branch has one solution at each lambda below 8 pi: Newton from zero
+    # finds the state the trace reached by continuation
+    run = request.getfixturevalue(trace)
+    rows = [p for p in run["diagram"].positive_rows() if p.lam > 2.0 * math.pi]
+    for row in (rows[0], rows[len(rows) // 2], rows[-1]):
+        state = run["problem"].solve_mp(row.lam)
+        assert state.mu == pytest.approx(row.mu, rel=1e-7), row.lam
+        assert state.energy == pytest.approx(row.energy, rel=1e-7), row.lam
+
+
 def test_second_kind_weight_crosses_eight_pi():
     sing = SingularitySpec.of((0.0, 0.0, 1.0))
     mesh = build_mesh(DomainSpec.unit_disk(), sing, h_max=0.12)
@@ -137,7 +169,7 @@ def test_concentration_scanned_only_at_eight_pi(coarse_problem, monkeypatch):
 
     monkeypatch.setattr(coarse_problem, "_is_concentrated", refuse)
     coarse_problem.solve_mp(2.0)
-    coarse_problem.solve_mp(EIGHT_PI - 0.5)      # cold start: continued from 0
+    coarse_problem.solve_mp(EIGHT_PI - 0.5)      # cold start: one Newton solve from 0
     coarse_problem.solve_lp(1.0)
     coarse_problem.solve_lp(-1.0)
 
