@@ -56,7 +56,7 @@ TAIL_RATIO = 0.65                  # geometric approach to 8 pi
 EPS_STOP = EIGHT_PI * 1e-3
 
 # the march
-NEWTON_BUDGET = 8                  # iterations above which the step halves
+NEWTON_BUDGET = 8                  # factorizations above which the step halves
 SUP_JUMP = 2.0                     # sup-norm ratio above which the step halves
 MIN_GAP = 1e-4                     # no step is halved below this
 MAX_ROWS = 500
@@ -226,8 +226,8 @@ def _march(problem, start, targets, on_state, tol):
     the predictor psi + (target - lambda) eta of the last accepted state;
     on_state(state) returns the tangent eta = d psi / d lambda of every
     accepted state, or None to stop there.  A solve is retried at the
-    midpoint when Newton fails within NEWTON_MAX_ITER, takes more than
-    NEWTON_BUDGET iterations or jumps; failures below the minimum gap end
+    midpoint when Newton fails within NEWTON_MAX_ITER, factors its Jacobian
+    more than NEWTON_BUDGET times or jumps; failures below the minimum gap end
     the march gracefully.  Returns the last state and tag.
     """
     state, eta = start
@@ -241,7 +241,7 @@ def _march(problem, start, targets, on_state, tol):
             nxt = problem._newton(target, guess, tol)
             jumped = (np.abs(nxt.psi).max()
                       > SUP_JUMP * max(np.abs(state.psi).max(), 0.05))
-            trouble = nxt.iterations > NEWTON_BUDGET or jumped
+            trouble = nxt.factorizations > NEWTON_BUDGET or jumped
             failed = was_blowup = False
         except BlowupDetected:
             trouble = failed = was_blowup = True

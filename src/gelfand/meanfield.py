@@ -9,9 +9,13 @@ robust continuation parameter.  The classical form -Delta v = mu h e^v is
 recovered through mu = lambda / int h e^(lambda psi), u = lambda psi.
 
 One damped Newton driver, Armijo backtracking on the dual-norm residual
-under a sup-norm trust cap, serves both forms within the one iteration
-budget NEWTON_MAX_ITER (the march and the fold search too).  A cold
-solve_mp, at any lambda, is one such solve from psi = 0.  The Jacobian is
+under a sup-norm trust cap, serves both forms within the one step budget
+NEWTON_MAX_ITER (the march and the fold search too).  It is a Newton-chord
+method (Kelley 1995, ch. 5; Deuflhard 2004): the LU of the last factored
+Jacobian is kept, and its full step is taken while it cuts the residual by
+CHORD_RATE or more; otherwise the Jacobian at the current iterate is factored
+for a damped Newton step.  A cold solve_mp, at any lambda, is one such solve
+from psi = 0.  The Jacobian is
 
     L eta = -Delta eta - lambda rho (eta - <eta>),
 
@@ -42,6 +46,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import (
     BlowupDetected,
+    ConfigError,
     DegenerateWeight,
     FoldSingularity,
     NoConvergence,
@@ -60,6 +65,7 @@ FOLD_RTOL = 5e-3  # solve_lp treats mu within this of the fold as a fold request
 # measured g ~ 1.9 (1 - mu/mu*)^(1/2), so g < 0.14 in the fold band
 G_DIRECT = 0.3
 TRUST_SUP = 50.0  # Newton trust cap: on sup |v|, and on max(1, lam) sup |psi|
+CHORD_RATE = 0.25  # a held LU's full step is kept while it cuts the residual by this
 
 
 @dataclass
@@ -75,7 +81,8 @@ class MeanFieldState:
     mass_check: float
     residual: float
     log_z: float
-    iterations: int = 0
+    iterations: int = 0          # Newton and chord steps
+    factorizations: int = 0      # Jacobians factored, one per Newton step
 
 
 class MeanFieldProblem:
@@ -145,9 +152,10 @@ class MeanFieldProblem:
         lambda, and Newton reaches it from zero.  Iterates whose sup norm
         crosses 50/max(1, lambda) raise BlowupDetected; so does a converged
         state at lambda >= 8 pi whose density is concentrated below the local
-        mesh resolution, since no trusted solution exists there.
+        mesh resolution, since no trusted solution exists there.  A lambda
+        that is not finite raises ConfigError before any solve.
         """
-        lam = float(lam)
+        lam = _finite("lambda", lam)
         psi = np.zeros(self.mesh.n_vertices) if initial_guess is None \
             else np.array(initial_guess, dtype=float)
         state = self._newton(lam, psi, tol)
@@ -157,24 +165,43 @@ class MeanFieldProblem:
                 lam=lam, psi=state.psi, sup=float(np.abs(state.psi).max()))
         return state
 
-    def _damped_newton(self, x, residual, linear_solve, cap, tol, where,
+    def _damped_newton(self, x, residual, factor, cap, tol, where,
                        name="Newton", lam=None):
-        """Damped Newton on the interior values of x, with Armijo backtracking.
+        """Newton-chord on the interior values of x, with Armijo backtracking.
 
-        residual(x) returns (aux, r, dn): what linear_solve(aux, r) needs for
-        the step on the interior residual r, and the dual norm dn of r.  A
-        trial past the sup-norm cap raises BlowupDetected (with lam and the
-        trial if lam is given); a step below 2^-24, a singular linearization
-        or dn > tol after NEWTON_MAX_ITER steps raise NoConvergence.  Messages
-        name the form and parameter.  Returns (x, aux, dn, iterations).
+        residual(x) returns (aux, r, dn): what factor(aux) needs to build the
+        Jacobian at x, the interior residual r and its dual norm dn.
+        factor(aux) returns the solve with that Jacobian.  The solve of the
+        last factored Jacobian is held: while it is, each step first tries
+        one full chord step with it, kept when the trial stays under the
+        sup-norm cap and its dn is at most CHORD_RATE times the current one
+        (or below tol).  Otherwise the trial is dropped, the Jacobian at x
+        is factored and held, and a Newton step is taken from x with Armijo
+        backtracking.  A Newton trial past the cap raises BlowupDetected
+        (with lam and the trial if lam is given); a step below 2^-24, a
+        singular linearization or dn > tol after NEWTON_MAX_ITER steps raise
+        NoConvergence.  Messages name the form and parameter.  Returns
+        (x, aux, dn, steps, factorizations).
         """
         aux, r, dn = residual(x)
-        it = 0
+        solve = None
+        it = factorizations = 0
         while not dn <= tol:          # a NaN residual or tol never reads as converged
             if it >= NEWTON_MAX_ITER:
                 raise NoConvergence(f"{name} stalled at {where}", iterations=it, residual=dn)
             try:
-                delta = linear_solve(aux, r)
+                if solve is not None:
+                    trial = x.copy()
+                    trial[self.interior] += solve(-r)
+                    if float(np.abs(trial).max()) <= cap:
+                        aux_t, r_t, dn_t = residual(trial)
+                        if dn_t <= CHORD_RATE * dn or dn_t < tol:
+                            x, aux, r, dn = trial, aux_t, r_t, dn_t
+                            it += 1
+                            continue
+                solve = factor(aux)
+                factorizations += 1
+                delta = solve(-r)
             except FoldSingularity:
                 raise NoConvergence(f"singular linearization at {where}",
                                     iterations=it, residual=dn) from None
@@ -195,7 +222,7 @@ class MeanFieldProblem:
                                         iterations=it, residual=dn)
             x, aux, r, dn = trial, aux_t, r_t, dn_t
             it += 1
-        return x, aux, dn, it
+        return x, aux, dn, it, factorizations
 
     def _newton(self, lam, psi, tol):
         def residual(psi):
@@ -203,16 +230,16 @@ class MeanFieldProblem:
             r = (self.A @ psi - b)[self.interior]
             return (b, factors, log_z), r, self.dirichlet.dual_norm(r)
 
-        def linear_solve(aux, r):
+        def factor(aux):
             b, factors, _ = aux
-            return Linearization(self, lam, factors, b).solve(-r)
+            return Linearization(self, lam, factors, b).solve
 
-        psi, (_, factors, log_z), dn, it = self._damped_newton(
-            psi, residual, linear_solve, TRUST_SUP / max(1.0, lam), tol,
+        psi, (_, factors, log_z), dn, it, nf = self._damped_newton(
+            psi, residual, factor, TRUST_SUP / max(1.0, lam), tol,
             f"lambda={lam:.6g}", lam=lam)
-        return self._finalize(lam, psi, factors, log_z, dn, it)
+        return self._finalize(lam, psi, factors, log_z, dn, it, nf)
 
-    def _finalize(self, lam, psi, factors, log_z, dn, iterations):
+    def _finalize(self, lam, psi, factors, log_z, dn, iterations, factorizations):
         mass = self.quad.integrate(factors)
         rho = self.vertex_density(lam, psi, log_z)
         mu = float(lam * np.exp(-log_z))
@@ -220,7 +247,7 @@ class MeanFieldProblem:
         return MeanFieldState(
             lam=float(lam), psi=psi, mu=mu, u=lam * psi, rho=rho,
             energy=energy, mass_check=float(mass), residual=float(dn),
-            log_z=float(log_z), iterations=iterations,
+            log_z=float(log_z), iterations=iterations, factorizations=factorizations,
         )
 
     def _is_concentrated(self, state):
@@ -250,9 +277,10 @@ class MeanFieldProblem:
         lambda = 0) to the sign change of g and branch.locate_fold to the
         fold.  Requests within FOLD_RTOL of the fold value return the fold
         state, those beyond raise NoConvergence, and those below return the
-        direct state if it converged with g > 0.  Every Newton solve goes to tol.
+        direct state if it converged with g > 0.  Every Newton solve goes to
+        tol.  A mu that is not finite raises ConfigError before any solve.
         """
-        mu = float(mu)
+        mu = _finite("mu", mu)
         if mu == 0.0:
             return self.solve_mp(0.0, tol=tol)
         if mu < 0.0:
@@ -271,17 +299,17 @@ class MeanFieldProblem:
             r = (self.A @ v - mu * self.quad.assemble_load(factors))[self.interior]
             return factors, r, self.dirichlet.dual_norm(r)
 
-        def linear_solve(factors, r):
+        def factor(factors):
             M = self.quad.assemble_mass(factors)
             pattern = self.jacobian_pattern(M)
-            return pattern.s_order.factor(pattern.interior(mu, M)).solve(-r)
+            return pattern.s_order.factor(pattern.interior(mu, M)).solve
 
-        v, factors, dn, it = self._damped_newton(
-            np.zeros(self.mesh.n_vertices), residual, linear_solve, TRUST_SUP, tol,
+        v, factors, dn, it, nf = self._damped_newton(
+            np.zeros(self.mesh.n_vertices), residual, factor, TRUST_SUP, tol,
             f"mu={mu:.6g}", name="Gelfand Newton")
         z = self.quad.integrate(factors)          # int h e^v
         lam = mu * z                              # mu = 0 never comes here
-        return self._finalize(lam, v / lam, factors / z, np.log(z), dn, it)
+        return self._finalize(lam, v / lam, factors / z, np.log(z), dn, it, nf)
 
     def _lp_minimal_branch(self, mu, tol):
         from .branch import EPS_STOP, POS_STEP, _march, g_of, locate_fold  # deferred: cycle
@@ -318,6 +346,14 @@ class MeanFieldProblem:
         raise NoConvergence(f"Newton on v missed the minimal branch at mu={mu:.6g}",
                             iterations=getattr(err or state, "iterations", None),
                             residual=getattr(err or state, "residual", None)) from err
+
+
+def _finite(name, value):
+    """value as a float, or ConfigError unless it is finite."""
+    value = float(value)
+    if not np.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from gelfand import branch
 from gelfand.branch import trace_branch
 from gelfand.geometry import (DomainSpec, SingularitySpec, build_mesh,
                               build_weight, uniform_weight)
@@ -38,8 +39,17 @@ def fine_problem():
 
 @pytest.fixture(scope="session")
 def disk_trace(disk_problem):
-    """Full branch on the workhorse disk."""
-    return {"diagram": trace_branch(disk_problem), "problem": disk_problem}
+    """Full branch on the workhorse disk, with the state of every row by lambda."""
+    states, branch_point = {}, branch._branch_point
+
+    def kept(problem, state, warm=None):
+        states[state.lam] = state
+        return branch_point(problem, state, warm)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(branch, "_branch_point", kept)
+        diagram = trace_branch(disk_problem)
+    return {"diagram": diagram, "problem": disk_problem, "states": states}
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ import radial_oracle as oracle
 from conftest import make_problem
 from gelfand import meanfield
 from gelfand.branch import g_of, trace_branch
-from gelfand.errors import BlowupDetected, NoConvergence, OverflowGuard
+from gelfand.errors import BlowupDetected, ConfigError, NoConvergence, OverflowGuard
 from gelfand.fem import SPLU_RECIPE
 from gelfand.geometry import DomainSpec, SingularitySpec, build_mesh, build_weight
 from gelfand.meanfield import (EIGHT_PI, G_DIRECT, NEWTON_TOL, TRUST_SUP,
@@ -556,7 +556,7 @@ def test_solve_lp_orders_each_pattern_once(monkeypatch):
     calls = count_splu(monkeypatch)
     state = problem.solve_lp(1.0)
     g_of(problem, state)
-    assert calls == ([(n, "MMD_AT_PLUS_A")] + [(n, "NATURAL")] * (state.iterations - 1)
+    assert calls == ([(n, "MMD_AT_PLUS_A")] + [(n, "NATURAL")] * (state.factorizations - 1)
                      + [(n + 1, "MMD_AT_PLUS_A"), (n + 1, "NATURAL")])
 
 
@@ -573,6 +573,37 @@ def test_trace_orders_k_once_and_factors_as_often_as_before(monkeypatch):
     monkeypatch.setattr(meanfield.ColumnOrder, "_adopt", lambda self, perm_c: None)
     trace_branch(fresh_disk())
     assert calls == [(n + 1, "MMD_AT_PLUS_A")] * len(kept)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("solve", ["solve_mp", "solve_lp"])
+def test_non_finite_parameter_is_config_error(coarse_problem, monkeypatch, solve, value):
+    # refused before any factorization, not by a guard or march far inside
+    calls = count_splu(monkeypatch)
+    with pytest.raises(ConfigError, match="must be finite"):
+        getattr(coarse_problem, solve)(value)
+    assert calls == []
+
+
+COLD_SOLVES = {
+    "solve_mp(4 pi)": lambda problem: problem.solve_mp(4.0 * math.pi),
+    "solve_lp(-42)": lambda problem: problem.solve_lp(-42.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COLD_SOLVES))
+def test_refactor_path_matches_the_chord(disk_problem, monkeypatch, case):
+    # with CHORD_RATE = 0 a held LU's step is kept only when it reaches tol,
+    # so every other step factors afresh: Newton with one factorization per
+    # step, which the chord must reproduce to well below the Newton tolerance
+    chord = COLD_SOLVES[case](disk_problem)
+    calls = count_splu(monkeypatch)
+    monkeypatch.setattr(meanfield, "CHORD_RATE", 0.0)
+    newton = COLD_SOLVES[case](disk_problem)
+    assert len(calls) == newton.factorizations > chord.factorizations
+    assert newton.iterations - newton.factorizations in (0, 1)
+    assert newton.mu == pytest.approx(chord.mu, rel=1e-9)
+    assert newton.energy == pytest.approx(chord.energy, rel=1e-9)
 
 
 def test_save_load_roundtrip(tmp_path, disk_problem):

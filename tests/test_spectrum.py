@@ -25,11 +25,12 @@ def dense_references(problem, state):
     lin = Linearization.at_state(problem, state)
     A, M = problem.dirichlet.A_ii.toarray(), lin.M_ii.toarray()
     mhat = M - np.outer(lin.b_i, lin.b_i)
-    sigma1 = scipy.linalg.eigh(A, mhat, eigvals_only=True)[0] - state.lam
-    tau1 = scipy.linalg.eigh(A - state.lam * mhat, M, eigvals_only=True)[0]
+    sigma1 = scipy.linalg.eigh(A, mhat, eigvals_only=True, subset_by_index=[0, 0])[0]
+    tau1 = scipy.linalg.eigh(A - state.lam * mhat, M, eigvals_only=True,
+                             subset_by_index=[0, 0])[0]
     poincare = scipy.linalg.eigh(problem.A.toarray(), lin.M_rho.toarray(),
-                                 eigvals_only=True)[1]
-    return sigma1, tau1, poincare
+                                 eigvals_only=True, subset_by_index=[1, 1])[0]
+    return sigma1 - state.lam, tau1, poincare
 
 
 @contextlib.contextmanager
@@ -137,6 +138,19 @@ def test_tiny_meshes_match_dense(h_max, n_interior, method):
     assert report.sigmas[0] == pytest.approx(sigma1, rel=1e-10)
     assert report.tau1 == pytest.approx(tau1, rel=1e-10)
     assert report.poincare == pytest.approx(poincare, rel=1e-10)
+
+
+def test_traced_rows_match_dense_spectra(disk_trace):
+    # each row's sigma_1, tau_1 and C_P is the lowest value of its pencil at
+    # the row's own state: a warm start almost orthogonal to the lowest mode
+    # can return the second one once rounding moves, and nothing else reads
+    # every row's values
+    problem, states = disk_trace["problem"], disk_trace["states"]
+    rows = disk_trace["diagram"].points
+    assert sorted(states) == [row.lam for row in rows]
+    for row in rows:
+        dense = dense_references(problem, states[row.lam])
+        assert (row.sigma1, row.tau1, row.poincare) == pytest.approx(dense, rel=1e-7), row.lam
 
 
 def counting_eigsh(monkeypatch):
