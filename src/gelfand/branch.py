@@ -13,11 +13,19 @@ rho (psi - <psi>), and <z> is evaluated through the identity
 sign(d mu / d lambda), so a first-kind domain shows exactly one sign change
 on (0, 8 pi).
 
-Every Newton solve of the march starts from the Euler (tangent) predictor
-psi + (lambda' - lambda) eta of the last accepted state; eta comes from the
-row's own g diagnostics.  The fold is the root of g between the two kept
-row states that bracket its sign change, found by Brent's method with each
-trial state predicted from the lower one.
+The march's Newton solves are Newton-chord solves (Kelley 1995, ch. 5) fed
+from the rows' own diagnostics: each row's g diagnostics factor its bordered
+Jacobian to get eta, and that LU is handed to the next row's Newton solve as
+its first held one, which it keeps while its steps contract the residual.
+The first solve of a pass starts from the Euler (tangent) predictor
+psi + (lambda' - lambda) eta of the start state and factors its own
+Jacobian; later ones start from the second-order predictor that adds
+(lambda' - lambda)^2 / 2 times the difference quotient of eta over the last
+two rows (Allgower-Georg 2003), which keeps the held LU's steps few.  A
+row's LU lives until the next row is accepted, never into its diagnostics.
+The fold is the root of g between the two kept row states that bracket its
+sign change, found by Brent's method with each trial state predicted from
+the lower one.
 
 Classification follows the definition of the kind: a domain is of first
 kind when the mean-field equation has no solution at lambda = 8 pi, so the
@@ -169,7 +177,8 @@ def dE_dlambda(problem: MeanFieldProblem, state: MeanFieldState,
 
 
 def _branch_point(problem, state, warm=None):
-    """The row of a state, plus its g diagnostics (which hold eta).
+    """The row of a state, its g diagnostics (which hold eta) and the
+    Linearization they factored.
 
     warm is the spectrum's WarmStart carrier of the pass, if any.
     """
@@ -182,7 +191,7 @@ def _branch_point(problem, state, warm=None):
         sigma1=float(report.sigmas[0]), tau1=report.tau1,
         poincare=report.poincare, sup_norm=float(np.abs(state.psi).max()),
         residual=state.residual)
-    return row, diag
+    return row, diag, lin
 
 
 # ---------------------------------------------------------------------------
@@ -222,23 +231,33 @@ def _positive_targets():
 def _march(problem, start, targets, on_state, tol):
     """Continuation through the target list, each Newton solve to tol.
 
-    start is the (state, eta) pair to march from.  Each solve starts from
-    the predictor psi + (target - lambda) eta of the last accepted state;
-    on_state(state) returns the tangent eta = d psi / d lambda of every
-    accepted state, or None to stop there.  A solve is retried at the
-    midpoint when Newton fails within NEWTON_MAX_ITER, factors its Jacobian
-    more than NEWTON_BUDGET times or jumps; failures below the minimum gap end
-    the march gracefully.  Returns the last state and tag.
+    start is the (state, eta) pair to march from.  on_state(state) returns,
+    for every accepted state, its tangent eta = d psi / d lambda and the
+    solve of the Linearization its diagnostics factored, or None to stop
+    there.  The first solve starts from the Euler predictor psi + d eta,
+    d = target - lambda, and factors its own Jacobian; later ones start from
+    the second-order predictor
+    psi + d eta + d^2/2 (eta - eta_prev) / (lambda - lambda_prev) of the
+    last two accepted states and hold the last row's solve as their first
+    LU, so a good predictor factors nothing.  That LU is dropped before
+    on_state diagnoses the next row, so no two rows' factorizations live at
+    once.  A solve is retried at the midpoint when Newton fails within
+    NEWTON_MAX_ITER, factors its Jacobian more than NEWTON_BUDGET times or
+    jumps; failures below the minimum gap end the march gracefully.  Returns
+    the last state and tag.
     """
     state, eta = start
+    prev = held = None        # (lambda, eta) of the state before; the row's solve
     stack = list(reversed(targets))
     rows = 0
     while stack:
         target = stack[-1]
-        gap = abs(target - state.lam)
+        d = target - state.lam
         try:
-            guess = state.psi + (target - state.lam) * eta
-            nxt = problem._newton(target, guess, tol)
+            guess = state.psi + d * eta
+            if prev is not None:
+                guess += (0.5 * d * d / (state.lam - prev[0])) * (eta - prev[1])
+            nxt = problem._newton(target, guess, tol, held)
             jumped = (np.abs(nxt.psi).max()
                       > SUP_JUMP * max(np.abs(state.psi).max(), 0.05))
             trouble = nxt.factorizations > NEWTON_BUDGET or jumped
@@ -247,14 +266,14 @@ def _march(problem, start, targets, on_state, tol):
             trouble = failed = was_blowup = True
         except (NoConvergence, FoldSingularity):
             trouble, failed, was_blowup = True, True, False
-        if trouble and gap > MIN_GAP:
-            stack.append(state.lam + 0.5 * (target - state.lam))
+        if trouble and abs(d) > MIN_GAP:
+            stack.append(state.lam + 0.5 * d)
             continue
         if failed:
             return state, "blowup" if was_blowup else "stalled"
-        state = nxt
+        prev, state, held = (state.lam, eta), nxt, None
         stack.pop()
-        eta = on_state(state)
+        eta, held = on_state(state) or (None, None)
         if eta is None:
             return state, "stopped"
         rows += 1
@@ -291,7 +310,7 @@ def trace_branch(problem: MeanFieldProblem, lam_min: float = LAM_MIN,
     def collect(bucket, warm):
         def add(state):
             nonlocal last
-            row, diag = _branch_point(problem, state, warm)
+            row, diag, lin = _branch_point(problem, state, warm)
             bucket.append(row)
             if on_row is not None:
                 on_row(row)
@@ -299,11 +318,13 @@ def trace_branch(problem: MeanFieldProblem, lam_min: float = LAM_MIN,
                 if last is not None and (last[1].g > 0) != (diag.g > 0):
                     kept.update({last[0].lam: last, state.lam: (state, diag)})
                 last = (state, diag)
-            return diag.eta
+            return diag.eta, lin.solve
         return add
 
     warm = WarmStart()
-    row0, diag0 = _branch_point(problem, state0, warm)
+    # the lambda = 0 row's LU is dropped: keeping it for the upward pass
+    # would hold it through the whole downward one
+    row0, diag0 = _branch_point(problem, state0, warm)[:2]
     _, term_neg = _march(problem, (state0, diag0.eta), _negative_targets(lam_min),
                          collect(rows_neg, warm.copy()), tol)
     if on_row is not None:

@@ -12,9 +12,10 @@ One damped Newton driver, Armijo backtracking on the dual-norm residual
 under a sup-norm trust cap, serves both forms within the one step budget
 NEWTON_MAX_ITER (the march and the fold search too).  It is a Newton-chord
 method (Kelley 1995, ch. 5; Deuflhard 2004): the LU of the last factored
-Jacobian is kept, and its full step is taken while it cuts the residual by
-CHORD_RATE or more; otherwise the Jacobian at the current iterate is factored
-for a damped Newton step.  A cold solve_mp, at any lambda, is one such solve
+Jacobian is kept (the march hands each solve its previous row's to start
+with), and its full step is taken while it cuts the residual by CHORD_RATE or
+more; otherwise the Jacobian at the current iterate is factored for a damped
+Newton step.  A cold solve_mp, at any lambda, is one such solve
 from psi = 0.  The Jacobian is
 
     L eta = -Delta eta - lambda rho (eta - <eta>),
@@ -166,25 +167,28 @@ class MeanFieldProblem:
         return state
 
     def _damped_newton(self, x, residual, factor, cap, tol, where,
-                       name="Newton", lam=None):
+                       name="Newton", lam=None, held=None):
         """Newton-chord on the interior values of x, with Armijo backtracking.
 
         residual(x) returns (aux, r, dn): what factor(aux) needs to build the
         Jacobian at x, the interior residual r and its dual norm dn.
         factor(aux) returns the solve with that Jacobian.  The solve of the
-        last factored Jacobian is held: while it is, each step first tries
-        one full chord step with it, kept when the trial stays under the
-        sup-norm cap and its dn is at most CHORD_RATE times the current one
-        (or below tol).  Otherwise the trial is dropped, the Jacobian at x
-        is factored and held, and a Newton step is taken from x with Armijo
-        backtracking.  A Newton trial past the cap raises BlowupDetected
-        (with lam and the trial if lam is given); a step below 2^-24, a
-        singular linearization or dn > tol after NEWTON_MAX_ITER steps raise
-        NoConvergence.  Messages name the form and parameter.  Returns
-        (x, aux, dn, steps, factorizations).
+        last factored Jacobian is held; held, if given, is one factored
+        before this call (the march hands in its previous row's, taken at
+        the previous lambda) and is held from the first step.  While a solve
+        is held, each step first tries one full chord step with it, kept
+        when the trial stays under the sup-norm cap and its dn is at most
+        CHORD_RATE times the current one (or below tol).  Otherwise the
+        trial is dropped, the Jacobian at x is factored and held, and a
+        Newton step is taken from x with Armijo backtracking.  A Newton
+        trial past the cap raises BlowupDetected (with lam and the trial if
+        lam is given); a step below 2^-24, a singular linearization or
+        dn > tol after NEWTON_MAX_ITER steps raise NoConvergence.  Messages
+        name the form and parameter.  Returns (x, aux, dn, steps,
+        factorizations), the last counting only Jacobians factored here.
         """
         aux, r, dn = residual(x)
-        solve = None
+        solve = held
         it = factorizations = 0
         while not dn <= tol:          # a NaN residual or tol never reads as converged
             if it >= NEWTON_MAX_ITER:
@@ -224,7 +228,7 @@ class MeanFieldProblem:
             it += 1
         return x, aux, dn, it, factorizations
 
-    def _newton(self, lam, psi, tol):
+    def _newton(self, lam, psi, tol, held=None):
         def residual(psi):
             b, factors, log_z, _ = self._load(lam, psi)
             r = (self.A @ psi - b)[self.interior]
@@ -236,7 +240,7 @@ class MeanFieldProblem:
 
         psi, (_, factors, log_z), dn, it, nf = self._damped_newton(
             psi, residual, factor, TRUST_SUP / max(1.0, lam), tol,
-            f"lambda={lam:.6g}", lam=lam)
+            f"lambda={lam:.6g}", lam=lam, held=held)
         return self._finalize(lam, psi, factors, log_z, dn, it, nf)
 
     def _finalize(self, lam, psi, factors, log_z, dn, iterations, factorizations):
@@ -327,9 +331,10 @@ class MeanFieldProblem:
         last = [(start, diag if below else g_of(self, start))]   # the last two pairs
 
         def on_state(s):             # keeps the pair, and ends the march once g <= 0
-            d = g_of(self, s)
+            lin = Linearization.at_state(self, s)
+            d = g_of(self, s, lin)
             last[:] = [last[-1], (s, d)]
-            return d.eta if d.g > 0.0 else None
+            return (d.eta, lin.solve) if d.g > 0.0 else None
 
         lam_end = EIGHT_PI - EPS_STOP
         targets = np.arange(start.lam + POS_STEP, lam_end, POS_STEP)

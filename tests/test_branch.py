@@ -1,17 +1,18 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import radial_oracle as oracle
-from gelfand import branch
+from gelfand import branch, meanfield
 from gelfand.branch import (CSV_HEADER, EPS_STOP, BranchDiagram, BranchPoint,
-                            _negative_targets, _positive_targets, classify_kind,
+                            _march, _negative_targets, _positive_targets, classify_kind,
                             dE_dlambda, emit_diagram, find_fold, g_of, locate_fold,
                             plot_csv, read_csv, solve_eta, trace_branch, write_csv)
-from gelfand.errors import ConfigError, NoFoldInRange
+from gelfand.errors import ConfigError, NoConvergence, NoFoldInRange
 from gelfand.geometry import DomainSpec, SingularitySpec, build_mesh, uniform_weight
-from gelfand.meanfield import EIGHT_PI, MeanFieldProblem
+from gelfand.meanfield import EIGHT_PI, NEWTON_TOL, Linearization, MeanFieldProblem
 from gelfand.spectrum import expand_modes, weighted_eigs
 
 
@@ -183,7 +184,7 @@ def test_trace_refuses_bad_lam_min(coarse_problem, monkeypatch, lam_min):
     def refuse(*args, **kwargs):
         raise AssertionError("solved before lam_min was checked")
 
-    monkeypatch.setattr(coarse_problem, "solve_mp", refuse)
+    monkeypatch.setattr(MeanFieldProblem, "solve_mp", refuse)
     with pytest.raises(ConfigError, match="lam_min"):
         trace_branch(coarse_problem, lam_min=lam_min)
 
@@ -225,21 +226,28 @@ def test_mu_slope_sign_locks_to_g(disk_trace):
 def counted_trace(disk_problem):
     """A trace of the workhorse disk with its Newton work counted.
 
-    Newton steps and factorizations are counted over the whole trace, Newton
-    solves and solve_mp calls inside find_fold; the fold state find_fold
-    returned is kept.
+    Newton solves, steps and factorizations and every meanfield.splu call are
+    counted over the whole trace, Newton solves and solve_mp calls inside
+    find_fold; the fold state find_fold returned is kept.  A trace that
+    counted no Newton solve means a wrap was bypassed, and errors here.
     """
-    work = {"iters": 0, "factorizations": 0, "fold_solves": 0, "fold_solve_mp": 0}
+    work = {"solves": 0, "iters": 0, "factorizations": 0, "splu": 0,
+            "fold_solves": 0, "fold_solve_mp": 0}
     in_fold, folds = [False], []
-    newton, solve_mp, fold = (MeanFieldProblem._newton, MeanFieldProblem.solve_mp,
-                              branch.find_fold)
+    newton, solve_mp, fold, splu = (MeanFieldProblem._newton, MeanFieldProblem.solve_mp,
+                                    branch.find_fold, meanfield.splu)
 
     def counted_newton(self, *args, **kwargs):
         state = newton(self, *args, **kwargs)
+        work["solves"] += 1
         work["iters"] += state.iterations
         work["factorizations"] += state.factorizations
         work["fold_solves"] += in_fold[0]
         return state
+
+    def counted_splu(*args, **kwargs):
+        work["splu"] += 1
+        return splu(*args, **kwargs)
 
     def counted_solve_mp(self, *args, **kwargs):
         work["fold_solve_mp"] += in_fold[0]
@@ -257,7 +265,9 @@ def counted_trace(disk_problem):
         mp.setattr(MeanFieldProblem, "_newton", counted_newton)
         mp.setattr(MeanFieldProblem, "solve_mp", counted_solve_mp)
         mp.setattr(branch, "find_fold", watched_fold)
+        mp.setattr(meanfield, "splu", counted_splu)
         diagram = trace_branch(disk_problem)
+    assert work["solves"] > 0, "no Newton solve was counted"
     return {"diagram": diagram, "work": work, "folds": folds}
 
 
@@ -280,10 +290,16 @@ def test_predicted_march_hits_every_target(counted_trace):
 
 
 def test_predicted_trace_newton_work(counted_trace):
-    # 66 Newton solves: the chord keeps each one at a single factorization
-    # (111 with one per step), in 136 steps; the bounds leave 6 and 14 of slack
-    assert counted_trace["work"]["factorizations"] <= 72
-    assert counted_trace["work"]["iters"] <= 150
+    # 66 Newton solves.  Each march solve after a pass's first holds the
+    # previous row's LU, so the solves factor 14 times (66 when each factored
+    # at its first step) and the trace calls splu 79 times (131); the held
+    # chord steps replace factorizations, in 205 steps (136).  The bounds
+    # leave 6, 6 and 15 of slack
+    work = counted_trace["work"]
+    assert work["solves"] == 66
+    assert work["factorizations"] <= 20
+    assert work["splu"] <= 85
+    assert work["iters"] <= 220
 
 
 def test_negative_grid_pinned():
@@ -330,3 +346,65 @@ def test_locate_fold_reports_unmet_tolerance(coarse_problem, monkeypatch):
     monkeypatch.setattr(branch, "FOLD_G_TOL", 0.0)
     with pytest.raises(NoFoldInRange, match=r"did not reach \|g\| < 0 on \[12\.0, 13\.0\]"):
         locate_fold(coarse_problem, *pairs)
+
+
+def march_from_zero(problem, tol):
+    """The states of a march from lambda = 0 over pi/4, pi/2, 3 pi/4 and pi,
+    each row handing its own Linearization's solve to the next solve."""
+    states = []
+
+    def on_state(state):
+        lin = Linearization.at_state(problem, state)
+        states.append(state)
+        return g_of(problem, state, lin).eta, lin.solve
+
+    start = problem.solve_mp(0.0)
+    targets = [k * math.pi / 4 for k in (1, 2, 3, 4)]
+    _, tag = _march(problem, (start, g_of(problem, start).eta), targets, on_state, tol)
+    assert tag == "completed" and [s.lam for s in states] == targets
+    return states
+
+
+def test_march_solves_factor_nothing_on_the_held_lu(disk_problem, monkeypatch):
+    # a pass's first solve has no row LU to hold; every later one converges
+    # on the previous row's LU alone
+    for tol in (NEWTON_TOL, 1e-11):
+        chord = march_from_zero(disk_problem, tol)
+        assert chord[0].factorizations >= 1
+        assert [s.factorizations for s in chord[1:]] == [0, 0, 0]
+    # with CHORD_RATE = 0 a held step is kept only when it reaches tol, so
+    # each solve factors at its own iterates.  A chord state may stop just
+    # under tol (at NEWTON_TOL, E then moves by up to 7e-9), so both paths
+    # go to 1e-11 and must give the same states to 1e-9
+    monkeypatch.setattr(meanfield, "CHORD_RATE", 0.0)
+    newton = march_from_zero(disk_problem, 1e-11)
+    assert all(s.factorizations >= 1 for s in newton)
+    for a, b in zip(chord, newton):
+        assert b.mu == pytest.approx(a.mu, rel=1e-9), a.lam
+        assert b.energy == pytest.approx(a.energy, rel=1e-9), a.lam
+
+
+@pytest.mark.parametrize("run", ["trace_branch", "solve_lp past the fold"])
+def test_no_earlier_row_lu_alive_in_diagnostics(disk_problem, monkeypatch, run):
+    # each row's diagnostics enter g_of; the LU handed to the row's Newton
+    # solve must be gone by then, or two rows' factorizations live at once
+    alive, init, g_of_real = weakref.WeakSet(), Linearization.__init__, branch.g_of
+    seen = []
+
+    def tracked_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        alive.add(self)
+
+    def watched_g_of(problem, state, lin=None):
+        seen.append(sorted(other.lam for other in alive if other.lam != state.lam))
+        return g_of_real(problem, state, lin)
+
+    monkeypatch.setattr(Linearization, "__init__", tracked_init)
+    monkeypatch.setattr(branch, "g_of", watched_g_of)
+    if run == "trace_branch":
+        trace_branch(disk_problem)
+    else:
+        with pytest.raises(NoConvergence, match="exceeds the fold value"):
+            disk_problem.solve_lp(2.2)
+    assert len(seen) > 10
+    assert not any(seen)

@@ -181,9 +181,9 @@ def test_minimizer_evaluates_each_iterate_once(disk_problem, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(disk_problem.quad, "eval", counted("eval", disk_problem.quad.eval))
-    monkeypatch.setattr(disk_problem, "_load", counted("load", disk_problem._load))
-    monkeypatch.setattr(disk_problem, "vertex_density",
-                        counted("density", disk_problem.vertex_density))
+    monkeypatch.setattr(MeanFieldProblem, "_load", counted("load", MeanFieldProblem._load))
+    monkeypatch.setattr(MeanFieldProblem, "vertex_density",
+                        counted("density", MeanFieldProblem.vertex_density))
     state = minimize_free_energy(disk_problem, -2.0)
     assert counts["load"] > state.iterations > 0
     assert counts["eval"] == counts["load"]

@@ -123,13 +123,15 @@ def test_blowup_at_eight_pi(disk_problem):
 
 @pytest.mark.parametrize("lam", [4.0 * math.pi, EIGHT_PI - 0.5])
 def test_cold_solve_is_one_newton_solve(disk_problem, monkeypatch, lam):
-    calls, newton = [], disk_problem._newton
+    # wraps go on the class: undoing an instance patch would leave a bound
+    # method on the shared problem, hiding later class-level wraps
+    calls, newton = [], MeanFieldProblem._newton
 
-    def counted_newton(*args):
-        calls.append(args[0])
-        return newton(*args)
+    def counted_newton(self, lam, *args):
+        calls.append(lam)
+        return newton(self, lam, *args)
 
-    monkeypatch.setattr(disk_problem, "_newton", counted_newton)
+    monkeypatch.setattr(MeanFieldProblem, "_newton", counted_newton)
     disk_problem.solve_mp(lam)
     assert calls == [lam]
 
@@ -164,10 +166,10 @@ def test_second_kind_weight_crosses_eight_pi():
 
 def test_concentration_scanned_only_at_eight_pi(coarse_problem, monkeypatch):
     # the quadrature scan only decides whether a lambda >= 8 pi state is trusted
-    def refuse(state):
+    def refuse(self, state):
         raise AssertionError(f"_is_concentrated called at lambda={state.lam!r}")
 
-    monkeypatch.setattr(coarse_problem, "_is_concentrated", refuse)
+    monkeypatch.setattr(MeanFieldProblem, "_is_concentrated", refuse)
     coarse_problem.solve_mp(2.0)
     coarse_problem.solve_mp(EIGHT_PI - 0.5)      # cold start: one Newton solve from 0
     coarse_problem.solve_lp(1.0)
@@ -335,7 +337,7 @@ class TestSolveLP:
         # a request clear of the fold band is one Newton solve on v from
         # v = 0: no march in lambda and no psi-form solve
         calls = []
-        lp_newton, newton = disk_problem._lp_newton_negative, disk_problem._newton
+        lp_newton, newton = MeanFieldProblem._lp_newton_negative, MeanFieldProblem._newton
 
         def recording_lp_newton(*args):
             calls.append("v")
@@ -345,8 +347,8 @@ class TestSolveLP:
             calls.append("psi")
             return newton(*args)
 
-        monkeypatch.setattr(disk_problem, "_lp_newton_negative", recording_lp_newton)
-        monkeypatch.setattr(disk_problem, "_newton", recording_newton)
+        monkeypatch.setattr(MeanFieldProblem, "_lp_newton_negative", recording_lp_newton)
+        monkeypatch.setattr(MeanFieldProblem, "_newton", recording_newton)
         state = disk_problem.solve_lp(1.0)
         assert calls == ["v"]
         assert state.mu == pytest.approx(1.0, rel=1e-9)
@@ -369,10 +371,10 @@ class TestSolveLP:
     def test_failed_solve_below_band_keeps_context(self, disk_problem, monkeypatch):
         # the fold lies above the request, so the failure of Newton on v
         # stands, with its iterations and residual
-        def failing(mu, tol):
+        def failing(self, mu, tol):
             raise NoConvergence("line search failed", iterations=3, residual=0.5)
 
-        monkeypatch.setattr(disk_problem, "_lp_newton_negative", failing)
+        monkeypatch.setattr(MeanFieldProblem, "_lp_newton_negative", failing)
         with pytest.raises(NoConvergence, match="missed the minimal branch") as info:
             disk_problem.solve_lp(1.0)
         assert (info.value.iterations, info.value.residual) == (3, 0.5)
@@ -381,13 +383,13 @@ class TestSolveLP:
         # g of the direct state is under G_DIRECT at mu = 1.97, so the march
         # and the fold location run; each of their psi solves takes the
         # request's tol
-        tols, newton = [], disk_problem._newton
+        tols, newton = [], MeanFieldProblem._newton
 
-        def recording_newton(lam, psi, tol):
+        def recording_newton(self, lam, psi, tol, *args):
             tols.append(tol)
-            return newton(lam, psi, tol)
+            return newton(self, lam, psi, tol, *args)
 
-        monkeypatch.setattr(disk_problem, "_newton", recording_newton)
+        monkeypatch.setattr(MeanFieldProblem, "_newton", recording_newton)
         disk_problem.solve_lp(1.97, tol=1e-6)
         assert tols and set(tols) == {1e-6}
 
@@ -404,6 +406,17 @@ class TestSolveLP:
             assert info.value.sup > TRUST_SUP
             with pytest.raises(NoConvergence, match="exceeds the fold value"):
                 problem.solve_lp(2.2)
+
+
+def test_fold_fallback_marches_on_held_lus(disk_problem, monkeypatch):
+    # past the fold, v-form Newton fails and the march runs from lambda = 0
+    # to the sign change of g: each of its solves after the first holds the
+    # previous row's LU, so the request factors 32 times (48 when every
+    # march solve factored at its first step)
+    calls = count_splu(monkeypatch)
+    with pytest.raises(NoConvergence, match="exceeds the fold value"):
+        disk_problem.solve_lp(2.2)
+    assert len(calls) <= 36
 
 
 @pytest.fixture(scope="module", params=["offcenter_disk", "ellipse"])
