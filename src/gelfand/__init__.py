@@ -38,8 +38,6 @@ from .meanfield import (
 )
 from .spectrum import (
     SpectrumReport,
-    dense_sigma_oracle,
-    expand_modes,
     poincare_constant,
     standard_tau1,
     weighted_eigs,
@@ -80,8 +78,7 @@ __all__ = [
     "uniform_weight", "write_mesh",
     "EIGHT_PI", "MeanFieldProblem", "MeanFieldState",
     "load_psi", "save_state",
-    "SpectrumReport", "dense_sigma_oracle", "expand_modes",
-    "poincare_constant", "standard_tau1", "weighted_eigs",
+    "SpectrumReport", "poincare_constant", "standard_tau1", "weighted_eigs",
     "BranchDiagram", "BranchPoint", "classify_kind",
     "dE_dlambda", "emit_diagram", "find_fold", "g_of", "plot_csv",
     "read_csv", "solve_eta", "trace_branch", "write_csv",

@@ -17,9 +17,10 @@ the discrete level by Rayleigh-quotient comparison.
 
 Each pencil has one solver path.  sigma is found by implicitly restarted
 Lanczos (ARPACK) inverted through the LU of the Dirichlet stiffness; tau_1
-and C_P by LOBPCG (Knyazev 2001) preconditioned by factors already held, the
-row's bordered LU and one LU of A + M_rho, falling back to ARPACK when a run
-misses its tolerance, so no returned value is unconverged.  C_P is a
+and C_P by the package's own block LOBPCG (Knyazev 2001, see _lobpcg)
+preconditioned by factors already held, the row's bordered LU and one LU of
+A + M_rho, falling back to ARPACK when a run misses its tolerance, so no
+returned value is unconverged.  C_P is a
 near-double pair on symmetric domains, so its block holds two vectors.  The
 runs start from a WarmStart carrier's vectors, a trace row's predecessor's,
 or from fixed random ones.  Dense eigh solves only meshes too small for the
@@ -28,12 +29,11 @@ iterative solvers (see _dense), and is the oracle they are tested against.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, lobpcg, splu
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from .errors import DegenerateWeight, SolverError
 from .fem import SPLU_RECIPE
@@ -77,12 +77,6 @@ class WarmStart:
         return replace(self)
 
 
-@dataclass
-class ModeCoefficients:
-    a: np.ndarray               # projections of the oscillation of psi
-    b: np.ndarray               # projections of the oscillation of eta
-
-
 def _fixed_start(shape):
     return np.random.default_rng(1729).standard_normal(shape)
 
@@ -93,10 +87,12 @@ def _columns(f):
 
 
 def _dense(n_i, k=1):
-    """Whether n_i unknowns are too few for the iterative solvers: ARPACK finds
-    k < n - 1 of n eigenpairs, and scipy's LOBPCG iterates only on
-    n - constraints >= 5 * block unknowns, which 11 interior unknowns give
-    every pencil here (C_P's is a block of 2, constrained by the constants)."""
+    """Whether n_i unknowns are too few for the iterative solvers: ARPACK,
+    also the fallback of tau_1 and C_P, finds only k < n - 1 of n
+    eigenpairs, and a LOBPCG basis [X, W, P] needs three blocks of
+    independent vectors beyond the constraints (C_P's block holds 2 and is
+    constrained by the constants).  Below 11 interior unknowns a dense eigh
+    costs nothing, so the threshold keeps every pencil clear of both limits."""
     return n_i < 5 * 2 + 1 or k >= n_i - 1
 
 
@@ -116,23 +112,83 @@ def _dense_eigh(lin: Linearization, pencil: str):
         raise DegenerateWeight(f"{pencil} mass not positive definite: {e}") from e
 
 
-def _lobpcg(A, B, X, precond, Y=None):
-    """Smallest eigenpairs of (A, B) by LOBPCG from the block X.
+def _rayleigh_ritz(basis, n, k):
+    """The k lowest Ritz pairs of (A, B) on the basis S, given as one
+    Fortran-ordered array whose columns stack s, A s and B s, n rows each.
 
-    Returns None when the run ends above LOBPCG_TOL, which includes every
-    run stopped at LOBPCG_MAXITER, so a miss is never mistaken for a value.
+    Returns (values, X, P), X the Ritz block and P its part outside the first
+    k basis columns, both stacked like the basis; None when the B-Gram matrix
+    of S is not positive definite.  The Gram matrices B-normalize S's
+    columns, so none is scaled in place.
     """
+    S = basis[:n]
+    gram_a, gram_b = S.T @ basis[n:2 * n], S.T @ basis[2 * n:]
+    d = np.diag(gram_b)
+    if not np.all(d > 0):
+        return None
+    d = 1.0 / np.sqrt(d)
+    scale = np.outer(d, d)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)   # misses are checked below
-            vals, vecs, history = lobpcg(
-                A, X, B=B, M=precond, Y=Y, tol=LOBPCG_TOL, maxiter=LOBPCG_MAXITER,
-                largest=False, retResidualNormsHistory=True)
-    except (ValueError, np.linalg.LinAlgError):
+        L_inv = np.linalg.inv(np.linalg.cholesky(gram_b * scale))
+        vals, vecs = np.linalg.eigh(L_inv @ (gram_a * scale) @ L_inv.T)
+    except np.linalg.LinAlgError:
         return None
-    if not np.max(history[-1]) <= LOBPCG_TOL:
+    C = d[:, None] * (L_inv.T @ vecs[:, :k])
+    both = (np.hstack([C, np.vstack([np.zeros((k, k)), C[k:]])]).T @ basis.T).T
+    return vals[:k], both[:, :k], both[:, k:]
+
+
+def _lobpcg(A, B, X, precond, Y=None):
+    """Smallest eigenpairs of (A, B) by block LOBPCG from the block X, kept
+    B-orthogonal to the constraint block Y.
+
+    A, B and precond are matrices or block functions.  Each step runs
+    Rayleigh-Ritz on [X, W, P]: X the Ritz block, W its preconditioned
+    residuals B-projected against Y and X, P the last update; a basis whose
+    B-Gram matrix is not positive definite drops P (Hetmaniuk and Lehoucq
+    2006).  A run stops when every column residual |AX - BX Lambda| is within
+    LOBPCG_TOL, or after LOBPCG_MAXITER steps; AX and BX are then computed
+    afresh and Rayleigh-Ritz run once more.  Returns None when that exact
+    residual misses LOBPCG_TOL or a basis is degenerate, so a miss is never
+    mistaken for a value.
+    """
+    A, B, precond = (op if callable(op) else op.__matmul__ for op in (A, B, precond))
+    n, k = X.shape
+    if Y is None:
+        constrain = lambda V: V
+    else:
+        BY = B(Y)
+        proj = np.linalg.solve(Y.T @ BY, BY.T)
+        constrain = lambda V: V - Y @ (proj @ V)
+
+    def products(V):
+        # Fortran order keeps each column contiguous, so blocks join cheaply
+        return np.asfortranarray(np.vstack([V, A(V), B(V)]))
+
+    def residual(XAB, vals):
+        return XAB[n:2 * n] - XAB[2 * n:] * vals
+
+    def converged(R):
+        return np.max(np.linalg.norm(R, axis=0)) <= LOBPCG_TOL
+
+    found = _rayleigh_ritz(products(constrain(X)), n, k)
+    for _ in range(LOBPCG_MAXITER):
+        if found is None:
+            return None
+        vals, XAB, P = found
+        R = residual(XAB, vals)
+        if converged(R):
+            break
+        W = constrain(precond(R))
+        W -= XAB[:n] @ (XAB[2 * n:].T @ W)
+        basis = np.hstack([XAB, products(W), P])
+        found = _rayleigh_ritz(basis, n, k) or _rayleigh_ritz(basis[:, :2 * k], n, k)
+    if found is not None:
+        found = _rayleigh_ritz(products(constrain(found[1][:n])), n, k)
+    if found is None:
         return None
-    return vals, vecs
+    vals, XAB, _ = found
+    return (vals, XAB[:n].copy()) if converged(residual(XAB, vals)) else None
 
 
 def _mhat_full(lin: Linearization):
@@ -144,9 +200,10 @@ def weighted_eigs(problem: MeanFieldProblem, state: MeanFieldState, k: int = 10,
                   warm: WarmStart | None = None) -> SpectrumReport:
     """The k smallest eigenpairs of the oscillation-paired linearization.
 
-    Eigenfields are returned both as Dirichlet fields and as their mean-free
-    oscillations, normalized so the rho-weighted Gram matrix of the
-    oscillations is the identity.  The solves start from the WarmStart
+    Eigenfields are returned as Dirichlet fields, normalized so the
+    rho-weighted Gram matrix of their oscillations phi - <phi> is the
+    identity; ortho_error and mean_error measure how far that and the
+    oscillations' zero mean hold.  The solves start from the WarmStart
     carrier's vectors, if given, and store the new ones in it.
     """
     if k < 1:
@@ -170,7 +227,7 @@ def weighted_eigs(problem: MeanFieldProblem, state: MeanFieldState, k: int = 10,
     gram = phis.T @ _columns(_mhat_full(lin))(phis)
     ortho_error = float(np.abs(gram - np.eye(k)).max())
     mean_free = phis - (lin.b @ phis)[None, :]
-    mean_error = float(np.abs(lin.b @ mean_free).max()) if k else 0.0
+    mean_error = float(np.abs(lin.b @ mean_free).max())
     return SpectrumReport(
         lam=lam, sigmas=sig, phis=phis,
         tau1=standard_tau1(problem, state, lin=lin, warm=warm),
@@ -201,11 +258,6 @@ def _sigma_sparse(problem, lin, lam, k, v0=None):
     sig = 1.0 / theta - lam
     order = np.argsort(sig)
     return sig[order], vecs[:, order]
-
-
-def dense_sigma_oracle(problem, state, k=5):
-    """Brute-force full eigensolve of the same pencil, for cross-checking."""
-    return _dense_eigh(Linearization.at_state(problem, state), "sigma")[0][:k] - state.lam
 
 
 def standard_tau1(problem: MeanFieldProblem, state: MeanFieldState,
@@ -275,18 +327,3 @@ def poincare_constant(problem: MeanFieldProblem, state: MeanFieldState,
         raise SolverError(f"Poincare eigensolver failed: {e}") from e
     return float(np.max(vals))
 
-
-def expand_modes(problem: MeanFieldProblem, state: MeanFieldState, eta,
-                 report: SpectrumReport,
-                 lin: Linearization | None = None) -> ModeCoefficients:
-    """Coefficients of psi and eta oscillations in the eigenfield basis.
-
-    a_j pairs the oscillation of psi with mode j, b_j that of eta; the
-    eigenvalue relation makes sigma_j b_j = a_j for resolved modes.
-    """
-    if lin is None:
-        lin = Linearization.at_state(problem, state)
-    mhat = _mhat_full(lin)
-    a = report.phis.T @ mhat(state.psi)
-    b = report.phis.T @ mhat(np.asarray(eta, dtype=float))
-    return ModeCoefficients(a=a, b=b)

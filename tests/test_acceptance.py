@@ -15,7 +15,8 @@ from gelfand.branch import dE_dlambda, g_of, solve_eta
 from gelfand.freeenergy import minimize_free_energy, verify_energy_bound
 from gelfand.geometry import uniform_weight
 from gelfand.meanfield import MeanFieldProblem
-from gelfand.spectrum import dense_sigma_oracle, expand_modes, weighted_eigs
+from gelfand.spectrum import weighted_eigs
+from spectral_modes import dense_sigma_oracle, expand_modes
 
 
 def verdict(num, ok, detail):

@@ -13,7 +13,8 @@ from gelfand.branch import (CSV_HEADER, EPS_STOP, BranchDiagram, BranchPoint,
 from gelfand.errors import ConfigError, NoConvergence, NoFoldInRange
 from gelfand.geometry import DomainSpec, SingularitySpec, build_mesh, uniform_weight
 from gelfand.meanfield import EIGHT_PI, NEWTON_TOL, Linearization, MeanFieldProblem
-from gelfand.spectrum import expand_modes, weighted_eigs
+from gelfand.spectrum import weighted_eigs
+from spectral_modes import expand_modes
 
 
 def test_g_at_zero_is_one(disk_problem):

@@ -4,15 +4,18 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse.linalg import splu
 
 import radial_oracle as oracle
 from conftest import make_problem
 from gelfand import branch, spectrum
 from gelfand.branch import solve_eta, trace_branch
+from gelfand.fem import SPLU_RECIPE
 from gelfand.geometry import DomainSpec, SingularitySpec
 from gelfand.meanfield import Linearization
-from gelfand.spectrum import (WarmStart, dense_sigma_oracle, expand_modes,
-                              poincare_constant, standard_tau1, weighted_eigs)
+from gelfand.spectrum import (WarmStart, poincare_constant, standard_tau1,
+                              weighted_eigs)
+from spectral_modes import dense_sigma_oracle, expand_modes
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +125,87 @@ def test_tau1_and_poincare_standalone(coarse_problem, coarse_states):
         _, tau1, poincare = dense_references(coarse_problem, state)
         assert t == pytest.approx(tau1, rel=1e-10), lam
         assert c == pytest.approx(poincare, rel=1e-10), lam
+
+
+class KernelRun:
+    """_lobpcg's arguments for the tau_1 or the C_P pencil at a state, built
+    as standard_tau1 and poincare_constant build them for a cold start, with
+    the values the run should return by dense eigh.  The preconditioner
+    counts its applications in steps, one per LOBPCG step."""
+
+    def __init__(self, problem, state, pencil):
+        lin = Linearization.at_state(problem, state)
+        self.steps = 0
+        if pencil == "tau":
+            n, self.Y = len(problem.interior), None
+            self.A, self.B = spectrum._columns(lin.apply), lin.M_ii
+            solve = spectrum._columns(
+                lambda r: lin.solve(r, rtol=spectrum.TAU_PRECOND_RTOL))
+            M = lin.M_ii.toarray()
+            J = problem.dirichlet.A_ii.toarray() - state.lam * (
+                M - np.outer(lin.b_i, lin.b_i))
+            self.dense = scipy.linalg.eigh(J, M, eigvals_only=True)[:1]
+            self.X = spectrum._fixed_start((n, 1))
+        else:
+            n, self.Y = problem.mesh.n_vertices, np.ones((problem.mesh.n_vertices, 1))
+            self.A, self.B = problem.A, lin.M_rho
+            solve = splu((problem.A + lin.M_rho).tocsc(), **SPLU_RECIPE).solve
+            # the constants span the kernel; the block holds the next two
+            self.dense = scipy.linalg.eigh(problem.A.toarray(), lin.M_rho.toarray(),
+                                           eigvals_only=True)[1:3]
+            self.X = spectrum._fixed_start((n, 2))
+
+        def precond(R):
+            self.steps += 1
+            return solve(R)
+
+        self.precond = precond
+
+    def run(self, X=None):
+        return spectrum._lobpcg(self.A, self.B, self.X if X is None else X,
+                                self.precond, Y=self.Y)
+
+
+@pytest.mark.parametrize("pencil", ["tau", "poincare"])
+def test_lobpcg_kernel_matches_dense_eigh(coarse_problem, coarse_states, pencil):
+    # the kernel alone, from the fixed random start: every value of its block
+    # against dense eigh, and the block it returns converged and constrained
+    for lam, state in coarse_states.items():
+        kernel = KernelRun(coarse_problem, state, pencil)
+        vals, X = kernel.run()
+        assert vals == pytest.approx(kernel.dense, rel=1e-10), lam
+        AX = kernel.A(X) if callable(kernel.A) else kernel.A @ X
+        BX = kernel.B @ X
+        assert np.max(np.linalg.norm(AX - BX * vals, axis=0)) <= spectrum.LOBPCG_TOL
+        assert np.abs(X.T @ BX - np.eye(len(vals))).max() < 1e-12
+        if kernel.Y is not None:
+            assert np.abs(kernel.Y.T @ BX).max() < 1e-12
+
+
+@pytest.mark.parametrize("pencil", ["tau", "poincare"])
+def test_lobpcg_kernel_miss_is_none(coarse_problem, coarse_states, pencil, monkeypatch):
+    # a run that converges on its last allowed step returns its value; with
+    # one step fewer it is a miss, and a miss returns None, never a value
+    kernel = KernelRun(coarse_problem, coarse_states[4.0 * math.pi], pencil)
+    vals, X = kernel.run()
+    steps = kernel.steps
+    assert 1 < steps < spectrum.LOBPCG_MAXITER
+    monkeypatch.setattr(spectrum, "LOBPCG_MAXITER", steps)
+    last_step = kernel.run()
+    assert np.array_equal(last_step[0], vals) and np.array_equal(last_step[1], X)
+    monkeypatch.setattr(spectrum, "LOBPCG_MAXITER", steps - 1)
+    assert kernel.run() is None
+    monkeypatch.setattr(spectrum, "LOBPCG_MAXITER", 0)
+    assert kernel.run() is None
+
+
+def test_lobpcg_kernel_refuses_dependent_start(coarse_problem, coarse_states):
+    # a start block without two independent directions is refused, also when
+    # its columns differ only by a constant the constraint projects away
+    kernel = KernelRun(coarse_problem, coarse_states[0.0], "poincare")
+    v = kernel.X[:, :1]
+    for start in (np.hstack([v, v]), np.hstack([v, -2.0 * v]), np.hstack([v, v + 1.0])):
+        assert kernel.run(start) is None
 
 
 @pytest.mark.parametrize("h_max, n_interior, method", [
