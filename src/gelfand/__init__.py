@@ -27,13 +27,11 @@ from .geometry import (
     build_weight,
     green_function,
     uniform_weight,
-    write_mesh,
 )
 from .meanfield import (
     EIGHT_PI,
     MeanFieldProblem,
     MeanFieldState,
-    load_psi,
     save_state,
 )
 from .spectrum import (
@@ -75,9 +73,8 @@ __all__ = [
     "OverflowGuard", "SolverError", "UnsupportedRegime",
     "DomainSpec", "GreenField", "Mesh", "SingularitySpec", "WeightField",
     "build_mesh", "build_weight", "domain_from_config", "green_function",
-    "uniform_weight", "write_mesh",
-    "EIGHT_PI", "MeanFieldProblem", "MeanFieldState",
-    "load_psi", "save_state",
+    "uniform_weight",
+    "EIGHT_PI", "MeanFieldProblem", "MeanFieldState", "save_state",
     "SpectrumReport", "poincare_constant", "standard_tau1", "weighted_eigs",
     "BranchDiagram", "BranchPoint", "classify_kind",
     "dE_dlambda", "emit_diagram", "find_fold", "g_of", "plot_csv",

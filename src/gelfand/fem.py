@@ -354,9 +354,3 @@ class DirichletSolver:
     def dual_norm(self, r_interior):
         """H^-1-type norm sqrt(r' A_ii^-1 r) of an interior residual."""
         return float(np.sqrt(abs(r_interior @ self.lu.solve(r_interior))))
-
-
-def solve_dirichlet(A, rhs, boundary_mask, boundary_values=None):
-    """One-off Dirichlet solve; prefer DirichletSolver for repeated use."""
-    return DirichletSolver(A, boundary_mask).solve(rhs, boundary_values)
-

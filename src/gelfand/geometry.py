@@ -356,39 +356,6 @@ class Mesh:
         _, idx, counts = np.unique(key, return_index=True, return_counts=True)
         return e_sorted[idx[counts == 1]]
 
-    def boundary_distance(self):
-        """Per-vertex distance to the (polygonal) mesh boundary."""
-        edges = self.boundary_edges()
-        a = self.vertices[edges[:, 0]]
-        b = self.vertices[edges[:, 1]]
-        return _point_segment_distance(self.vertices, a, b)
-
-    def locate(self, point):
-        """Triangle index and barycentric coordinates containing point."""
-        point = np.asarray(point, dtype=float)
-        p = self.vertices[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        rel = point[None, :] - p[:, 0]
-        w1 = (rel[:, 0] * d2[:, 1] - rel[:, 1] * d2[:, 0]) / det
-        w2 = (d1[:, 0] * rel[:, 1] - d1[:, 1] * rel[:, 0]) / det
-        w0 = 1.0 - w1 - w2
-        ok = (w0 >= -1e-10) & (w1 >= -1e-10) & (w2 >= -1e-10)
-        hits = np.nonzero(ok)[0]
-        if len(hits) == 0:
-            raise ValueError(f"point {point} is outside the mesh")
-        t = int(hits[0])
-        return t, np.array([w0[t], w1[t], w2[t]])
-
-    def eval_field(self, values, point):
-        """Evaluate a P1 vertex field at a point, or at each row of (n, 2)."""
-        point = np.asarray(point, dtype=float)
-        if point.ndim == 2:
-            return np.array([self.eval_field(values, q) for q in point])
-        t, bary = self.locate(point)
-        return float(bary @ values[self.triangles[t]])
-
 
 def _point_segment_distance(pts, a, b, cap=np.inf):
     """Min distance from each point to a set of segments (a_i, b_i).
@@ -630,16 +597,6 @@ def _validate_mesh(mesh, n_boundary):
             raise MeshFailure("singular point lost during meshing")
 
 
-def write_mesh(mesh: Mesh, prefix: str):
-    """Dump plain-text node/element lists: '<prefix>_nodes.txt', '<prefix>_elements.txt'."""
-    with open(f"{prefix}_nodes.txt", "w") as f:
-        for (x, y), bnd in zip(mesh.vertices, mesh.boundary_mask):
-            f.write(f"{float(x)!r} {float(y)!r} {int(bnd)}\n")
-    with open(f"{prefix}_elements.txt", "w") as f:
-        for a, b, c in mesh.triangles:
-            f.write(f"{int(a)} {int(b)} {int(c)}\n")
-
-
 # ---------------------------------------------------------------------------
 # Green function and weights
 
@@ -661,7 +618,7 @@ class GreenField:
 
 def green_function(mesh: Mesh, p) -> GreenField:
     """Green function of -Laplace with zero boundary data, pole at vertex p."""
-    from .fem import assemble_stiffness, solve_dirichlet  # deferred: fem imports Mesh
+    from .fem import DirichletSolver, assemble_stiffness  # deferred: fem imports Mesh
 
     p = np.asarray(p, dtype=float)
     d = np.linalg.norm(mesh.vertices - p, axis=1)
@@ -677,8 +634,8 @@ def green_function(mesh: Mesh, p) -> GreenField:
 
     A = assemble_stiffness(mesh)
     boundary_values = -kernel.copy()  # harmonic part cancels the kernel on the boundary
-    harmonic = solve_dirichlet(A, np.zeros(mesh.n_vertices), mesh.boundary_mask,
-                               boundary_values=boundary_values)
+    harmonic = DirichletSolver(A, mesh.boundary_mask).solve(
+        np.zeros(mesh.n_vertices), boundary_values=boundary_values)
     values = kernel + harmonic
     values[v] = np.inf
     return GreenField(values=values, harmonic=harmonic, vertex=v, point=p)

@@ -564,8 +564,3 @@ def save_state(state: MeanFieldState, path):
         for v in state.psi:
             f.write(f"{float(v)!r}\n")
     return path
-
-
-def load_psi(path):
-    with open(path) as f:
-        return np.array([float(line) for line in f if line.strip()])

@@ -15,12 +15,12 @@ sigma_1 > 0 expresses invertibility of the linearized operator along the
 branch, and the orderings sigma_1 >= tau_1 and sigma_j + lam >= C_P hold at
 the discrete level by Rayleigh-quotient comparison.
 
-Each pencil has one solver path.  sigma is found by implicitly restarted
-Lanczos (ARPACK) inverted through the LU of the Dirichlet stiffness; tau_1
-and C_P by the package's own block LOBPCG (Knyazev 2001, see _lobpcg)
-preconditioned by factors already held, the row's bordered LU and one LU of
-A + M_rho, falling back to ARPACK when a run misses its tolerance, so no
-returned value is unconverged.  C_P is a
+Each pencil has one solver path, run by the package's own kernels.  sigma
+is found by Lanczos with full reorthogonalization (see _lanczos) inverted
+through the LU of the Dirichlet stiffness; tau_1 and C_P by block LOBPCG
+(Knyazev 2001, see _lobpcg) preconditioned by factors already held, the
+row's bordered LU and one LU of A + M_rho.  A run that misses its tolerance
+falls back to ARPACK, so no returned value is unconverged.  C_P is a
 near-double pair on symmetric domains, so its block holds two vectors.  The
 runs start from a WarmStart carrier's vectors, a trace row's predecessor's,
 or from fixed random ones.  Dense eigh solves only meshes too small for the
@@ -33,6 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dstemr
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from .errors import DegenerateWeight, SolverError
@@ -41,6 +42,7 @@ from .meanfield import Linearization, MeanFieldProblem, MeanFieldState
 
 LOBPCG_TOL = 1e-10  # residual norm of B-normalized vectors a run must reach
 LOBPCG_MAXITER = 40  # iterations after which a run falls back to ARPACK
+LANCZOS_MAXITER = 120  # sigma Lanczos steps after which a run falls back to ARPACK
 # the tau_1 preconditioner is one bordered LU solve, not a refined one
 TAU_PRECOND_RTOL = 1e-6
 
@@ -88,11 +90,11 @@ def _columns(f):
 
 def _dense(n_i, k=1):
     """Whether n_i unknowns are too few for the iterative solvers: ARPACK,
-    also the fallback of tau_1 and C_P, finds only k < n - 1 of n
-    eigenpairs, and a LOBPCG basis [X, W, P] needs three blocks of
-    independent vectors beyond the constraints (C_P's block holds 2 and is
-    constrained by the constants).  Below 11 interior unknowns a dense eigh
-    costs nothing, so the threshold keeps every pencil clear of both limits."""
+    the fallback of every pencil, finds only k < n - 1 of n eigenpairs, and
+    a LOBPCG basis [X, W, P] needs three blocks of independent vectors
+    beyond the constraints (C_P's block holds 2 and is constrained by the
+    constants).  Below 11 interior unknowns a dense eigh costs nothing, so
+    the threshold keeps every pencil clear of both limits."""
     return n_i < 5 * 2 + 1 or k >= n_i - 1
 
 
@@ -191,6 +193,55 @@ def _lobpcg(A, B, X, precond, Y=None):
     return (vals, XAB[:n].copy()) if converged(residual(XAB, vals)) else None
 
 
+def _lanczos(solve, mhat, A, v, k):
+    """The k largest eigenpairs of mhat x = theta A x by Lanczos on
+    A^-1 mhat in the A inner product, started from the vector v (Parlett
+    1998, with full reorthogonalization).
+
+    solve and mhat are functions of a vector, A a matrix.  The basis Q and
+    its products A Q are kept as rows; each step makes one solve, one mhat
+    and one A product, and reorthogonalizes the new vector against all of Q
+    by two classical Gram-Schmidt passes, so the run never restarts.  It
+    stops when each of the k largest Ritz values theta_i of the tridiagonal
+    satisfies beta |y_i| <= eps theta_i, y_i the last entry of its
+    eigenvector: the test ARPACK applies at tol = 0 (Lehoucq, Sorensen and
+    Yang 1998).  Returns the Ritz values, ascending, and their A-orthonormal
+    Ritz vectors as columns; None after LANCZOS_MAXITER steps, or when the
+    Krylov space closes before k values converged, so a miss is never
+    mistaken for a value.
+    """
+    n = len(v)
+    Q, AQ = np.empty((LANCZOS_MAXITER + 1, n)), np.empty((LANCZOS_MAXITER + 1, n))
+    Av = A @ v
+    norm = np.sqrt(v @ Av)
+    Q[0], AQ[0] = v / norm, Av / norm
+    alpha, beta = np.empty(LANCZOS_MAXITER), np.empty(LANCZOS_MAXITER)
+    eps = np.finfo(float).eps
+    for j in range(LANCZOS_MAXITER):
+        w = solve(mhat(Q[j]))
+        c = np.zeros(j + 1)
+        for _ in range(2):
+            d = AQ[:j + 1] @ w
+            w -= d @ Q[:j + 1]
+            c += d
+        Aw = A @ w
+        alpha[j], beta[j] = c[j], np.sqrt(max(w @ Aw, 0.0))
+        if j + 1 >= k:
+            # the k largest Ritz pairs of the tridiagonal by index (range 3);
+            # dstemr overwrites the off-diagonal, so it gets a fresh copy
+            _, theta, Y, info = dstemr(alpha[:j + 1], np.append(beta[:j], 0.0), 3,
+                                       0.0, 0.0, j + 2 - k, j + 1)
+            theta, Y = theta[:k], Y[:, :k]
+            if info == 0 and np.all(beta[j] * np.abs(Y[-1]) <= eps * theta):
+                return theta, Q[:j + 1].T @ Y
+        # what Gram-Schmidt left of A^-1 mhat q_j is rounding: the Krylov
+        # space has closed
+        if beta[j] <= np.sqrt(eps) * np.sqrt(beta[j] ** 2 + c @ c):
+            return None
+        Q[j + 1], AQ[j + 1] = w / beta[j], Aw / beta[j]
+    return None
+
+
 def _mhat_full(lin: Linearization):
     return lambda v: lin.M_rho @ v - lin.b * (lin.b @ v)
 
@@ -239,18 +290,22 @@ def weighted_eigs(problem: MeanFieldProblem, state: MeanFieldState, k: int = 10,
 def _sigma_sparse(problem, lin, lam, k, v0=None):
     """Largest-theta Lanczos on Mhat v = theta A v; sigma = 1/theta - lam.
 
-    v0 starts the Lanczos run; by default a fixed random vector.
+    v0 starts the package's Lanczos run; by default a fixed random vector.
+    When the run misses, ARPACK solves the pencil from the fixed vector.
     """
     n_i = len(problem.interior)
     M_ii, b_i = lin.M_ii, lin.b_i
-    mhat = LinearOperator((n_i, n_i), matvec=lambda x: M_ii @ x - b_i * (b_i @ x))
-    a_inv = LinearOperator((n_i, n_i), matvec=problem.dirichlet.lu.solve)
-    try:
-        theta, vecs = eigsh(mhat, k=k, M=problem.dirichlet.A_ii, Minv=a_inv,
-                            which="LA", v0=_fixed_start(n_i) if v0 is None else v0,
-                            tol=0)
-    except ArpackError as e:
-        raise SolverError(f"sigma eigensolver failed: {e}") from e
+    mhat = lambda x: M_ii @ x - b_i * (b_i @ x)
+    A, solve = problem.dirichlet.A_ii, problem.dirichlet.lu.solve
+    found = _lanczos(solve, mhat, A, _fixed_start(n_i) if v0 is None else v0, k)
+    if found is None:
+        try:
+            found = eigsh(LinearOperator((n_i, n_i), matvec=mhat), k=k, M=A,
+                          Minv=LinearOperator((n_i, n_i), matvec=solve),
+                          which="LA", v0=_fixed_start(n_i), tol=0)
+        except ArpackError as e:
+            raise SolverError(f"sigma eigensolver failed: {e}") from e
+    theta, vecs = found
     if theta.min() <= 1e-14 * theta.max():
         raise DegenerateWeight("oscillation mass is rank-deficient beyond the constant")
     # vectors come back A-orthonormal; phi' Mhat phi = theta rescales them

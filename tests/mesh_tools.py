@@ -1,0 +1,63 @@
+"""Point evaluation, boundary distance and plain-text I/O of mesh fields.
+
+Only the tests read these, so they live here rather than in the package:
+`locate` and `eval_field` evaluate a P1 vertex field at a point,
+`boundary_distance` measures each vertex's distance to the polygonal mesh
+boundary, and `write_mesh` and `load_psi` write a mesh and read back the psi
+file that `gelfand.meanfield.save_state` writes.
+"""
+
+import numpy as np
+
+from gelfand.geometry import Mesh, _point_segment_distance
+
+
+def boundary_distance(mesh: Mesh):
+    """Per-vertex distance to the (polygonal) mesh boundary."""
+    edges = mesh.boundary_edges()
+    a = mesh.vertices[edges[:, 0]]
+    b = mesh.vertices[edges[:, 1]]
+    return _point_segment_distance(mesh.vertices, a, b)
+
+
+def locate(mesh: Mesh, point):
+    """Triangle index and barycentric coordinates containing point."""
+    point = np.asarray(point, dtype=float)
+    p = mesh.vertices[mesh.triangles]
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    rel = point[None, :] - p[:, 0]
+    w1 = (rel[:, 0] * d2[:, 1] - rel[:, 1] * d2[:, 0]) / det
+    w2 = (d1[:, 0] * rel[:, 1] - d1[:, 1] * rel[:, 0]) / det
+    w0 = 1.0 - w1 - w2
+    ok = (w0 >= -1e-10) & (w1 >= -1e-10) & (w2 >= -1e-10)
+    hits = np.nonzero(ok)[0]
+    if len(hits) == 0:
+        raise ValueError(f"point {point} is outside the mesh")
+    t = int(hits[0])
+    return t, np.array([w0[t], w1[t], w2[t]])
+
+
+def eval_field(mesh: Mesh, values, point):
+    """Evaluate a P1 vertex field at a point, or at each row of (n, 2)."""
+    point = np.asarray(point, dtype=float)
+    if point.ndim == 2:
+        return np.array([eval_field(mesh, values, q) for q in point])
+    t, bary = locate(mesh, point)
+    return float(bary @ values[mesh.triangles[t]])
+
+
+def write_mesh(mesh: Mesh, prefix: str):
+    """Dump plain-text node/element lists: '<prefix>_nodes.txt', '<prefix>_elements.txt'."""
+    with open(f"{prefix}_nodes.txt", "w") as f:
+        for (x, y), bnd in zip(mesh.vertices, mesh.boundary_mask):
+            f.write(f"{float(x)!r} {float(y)!r} {int(bnd)}\n")
+    with open(f"{prefix}_elements.txt", "w") as f:
+        for a, b, c in mesh.triangles:
+            f.write(f"{int(a)} {int(b)} {int(c)}\n")
+
+
+def load_psi(path):
+    with open(path) as f:
+        return np.array([float(line) for line in f if line.strip()])

@@ -10,7 +10,8 @@ from gelfand.fem import plain_quadrature
 from gelfand.freeenergy import collar_density
 from gelfand.geometry import (DomainSpec, SingularitySpec, _point_segment_distance,
                               build_mesh, build_weight, green_function,
-                              uniform_weight, write_mesh)
+                              uniform_weight)
+from mesh_tools import boundary_distance, eval_field, locate, write_mesh
 
 
 def test_disk_mesh_quality(coarse_problem):
@@ -45,7 +46,7 @@ def test_boundary_mask_matches_edges(coarse_problem):
 
 def test_boundary_distance(coarse_problem):
     mesh = coarse_problem.mesh
-    d = mesh.boundary_distance()
+    d = boundary_distance(mesh)
     assert np.all(d >= 0)
     assert d[mesh.boundary_mask].max() < 1e-9
     r = np.linalg.norm(mesh.vertices, axis=1)
@@ -60,13 +61,13 @@ def test_locate_and_eval_field(coarse_problem):
     field = 2.0 * mesh.vertices[:, 0] - 0.7 * mesh.vertices[:, 1] + 0.3
     rng = np.random.default_rng(7)
     pts = rng.uniform(-0.5, 0.5, size=(20, 2))
-    vals = mesh.eval_field(field, pts)
+    vals = eval_field(mesh, field, pts)
     assert np.allclose(vals, 2.0 * pts[:, 0] - 0.7 * pts[:, 1] + 0.3, atol=1e-12)
 
 
 def test_locate_rejects_outside(coarse_problem):
     with pytest.raises(Exception):
-        coarse_problem.mesh.locate(np.array([2.0, 2.0]))
+        locate(coarse_problem.mesh, np.array([2.0, 2.0]))
 
 
 def test_green_function_disk_center():

@@ -1,19 +1,23 @@
 """Every name a package module imports is used in that module, every
 module-level _private name or UPPER_CASE constant and every _private method
-is read by some module, and every SuperLU factorization passes the shared
-recipe `fem.SPLU_RECIPE`.
+is read by some module, every public name is read by the package or
+documented, and every SuperLU factorization passes the shared recipe
+`fem.SPLU_RECIPE`.
 
 pyflakes and ruff are not part of the toolchain, so these scans are the guard
-against imports, helpers and constants left behind when code is deleted.  The
-import scan skips __init__.py: it imports names only to re-export them.
+against imports, helpers and constants left behind when code is deleted, and
+against package code that only the tests call.  The import scan skips
+__init__.py: it imports names only to re-export them.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gelfand"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "gelfand"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -41,6 +45,21 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def names_read(trees):
+    """Every name that one of the syntax trees loads, reads as an attribute
+    or imports."""
+    reads = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reads.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                reads.update(alias.name for alias in node.names)
+    return reads
+
+
 def _guarded(name):
     return name.isupper() or (name.startswith("_") and not name.startswith("__"))
 
@@ -53,15 +72,7 @@ def dead_names(sources):
     A read is a loaded name, an attribute of that name, or an import of it.
     """
     trees = {module: ast.parse(text) for module, text in sources.items()}
-    reads = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                reads.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                reads.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                reads.update(alias.name for alias in node.names)
+    reads = names_read(trees.values())
     dead = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -98,6 +109,67 @@ def test_scan_finds_a_dead_name():
 def test_no_dead_module_names():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     assert dead_names(sources) == []
+
+
+def unread_public_names(sources, documented):
+    """(module, line, name) of each public module-level function, class or
+    constant, and of each public method of a class, that no module of
+    sources reads and the documented code does not read either: a name that
+    only the tests read, or nothing does.
+
+    sources maps the package's module names to source text, without
+    __init__.py, whose imports only re-export.  A read is matched by name as
+    in dead_names, so a method shares the reads of every attribute of its
+    name.
+    """
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    reads = names_read(trees.values()) | names_read([ast.parse(documented)])
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            defined = []
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [(node.lineno, node.name)]
+            if isinstance(node, ast.ClassDef):
+                defined += [(m.lineno, m.name) for m in node.body
+                            if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [(node.lineno, n.id) for t in targets for n in ast.walk(t)
+                           if isinstance(n, ast.Name)]
+            unread += [(module, line, name) for line, name in defined
+                       if not name.startswith("_") and name not in reads]
+    return sorted(unread)
+
+
+def documented_api():
+    """The code of README's python examples, the library's documented use;
+    the CLI's calls are package reads already."""
+    return "\n".join(re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(),
+                                re.S))
+
+
+def test_scan_finds_a_test_only_name():
+    sources = {
+        "a": "def used():\n    pass\ndef planted():\n    pass\n"
+             "def shown():\n    pass\nLIMIT = 2\n"
+             "class Box:\n    def m(self):\n        return LIMIT\n    def n(self):\n"
+             "        pass\n    def _p(self):\n        pass\n",
+        "b": "from a import used\nused()\nBox().m()\n",
+    }
+    # the tests may call planted and Box.n; only the package and the
+    # documented code count
+    assert unread_public_names(sources, "shown()\n") == [("a", 3, "planted"),
+                                                         ("a", 11, "n")]
+
+
+def test_documented_api_parses():
+    assert "trace_branch" in names_read([ast.parse(documented_api())])
+
+
+def test_no_test_only_public_names():
+    sources = {p.name: p.read_text() for p in MODULES}
+    assert unread_public_names(sources, documented_api()) == []
 
 
 def off_recipe_splu_calls(source):

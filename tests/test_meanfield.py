@@ -17,7 +17,8 @@ from gelfand.errors import BlowupDetected, ConfigError, NoConvergence, OverflowG
 from gelfand.fem import SPLU_RECIPE
 from gelfand.geometry import DomainSpec, SingularitySpec, build_mesh, build_weight
 from gelfand.meanfield import (EIGHT_PI, G_DIRECT, NEWTON_TOL, TRUST_SUP,
-                               Linearization, MeanFieldProblem, load_psi, save_state)
+                               Linearization, MeanFieldProblem, save_state)
+from mesh_tools import eval_field, load_psi
 
 
 def c_of_mu_minimal(mu, beta=1.0):
@@ -35,7 +36,7 @@ def test_lambda_zero_state(disk_problem):
     state = disk_problem.solve_mp(0.0)
     assert state.mu == 0.0
     assert np.all(state.u == 0.0)
-    center = disk_problem.mesh.eval_field(state.psi, np.zeros(2))
+    center = eval_field(disk_problem.mesh, state.psi, np.zeros(2))
     assert center == pytest.approx(oracle.PSI0_CENTER, rel=2e-3)
     assert state.energy == pytest.approx(oracle.E0, rel=5e-3)
     assert state.mass_check == pytest.approx(1.0, rel=1e-12)
@@ -48,7 +49,7 @@ def test_four_pi_state(disk_problem):
     assert c == pytest.approx(1.0, abs=1e-14)
     assert state.mu == pytest.approx(oracle.mu_of_c(c), rel=5e-3)
     assert state.energy == pytest.approx(oracle.energy_of_c(c), rel=5e-3)
-    center = disk_problem.mesh.eval_field(state.psi, np.zeros(2))
+    center = eval_field(disk_problem.mesh, state.psi, np.zeros(2))
     assert center == pytest.approx(oracle.u_center(c) / state.lam, rel=5e-3)
 
 
@@ -320,7 +321,7 @@ class TestSolveLP:
         c = c_of_mu_minimal(mu)
         assert state.lam == pytest.approx(oracle.lam_of_c(c), rel=5e-3)
         assert state.mu == pytest.approx(mu, rel=1e-9)
-        u0 = disk_problem.mesh.eval_field(state.u, np.zeros(2))
+        u0 = eval_field(disk_problem.mesh, state.u, np.zeros(2))
         assert u0 == pytest.approx(oracle.u_center(c), abs=5e-3)
         assert np.all(state.u <= 1e-12)  # negative branch lies below zero
 

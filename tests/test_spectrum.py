@@ -38,8 +38,10 @@ def dense_references(problem, state):
 
 @contextlib.contextmanager
 def arpack_only():
-    """Every LOBPCG run misses, so tau_1 and C_P are solved by ARPACK."""
+    """Every Lanczos and LOBPCG run misses, so every pencil is solved by
+    ARPACK."""
     with pytest.MonkeyPatch.context() as m:
+        m.setattr(spectrum, "_lanczos", lambda *args, **kwargs: None)
         m.setattr(spectrum, "_lobpcg", lambda *args, **kwargs: None)
         yield
 
@@ -208,6 +210,69 @@ def test_lobpcg_kernel_refuses_dependent_start(coarse_problem, coarse_states):
         assert kernel.run(start) is None
 
 
+class LanczosRun:
+    """_lanczos's arguments for the sigma pencil at a state, built as
+    _sigma_sparse builds them for a cold start, with the k largest theta of
+    Mhat x = theta A_ii x by dense eigh.  The solve counts its applications
+    in steps, one per Lanczos step."""
+
+    def __init__(self, problem, state, k):
+        lin = Linearization.at_state(problem, state)
+        self.k, self.steps, self.lu = k, 0, problem.dirichlet.lu
+        self.A = problem.dirichlet.A_ii
+        self.mhat = lambda x: lin.M_ii @ x - lin.b_i * (lin.b_i @ x)
+        mhat = lin.M_ii.toarray() - np.outer(lin.b_i, lin.b_i)
+        self.dense, self.vecs = scipy.linalg.eigh(mhat, self.A.toarray())
+        self.v = spectrum._fixed_start(len(problem.interior))
+
+    def solve(self, r):
+        self.steps += 1
+        return self.lu.solve(r)
+
+    def run(self, v=None):
+        return spectrum._lanczos(self.solve, self.mhat, self.A,
+                                 self.v if v is None else v, self.k)
+
+
+@pytest.mark.parametrize("k", [1, 10])
+def test_lanczos_kernel_matches_dense_eigh(coarse_problem, coarse_states, k):
+    # the kernel alone, from the fixed random start: every value against
+    # dense eigh, and the vectors it returns A_ii-orthonormal
+    for lam, state in coarse_states.items():
+        kernel = LanczosRun(coarse_problem, state, k)
+        theta, X = kernel.run()
+        assert theta == pytest.approx(kernel.dense[-k:], rel=1e-10), lam
+        assert np.abs(X.T @ (kernel.A @ X) - np.eye(k)).max() < 1e-12, lam
+
+
+def test_lanczos_kernel_miss_is_none(coarse_problem, coarse_states, monkeypatch):
+    # a run that converges on its last allowed step returns its values; with
+    # one step fewer it is a miss, and a miss returns None, never a value
+    kernel = LanczosRun(coarse_problem, coarse_states[4.0 * math.pi], 1)
+    theta, X = kernel.run()
+    steps, kernel.steps = kernel.steps, 0
+    assert 1 < steps < spectrum.LANCZOS_MAXITER
+    monkeypatch.setattr(spectrum, "LANCZOS_MAXITER", steps)
+    last_step = kernel.run()
+    assert kernel.steps == steps
+    assert np.array_equal(last_step[0], theta) and np.array_equal(last_step[1], X)
+    monkeypatch.setattr(spectrum, "LANCZOS_MAXITER", steps - 1)
+    assert kernel.run() is None
+    monkeypatch.setattr(spectrum, "LANCZOS_MAXITER", 0)
+    assert kernel.run() is None
+
+
+def test_lanczos_kernel_refuses_closed_krylov_space(coarse_problem, coarse_states):
+    # a start inside an invariant subspace of fewer than k dimensions closes
+    # the Krylov space before k values exist: None, never a wrong pair, also
+    # when the start holds the largest theta
+    kernel = LanczosRun(coarse_problem, coarse_states[0.0], 2)
+    for j in (-1, -2, -5, 0):
+        assert kernel.run(kernel.vecs[:, j].copy()) is None, j
+    kernel.k = 3
+    assert kernel.run(kernel.vecs[:, -1] + kernel.vecs[:, -4]) is None
+
+
 @pytest.mark.parametrize("h_max, n_interior, method", [
     (0.9, 1, "dense"), (0.7, 2, "dense"), (0.5, 8, "dense"), (0.38, 16, "sparse")])
 def test_tiny_meshes_match_dense(h_max, n_interior, method):
@@ -276,7 +341,7 @@ def test_warm_started_trace_matches_cold_solves(case, request, monkeypatch):
     assert min(r[0] for r in rows) < 0 < 15.5 < max(r[0] for r in rows)
     for lam, warm, warm_eigsh, report, cold in rows:
         assert isinstance(warm, WarmStart), lam
-        assert warm_eigsh == 1, lam          # sigma only: no LOBPCG fell back
+        assert warm_eigsh == 0, lam          # no Lanczos or LOBPCG fell back
         assert report.sigmas[0] == pytest.approx(cold.sigmas[0], rel=1e-10), lam
         assert report.tau1 == pytest.approx(cold.tau1, rel=1e-10), lam
         assert report.poincare == pytest.approx(cold.poincare, rel=1e-10), lam
@@ -286,12 +351,17 @@ def test_lobpcg_miss_falls_back_to_cold_arpack(disk_problem, monkeypatch):
     state = disk_problem.solve_mp(4.0)
     lin = Linearization.at_state(disk_problem, state)
     with arpack_only():
+        cold_sigma = weighted_eigs(disk_problem, state, k=1, lin=lin).sigmas[0]
         cold_tau = standard_tau1(disk_problem, state, lin=lin)
         cold_cp = poincare_constant(disk_problem, state, lin=lin)
     warm = WarmStart()
     weighted_eigs(disk_problem, disk_problem.solve_mp(3.5), k=1, warm=warm)
     calls = counting_eigsh(monkeypatch)
-    # from a neighbouring row's vectors LOBPCG converges without ARPACK
+    # from a neighbouring row's vectors Lanczos and LOBPCG converge without
+    # ARPACK
+    v0 = warm.sigma.sum(axis=1)
+    assert spectrum._sigma_sparse(disk_problem, lin, state.lam, 1, v0=v0)[0][0] == \
+        pytest.approx(cold_sigma, rel=1e-10)
     assert standard_tau1(disk_problem, state, lin=lin, warm=warm.copy()) == \
         pytest.approx(cold_tau, rel=1e-10)
     assert poincare_constant(disk_problem, state, lin=lin, warm=warm.copy()) == \
@@ -306,3 +376,8 @@ def test_lobpcg_miss_falls_back_to_cold_arpack(disk_problem, monkeypatch):
         pytest.approx(cold_cp, rel=1e-12)
     assert calls == [None, -1.0]
     assert warm.poincare is block            # a fallback keeps the C_P block
+    # so does sigma_1's Lanczos run, by one ARPACK call
+    monkeypatch.setattr(spectrum, "LANCZOS_MAXITER", 1)
+    assert spectrum._sigma_sparse(disk_problem, lin, state.lam, 1, v0=v0)[0][0] == \
+        pytest.approx(cold_sigma, rel=1e-12)
+    assert calls == [None, -1.0, None]
