@@ -126,11 +126,6 @@ class BranchDiagram:
 @dataclass
 class GDiagnostics:
     g: float
-    z_avg: float
-    z3_avg: float
-    z_min: float
-    eta_avg: float
-    identity_error: float
     eta: np.ndarray
 
 
@@ -154,19 +149,15 @@ def solve_eta(problem: MeanFieldProblem, state: MeanFieldState,
 
 def g_of(problem: MeanFieldProblem, state: MeanFieldState,
          lin: Linearization | None = None) -> GDiagnostics:
-    """The fold indicator g = 1 - lambda <z> and the related z diagnostics."""
+    """The fold indicator g = 1 - lambda <z> and the branch derivative eta.
+
+    z = psi + lambda eta, and its rho average is formed as 2E + lambda <eta>.
+    """
     if lin is None:
         lin = Linearization.at_state(problem, state)
     eta = solve_eta(problem, state, lin=lin)
-    eta_avg = lin.rho_average(eta)
-    z = state.psi + state.lam * eta
-    z_avg = 2.0 * state.energy + state.lam * eta_avg
-    identity_error = abs(lin.rho_average(z) - z_avg)
-    z3 = float(np.sum(problem.quad.w * lin.factors * problem.quad.eval(z) ** 3))
-    return GDiagnostics(
-        g=1.0 - state.lam * z_avg, z_avg=z_avg, z3_avg=z3,
-        z_min=float(z.min()), eta_avg=eta_avg,
-        identity_error=identity_error, eta=eta)
+    z_avg = 2.0 * state.energy + state.lam * lin.rho_average(eta)
+    return GDiagnostics(g=1.0 - state.lam * z_avg, eta=eta)
 
 
 def dE_dlambda(problem: MeanFieldProblem, state: MeanFieldState,

@@ -11,12 +11,15 @@ update
 
     psi_{k+1} = G*( h e^(lambda psi_k) / Z_k ),
 
-damped so the free energy never increases.  The update reuses the Newton
-solver's assembly path verbatim, so the fixed point agrees with the Newton
-solution of the same discrete system to solver tolerance.  Each F evaluation
-evaluates psi at the quadrature points once, in MeanFieldProblem._load; the
-entropy and weight terms, the Jensen slack and the returned state all read
-those point values, and each accepted iterate's vertex density is formed once.
+accelerated by Anderson mixing over the last few iterates and safeguarded so
+the free energy never increases: an Anderson step is kept only when F does
+not rise, and otherwise the plain damped step is taken.  The update reuses
+the Newton solver's assembly path verbatim, so the fixed point agrees with
+the Newton solution of the same discrete system to solver tolerance.  Each
+F evaluation evaluates psi at the quadrature points once, in
+MeanFieldProblem._load; the entropy and weight terms, the Jensen slack and
+the returned state all read those point values, and each accepted iterate's
+vertex density is formed once.
 
 Two evaluation paths coexist on purpose.  Arbitrary vertex densities (collar
 densities, test inputs) are evaluated as P1 fields with their own potential
@@ -40,6 +43,7 @@ from .meanfield import MeanFieldProblem
 L1_TOL = 1e-10
 MAX_ITER = 5000
 STEP_FLOOR = 1e-8   # fixed-point step below which the mesh limits the descent
+AA_DEPTH = 5        # Anderson history: the last iterates and residuals kept
 
 
 @dataclass
@@ -54,6 +58,8 @@ class DensityState:
     n: float                    # weight approximation index (inf: no floor)
     iterations: int = 0
     el_residual: float = 0.0    # dual-norm Euler-Lagrange defect
+    # log Z over its Jensen lower bound, minimized over the iterates the
+    # minimizer visited: a path-dependent certificate, not a state function
     jensen_min_slack: float = np.inf
 
 
@@ -163,11 +169,26 @@ def collar_density(mesh: Mesh, delta: float) -> np.ndarray:
 
 
 def minimize_free_energy(problem: MeanFieldProblem, lam) -> DensityState:
-    """Minimize the functional by the damped Euler-Lagrange fixed point.
+    """Minimize the functional by the Anderson-accelerated Euler-Lagrange
+    fixed point.
+
+    Each iteration first tries an Anderson step (Walker & Ni 2011) from the
+    last AA_DEPTH iterates psi and their residuals f = G*rho(psi) - psi:
+
+        psi + step f - (dX + step dF) gamma,
+
+    with gamma the least-squares coefficients of the newest residual by the
+    residual differences dF, and dX the iterate differences.  The trial is
+    kept when F does not rise beyond roundoff.  Otherwise, and when the
+    residual differences are exactly dependent, the history is cleared and
+    the damped step psi + step f is taken, with step halved until F does not
+    rise.  The history is cleared also whenever the L1 monitor below halves
+    the step, so a shrinking step restarts the mixing from the plain damped
+    iteration.
 
     The step size persists between iterations.  Two monitors control it: the
-    step is halved until the free energy stops increasing, and halved again
-    whenever the L1 density change grows between iterations.  The second
+    damped step is halved until the free energy stops increasing, and halved
+    again whenever the L1 density change grows between iterations.  The second
     monitor matters close to the minimum, where F is flat to roundoff and
     cannot distinguish a contraction from the mild divergence an undamped
     update exhibits at strongly negative lambda.  The step regrows only
@@ -203,19 +224,41 @@ def minimize_free_energy(problem: MeanFieldProblem, lam) -> DensityState:
                 iterations=it, residual=l1_change)
         return step * 0.5
 
+    def descends(f_trial):                # F may rise by roundoff only
+        return f_trial <= f_cur + 1e-13 * max(1.0, abs(f_cur))
+
     psi = np.zeros(problem.mesh.n_vertices)
     f_cur, target, log_z, _ = f_value(psi)
     rho = problem.vertex_density(lam, psi, log_z)
     jensen_min = np.inf  # tracked over the visited iterates, not the zero start
     step, prev_l1, shrinking = 1.0, np.inf, 0
+    xs, fs = [psi], [target - psi]        # Anderson history: iterates, residuals
     for it in range(1, MAX_ITER + 1):
-        direction = target - psi
-        while True:
-            trial = psi + step * direction
-            f_trial, target_trial, log_z_trial, ev_trial = f_value(trial)
-            if f_trial <= f_cur + 1e-13 * max(1.0, abs(f_cur)):
-                break
-            step = halved(step, it, prev_l1)
+        direction = fs[-1]
+        trial = None
+        if len(xs) > 1:
+            # gamma: least-squares fit of the residual by the residual
+            # differences, from the normal equations of the small system
+            d_x, d_f = np.diff(xs, axis=0), np.diff(fs, axis=0)
+            try:
+                gamma = np.linalg.solve(d_f @ d_f.T, d_f @ direction)
+            except np.linalg.LinAlgError:     # exactly dependent differences
+                gamma = None
+            if gamma is not None:
+                trial = psi + step * direction - (d_x + step * d_f).T @ gamma
+                evaluated = f_value(trial)
+                if not descends(evaluated[0]):
+                    trial = None
+            if trial is None:
+                del xs[:-1], fs[:-1]
+        if trial is None:
+            while True:
+                trial = psi + step * direction
+                evaluated = f_value(trial)
+                if descends(evaluated[0]):
+                    break
+                step = halved(step, it, prev_l1)
+        f_trial, target_trial, log_z_trial, ev_trial = evaluated
         rho_trial = problem.vertex_density(lam, trial, log_z_trial)
         l1_change = float(m @ np.abs(rho_trial - rho))
         psi, f_cur, target, log_z, rho = trial, f_trial, target_trial, log_z_trial, rho_trial
@@ -223,8 +266,12 @@ def minimize_free_energy(problem: MeanFieldProblem, lam) -> DensityState:
         # log of int h e^(lam psi) over its Jensen lower bound (nonnegative)
         jensen_min = min(jensen_min, log_z - (
             log_h_mass + lam * quad.integrate(psi_q) / problem.weight_mass))
+        xs.append(psi)
+        fs.append(target - psi)
+        del xs[:-AA_DEPTH], fs[:-AA_DEPTH]
         if l1_change > prev_l1:
             step, shrinking = halved(step, it, l1_change), 0
+            del xs[:-1], fs[:-1]
         else:
             shrinking += 1
             if shrinking >= 25:
@@ -255,6 +302,10 @@ def verify_energy_bound(problem: MeanFieldProblem, lam, delta,
                         minimizer: DensityState | None = None,
                         collar: np.ndarray | None = None) -> EnergyBoundReport:
     """Evaluate every inequality of the vanishing-energy proof chain.
+
+    The Jensen slack is the minimizer's jensen_min_slack, a minimum over the
+    iterates that minimize_free_energy visited; it depends on that path and
+    moves whenever the iteration does, at the same minimizer.
 
     collar, if given, is collar_density(problem.mesh, delta), computed once
     by a caller that verifies several cells on one mesh.  Raises SolverError

@@ -119,9 +119,9 @@ def _rayleigh_ritz(basis, n, k):
     Fortran-ordered array whose columns stack s, A s and B s, n rows each.
 
     Returns (values, X, P), X the Ritz block and P its part outside the first
-    k basis columns, both stacked like the basis; None when the B-Gram matrix
-    of S is not positive definite.  The Gram matrices B-normalize S's
-    columns, so none is scaled in place.
+    k basis columns, both stacked like the basis, and P None when S has only
+    k columns; None when the B-Gram matrix of S is not positive definite.
+    The Gram matrices B-normalize S's columns, so none is scaled in place.
     """
     S = basis[:n]
     gram_a, gram_b = S.T @ basis[n:2 * n], S.T @ basis[2 * n:]
@@ -137,7 +137,7 @@ def _rayleigh_ritz(basis, n, k):
         return None
     C = d[:, None] * (L_inv.T @ vecs[:, :k])
     both = (np.hstack([C, np.vstack([np.zeros((k, k)), C[k:]])]).T @ basis.T).T
-    return vals[:k], both[:, :k], both[:, k:]
+    return vals[:k], both[:, :k], both[:, k:] if len(C) > k else None
 
 
 def _lobpcg(A, B, X, precond, Y=None):
@@ -146,13 +146,13 @@ def _lobpcg(A, B, X, precond, Y=None):
 
     A, B and precond are matrices or block functions.  Each step runs
     Rayleigh-Ritz on [X, W, P]: X the Ritz block, W its preconditioned
-    residuals B-projected against Y and X, P the last update; a basis whose
-    B-Gram matrix is not positive definite drops P (Hetmaniuk and Lehoucq
-    2006).  A run stops when every column residual |AX - BX Lambda| is within
-    LOBPCG_TOL, or after LOBPCG_MAXITER steps; AX and BX are then computed
-    afresh and Rayleigh-Ritz run once more.  Returns None when that exact
-    residual misses LOBPCG_TOL or a basis is degenerate, so a miss is never
-    mistaken for a value.
+    residuals B-projected against Y and X, P the last update, which the
+    first step does not have yet; a basis whose B-Gram matrix is not positive
+    definite drops P (Hetmaniuk and Lehoucq 2006).  A run stops when every
+    column residual |AX - BX Lambda| is within LOBPCG_TOL, or after
+    LOBPCG_MAXITER steps; AX and BX are then computed afresh and Rayleigh-Ritz
+    run once more.  Returns None when that exact residual misses LOBPCG_TOL
+    or a basis is degenerate, so a miss is never mistaken for a value.
     """
     A, B, precond = (op if callable(op) else op.__matmul__ for op in (A, B, precond))
     n, k = X.shape
@@ -183,8 +183,10 @@ def _lobpcg(A, B, X, precond, Y=None):
             break
         W = constrain(precond(R))
         W -= XAB[:n] @ (XAB[2 * n:].T @ W)
-        basis = np.hstack([XAB, products(W), P])
-        found = _rayleigh_ritz(basis, n, k) or _rayleigh_ritz(basis[:, :2 * k], n, k)
+        basis = np.hstack([XAB, products(W)] + ([] if P is None else [P]))
+        found = _rayleigh_ritz(basis, n, k)
+        if found is None and P is not None:
+            found = _rayleigh_ritz(basis[:, :2 * k], n, k)
     if found is not None:
         found = _rayleigh_ritz(products(constrain(found[1][:n])), n, k)
     if found is None:

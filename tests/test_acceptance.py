@@ -17,6 +17,7 @@ from gelfand.geometry import uniform_weight
 from gelfand.meanfield import MeanFieldProblem
 from gelfand.spectrum import weighted_eigs
 from spectral_modes import dense_sigma_oracle, expand_modes
+from z_diagnostics import z_diagnostics
 
 
 def verdict(num, ok, detail):
@@ -115,12 +116,14 @@ def test_criterion_06_fold_indicator(fine_trace, disk_trace, ellipse_trace,
         flips = sum(1 for a, b in zip(gs, gs[1:]) if (a > 0) != (b > 0))
         flips_ok = flips_ok and flips == 1
     lam_star = diagram.fold[0]
-    diag = g_of(fine_trace["problem"], fine_trace["problem"].solve_mp(lam_star))
+    problem = fine_trace["problem"]
+    state = problem.solve_mp(lam_star)
+    z = z_diagnostics(problem, state, g_of(problem, state).eta)
     ok = (g0_err <= 1e-6 and neg_min > 0.0 and flips_ok
-          and diag.z3_avg > 0.0 and diag.z_min >= -1e-6)
+          and z.z3_avg > 0.0 and z.z_min >= -1e-6)
     verdict(6, ok, f"|g(0)-1|={g0_err:.2e}, min g on lam<=0 {neg_min:.3f}, "
                    f"one sign change per run: {flips_ok}, at fold <z^3>="
-                   f"{diag.z3_avg:.3e}, min z={diag.z_min:.2e}")
+                   f"{z.z3_avg:.3e}, min z={z.z_min:.2e}")
 
 
 def test_criterion_07_kind_classification(fine_trace, centered_trace,

@@ -15,13 +15,14 @@ from gelfand.geometry import DomainSpec, SingularitySpec, build_mesh, uniform_we
 from gelfand.meanfield import EIGHT_PI, NEWTON_TOL, Linearization, MeanFieldProblem
 from gelfand.spectrum import weighted_eigs
 from spectral_modes import expand_modes
+from z_diagnostics import z_diagnostics
 
 
 def test_g_at_zero_is_one(disk_problem):
     state = disk_problem.solve_mp(0.0)
     diag = g_of(disk_problem, state)
     assert diag.g == pytest.approx(1.0, abs=1e-12)
-    assert diag.identity_error < 1e-12
+    assert z_diagnostics(disk_problem, state, diag.eta).identity_error < 1e-12
 
 
 def test_g_identity_form(disk_problem):
@@ -29,7 +30,7 @@ def test_g_identity_form(disk_problem):
     for lam in (-5.0, 2.0, 9.0):
         state = disk_problem.solve_mp(lam)
         diag = g_of(disk_problem, state)
-        assert diag.identity_error < 1e-6
+        assert z_diagnostics(disk_problem, state, diag.eta).identity_error < 1e-6
 
 
 def test_derivative_direct_vs_finite_difference(disk_problem):
@@ -87,9 +88,10 @@ def test_fold_state_diagnostics(disk_trace):
     lam_star = disk_trace["diagram"].fold[0]
     state = problem.solve_mp(lam_star)
     diag = g_of(problem, state)
+    z = z_diagnostics(problem, state, diag.eta)
     assert abs(diag.g) < 1e-6
-    assert diag.z3_avg > 0.0
-    assert diag.z_min >= -1e-6
+    assert z.z3_avg > 0.0
+    assert z.z_min >= -1e-6
 
 
 def test_energy_monotone(disk_trace):

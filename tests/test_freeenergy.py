@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import radial_oracle as oracle
+from conftest import make_problem
 from gelfand import freeenergy
 from gelfand.cli import error_payload
 from gelfand.errors import (InvalidDelta, InvalidDensity, NoConvergence,
@@ -126,6 +127,42 @@ def test_unresolved_boundary_layer_stops_at_step_floor(disk_problem):
         minimize_free_energy(disk_problem, -1e5)
     assert 0 < info.value.iterations < 200
     assert math.isfinite(info.value.residual) and info.value.residual > L1_TOL
+
+
+@pytest.fixture(scope="module")
+def half_power_problem():
+    """Weight |x| (alpha = 0.5 at the origin) on the h = 0.08 disk."""
+    return make_problem(DomainSpec.unit_disk(), SingularitySpec.of((0.0, 0.0, 0.5)), 0.08)
+
+
+@pytest.mark.parametrize("lam, cap", [(-200.0, 20), (-1000.0, 32)])
+@pytest.mark.parametrize("which", ["disk_problem", "half_power_problem"])
+def test_anderson_minimizer_at_strong_repulsion(which, lam, cap, request):
+    # the plain damped iteration takes 24 and 48 iterations on both weights
+    problem = request.getfixturevalue(which)
+    state = minimize_free_energy(problem, lam)
+    assert 0 < state.iterations <= cap
+    assert state.el_residual <= 1e-8
+    mp = problem.solve_mp(lam)
+    assert np.max(np.abs(state.potential - mp.psi)) <= 1e-6
+
+
+@pytest.mark.parametrize("without", ["depth", "gram"])
+def test_without_mixing_the_plain_damped_iteration(disk_problem, monkeypatch, without):
+    # one kept iterate leaves no differences to mix, and a singular Gram
+    # matrix of the differences refuses every trial: either way every step is
+    # the damped one
+    fast = minimize_free_energy(disk_problem, -200.0)
+    if without == "depth":
+        monkeypatch.setattr(freeenergy, "AA_DEPTH", 1)
+    else:
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+        monkeypatch.setattr(np.linalg, "solve", singular)
+    plain = minimize_free_energy(disk_problem, -200.0)
+    assert plain.iterations == 24 > fast.iterations
+    assert np.max(np.abs(plain.potential - fast.potential)) < 1e-8
+    assert plain.free_energy == pytest.approx(fast.free_energy, rel=1e-9)
 
 
 def test_energy_bound_chain(disk_problem):

@@ -347,6 +347,27 @@ def test_warm_started_trace_matches_cold_solves(case, request, monkeypatch):
         assert report.poincare == pytest.approx(cold.poincare, rel=1e-10), lam
 
 
+def test_lobpcg_bases_have_no_zero_column(disk_problem, monkeypatch):
+    # the first step has no last update P, so its basis is [X, W]; no
+    # Rayleigh-Ritz call of a warm tau_1 or C_P solve sees an all-zero column
+    state = disk_problem.solve_mp(4.0)
+    lin = Linearization.at_state(disk_problem, state)
+    warm = WarmStart()
+    weighted_eigs(disk_problem, disk_problem.solve_mp(3.5), k=1, warm=warm)
+    rayleigh_ritz, blocks = spectrum._rayleigh_ritz, []
+
+    def checked(basis, n, k):
+        assert np.all(np.any(basis != 0.0, axis=0))
+        blocks.append(basis.shape[1] // k)
+        return rayleigh_ritz(basis, n, k)
+
+    monkeypatch.setattr(spectrum, "_rayleigh_ritz", checked)
+    for solve in (standard_tau1, poincare_constant):
+        blocks.clear()
+        assert solve(disk_problem, state, lin=lin, warm=warm.copy()) > 0.0
+        assert blocks[:2] == [1, 2] and 3 in blocks, solve
+
+
 def test_lobpcg_miss_falls_back_to_cold_arpack(disk_problem, monkeypatch):
     state = disk_problem.solve_mp(4.0)
     lin = Linearization.at_state(disk_problem, state)
