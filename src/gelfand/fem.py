@@ -27,7 +27,7 @@ from scipy.sparse.linalg import splu
 from scipy.special import roots_jacobi
 
 from .errors import InvalidWeight, SolverError
-from .geometry import Mesh, WeightField
+from .geometry import Mesh, WeightField, _signed_areas
 
 # symmetric degree-4 rule on the reference triangle (6 points, weights sum 1)
 _A1, _W1 = 0.445948490915965, 0.223381589678011
@@ -188,17 +188,13 @@ def _polar_block(mesh, tris, pole_vertex, coeff, exponent, values, floor):
     non-singular corners (corr == 1 at the pole).
     """
     tri_v = mesh.triangles[tris]
-    # rotate each triangle so the pole comes first
-    order = np.zeros((len(tris), 3), dtype=int)
-    for t, verts in enumerate(tri_v):
-        k = int(np.where(verts == pole_vertex)[0][0])
-        order[t] = [verts[k], verts[(k + 1) % 3], verts[(k + 2) % 3]]
+    # rotate each triangle so the pole comes first (the turn keeps it CCW)
+    first = np.argmax(tri_v == pole_vertex, axis=1)
+    order = np.take_along_axis(tri_v, (first[:, None] + np.arange(3)) % 3, axis=1)
     P = mesh.vertices[order[:, 0]]
     A = mesh.vertices[order[:, 1]]
     B = mesh.vertices[order[:, 2]]
-    area = 0.5 * np.abs(
-        (A - P)[:, 0] * (B - P)[:, 1] - (A - P)[:, 1] * (B - P)[:, 0]
-    )
+    area = _signed_areas(mesh.vertices, order)
 
     beta = exponent + 1.0  # radial measure s^(1+exponent)
     xj, wj = roots_jacobi(POLAR_RADIAL_POINTS, 0.0, beta)

@@ -36,8 +36,8 @@ import numpy as np
 
 from .errors import (InvalidDelta, InvalidDensity, NoConvergence, SolverError,
                      UnsupportedRegime)
-from .fem import assemble_mass
-from .geometry import Mesh
+from .fem import assemble_mass, plain_quadrature
+from .geometry import Mesh, _point_segment_distance
 from .meanfield import MeanFieldProblem
 
 L1_TOL = 1e-10
@@ -145,8 +145,6 @@ def collar_density(mesh: Mesh, delta: float) -> np.ndarray:
     by a full cell, which dominates the energy error once delta is only a few
     cells wide.
     """
-    from .fem import plain_quadrature
-    from .geometry import _point_segment_distance
     edges = mesh.boundary_edges()
     seg_a = mesh.vertices[edges[:, 0]]
     seg_b = mesh.vertices[edges[:, 1]]
@@ -206,7 +204,7 @@ def minimize_free_energy(problem: MeanFieldProblem, lam) -> DensityState:
 
     def f_value(psi):
         """F at the density generated by psi, the next fixed-point target, log Z
-        and (w factors, psi at the points, entropy term, linear term)."""
+        and (w factors, psi at the points, entropy term, energy, linear term)."""
         b, factors, log_z, psi_q = problem._load(lam, psi)
         target = np.zeros_like(psi)
         target[problem.interior] = problem.dirichlet.solve_interior(b[problem.interior])
@@ -214,7 +212,8 @@ def minimize_free_energy(problem: MeanFieldProblem, lam) -> DensityState:
         wf = quad.w * factors       # rho dx at the points, rho = h e^(lam psi) / Z
         entropy = float(np.sum(wf * (quad.log_h + lam * psi_q - log_z)))
         linear = float(np.sum(wf * quad.log_h))
-        return entropy - lam * energy - linear, target, log_z, (wf, psi_q, entropy, linear)
+        return (entropy - lam * energy - linear, target, log_z,
+                (wf, psi_q, entropy, energy, linear))
 
     def halved(step, it, l1_change):      # l1_change: the last L1 density change
         if step * 0.5 < STEP_FLOOR:
@@ -262,7 +261,7 @@ def minimize_free_energy(problem: MeanFieldProblem, lam) -> DensityState:
         rho_trial = problem.vertex_density(lam, trial, log_z_trial)
         l1_change = float(m @ np.abs(rho_trial - rho))
         psi, f_cur, target, log_z, rho = trial, f_trial, target_trial, log_z_trial, rho_trial
-        wf, psi_q, entropy, linear = ev_trial
+        wf, psi_q, entropy, energy, linear = ev_trial
         # log of int h e^(lam psi) over its Jensen lower bound (nonnegative)
         jensen_min = min(jensen_min, log_z - (
             log_h_mass + lam * quad.integrate(psi_q) / problem.weight_mass))
@@ -283,14 +282,16 @@ def minimize_free_energy(problem: MeanFieldProblem, lam) -> DensityState:
             d = (psi - target)[problem.interior]
             el_residual = float(np.sqrt(max(d @ (problem.dirichlet.A_ii @ d), 0.0)))
             if el_residual <= 1e-8:
-                energy = 0.5 * float(psi @ (problem.A @ psi))
+                # F and E are those of rho(psi), with E = b'G b / 2; the
+                # energy of psi itself, psi'A psi / 2, must agree with
+                # int rho psi / 2
+                e_grad = 0.5 * float(psi @ (problem.A @ psi))
                 e_dual = 0.5 * float(np.sum(wf * psi_q))
-                if abs(energy - e_dual) > 1e-6 * max(abs(energy), 1e-12):
+                if abs(e_grad - e_dual) > 1e-6 * max(abs(e_grad), 1e-12):
                     raise SolverError(
-                        f"interaction energy duality violated: {energy!r} vs {e_dual!r}")
+                        f"interaction energy duality violated: {e_grad!r} vs {e_dual!r}")
                 return DensityState(
-                    rho=rho / float(m @ rho), potential=psi,
-                    free_energy=entropy - lam * energy - linear,
+                    rho=rho / float(m @ rho), potential=psi, free_energy=f_cur,
                     entropy_term=entropy, energy=energy, linear_term=linear,
                     lam=lam, n=_weight_index(problem), iterations=it,
                     el_residual=el_residual, jensen_min_slack=jensen_min)

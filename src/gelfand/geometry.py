@@ -1,9 +1,10 @@
 """Domains, graded triangulations, Green functions and singular weights.
 
-The mesh generator produces conforming Delaunay triangulations of disks,
-ellipses and simple polygons.  Each prescribed singular point is placed as an
-exact mesh vertex surrounded by concentric rings whose radii halve toward the
-point, so element diameters decrease geometrically there.  A hexagonal
+The mesh generator produces conforming Delaunay triangulations of ellipses,
+the unit disk among them, and of simple polygons.  Each prescribed singular
+point is placed as an exact mesh vertex surrounded by concentric rings whose
+radii halve toward the point, so element diameters decrease geometrically
+there.  A hexagonal
 background lattice fills the rest of the domain and a few Laplacian smoothing
 passes even out the transition zones.
 
@@ -39,10 +40,13 @@ SMOOTHING_ROUNDS = 3
 class DomainSpec:
     """Geometric description of the computational domain.
 
-    shape is one of "unit_disk", "ellipse", "polygon".  boundary_size is an
-    optional resolution hint: when smaller than the interior mesh size the
-    boundary is sampled at that spacing and graded layers bridge the gap
-    (supported for the disk and the ellipse).
+    shape is one of "unit_disk", "ellipse", "polygon".  The unit disk is the
+    ellipse with the default semi-axes a = b = 1 and is meshed exactly as
+    DomainSpec.ellipse(1, 1).  boundary_size is an optional resolution hint:
+    when smaller than the interior mesh size the boundary is sampled at that
+    spacing and graded layers bridge the gap: the layer at depth d is a ring
+    of points on the exact shrunk ellipse with semi-axes a - d, b - d
+    (supported for the disk and the ellipse, not for polygons).
     """
 
     shape: str
@@ -50,6 +54,10 @@ class DomainSpec:
     b: float = 1.0
     vertices: tuple = ()
     boundary_size: float | None = None
+
+    def __post_init__(self):
+        if self.shape not in ("unit_disk", "ellipse", "polygon"):
+            raise ConfigError(f"unknown shape {self.shape!r}")
 
     @staticmethod
     def unit_disk(boundary_size=None):
@@ -106,89 +114,61 @@ class SingularitySpec:
             if d.min() < 1e-12:
                 raise InvalidSingularity("duplicate singular points")
 
-    def grading_depth(self, j):
-        """Number of geometric refinement levels toward p_j."""
-        return int(np.ceil(4.0 + 2.0 * self.alphas[j]))
-
 
 # ---------------------------------------------------------------------------
 # shape helpers
 
 
 class _Shape:
-    """Uniform interface over the supported domain boundaries."""
+    """The two boundary models: a simple polygon, or the ellipse
+    (a cos t, b sin t), of which the unit disk is the case a = b = 1."""
 
     def __init__(self, spec: DomainSpec):
         self.spec = spec
-        if spec.shape in ("unit_disk", "ellipse"):
-            self._params = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
-            self._dense = self._at_param(self._params)
-        elif spec.shape == "polygon":
+        if spec.shape == "polygon":
             self._poly = np.asarray(spec.vertices, dtype=float)
             if _polygon_area(self._poly) < 0:
                 self._poly = self._poly[::-1]
             _check_simple(self._poly)
             self._dense = _densify_polygon(self._poly, 4096)
         else:
-            raise ConfigError(f"unknown shape {spec.shape!r}")
+            self._dense = _ellipse(spec.a, spec.b, _ellipse_params())
         self._tree = cKDTree(self._dense)
 
-    def _at_param(self, t):
-        s = self.spec
-        a = 1.0 if s.shape == "unit_disk" else s.a
-        b = 1.0 if s.shape == "unit_disk" else s.b
-        return np.column_stack([a * np.cos(t), b * np.sin(t)])
-
     def bbox(self):
-        lo = self._dense.min(axis=0)
-        hi = self._dense.max(axis=0)
-        return lo, hi
+        return self._dense.min(axis=0), self._dense.max(axis=0)
 
     def inside(self, pts):
         pts = np.atleast_2d(pts)
         s = self.spec
-        if s.shape == "unit_disk":
-            return np.einsum("ij,ij->i", pts, pts) < 1.0
-        if s.shape == "ellipse":
-            return (pts[:, 0] / s.a) ** 2 + (pts[:, 1] / s.b) ** 2 < 1.0
-        return _points_in_polygon(pts, self._poly)
+        if s.shape == "polygon":
+            return _points_in_polygon(pts, self._poly)
+        return (pts[:, 0] / s.a) ** 2 + (pts[:, 1] / s.b) ** 2 < 1.0
 
     def boundary_distance(self, pts):
-        """Approximate unsigned distance to the boundary curve."""
+        """Unsigned distance to the boundary curve: exact on a circle, to the
+        dense samples otherwise."""
         pts = np.atleast_2d(pts)
-        if self.spec.shape == "unit_disk":
-            return np.abs(1.0 - np.linalg.norm(pts, axis=1))
+        s = self.spec
+        if s.shape != "polygon" and s.a == s.b:
+            return np.abs(s.a - np.linalg.norm(pts, axis=1))
         d, _ = self._tree.query(pts)
         return d
 
     def boundary_points(self, spacing_fn):
-        """Sample the boundary so that local spacing follows spacing_fn.
-
-        For the smooth shapes the points are evaluated exactly on the curve
-        (spacing decided in parameter space), not on the dense polyline.
-        """
+        """Sample the boundary so that local spacing follows spacing_fn."""
         s = self.spec
-        if s.shape in ("unit_disk", "ellipse"):
-            t_at = _sample_closed_curve(self._dense, spacing_fn, params=self._params)
-            return self._at_param(t_at)
-        return _sample_polygon(self._poly, spacing_fn)
+        if s.shape == "polygon":
+            return _sample_polygon(self._poly, spacing_fn)
+        return _sample_ellipse(s.a, s.b, spacing_fn)
 
     def offset_ring(self, dist, spacing_fn):
-        """Points along an inward offset of the boundary (disk/ellipse only)."""
-        s = self.spec
-        if s.shape == "unit_disk":
-            if dist >= 1.0:
-                return np.zeros((0, 2))
-            t = np.linspace(0.0, 2 * np.pi, 2048, endpoint=False)
-            curve = (1.0 - dist) * np.column_stack([np.cos(t), np.sin(t)])
-        elif s.shape == "ellipse":
-            if dist >= min(s.a, s.b):
-                return np.zeros((0, 2))
-            t = np.linspace(0.0, 2 * np.pi, 2048, endpoint=False)
-            curve = np.column_stack([(s.a - dist) * np.cos(t), (s.b - dist) * np.sin(t)])
-        else:
+        """Points on the shrunk ellipse with semi-axes a - dist, b - dist
+        (ellipse only); none once dist reaches the shorter semi-axis."""
+        a, b = self.spec.a - dist, self.spec.b - dist
+        if min(a, b) <= 0.0:
             return np.zeros((0, 2))
-        return _sample_closed_curve(curve, spacing_fn)
+        return _sample_ellipse(a, b, spacing_fn)
 
 
 def _polygon_area(poly):
@@ -242,36 +222,28 @@ def _densify_polygon(poly, n_total):
     return np.vstack(out)
 
 
-def _sample_closed_curve(dense, spacing_fn, params=None):
-    """Place points on a closed curve with spacing ~ spacing_fn(x).
+def _ellipse_params():
+    return np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
 
-    Works in "units": du = ds / spacing(s).  Rounding the total unit count
-    makes the loop close exactly while keeping local spacing proportional.
-    With params given, returns curve parameters instead of polyline points so
-    the caller can evaluate the exact curve.
+
+def _ellipse(a, b, t):
+    return np.column_stack([a * np.cos(t), b * np.sin(t)])
+
+
+def _sample_ellipse(a, b, spacing_fn):
+    """Points on the ellipse (a cos t, b sin t) with spacing ~ spacing_fn(x).
+
+    Works in "units" along a dense parameter grid: du = ds / spacing(s).
+    Rounding the total unit count makes the loop close exactly while keeping
+    local spacing proportional.  The spacing is decided in parameter space
+    and every point is evaluated on the exact curve.
     """
+    t = _ellipse_params()
+    dense = _ellipse(a, b, t)
     seg = np.linalg.norm(np.diff(np.vstack([dense, dense[:1]]), axis=0), axis=1)
-    h = spacing_fn(dense)
-    du = seg / h
-    u = np.concatenate([[0.0], np.cumsum(du)])
-    total = u[-1]
-    k = max(8, int(round(total)))
-    targets = np.arange(k) * total / k
-    if params is not None:
-        t_ext = np.concatenate([params, [2 * np.pi]])
-        return np.interp(targets, u, t_ext)
-    s_cum = np.concatenate([[0.0], np.cumsum(seg)])
-    s_at = np.interp(targets, u, s_cum)
-    return _points_at_arclength(dense, s_cum, s_at)
-
-
-def _points_at_arclength(dense, s_cum, s_at):
-    idx = np.searchsorted(s_cum, s_at, side="right") - 1
-    idx = np.clip(idx, 0, len(dense) - 1)
-    nxt = (idx + 1) % len(dense)
-    seg_len = s_cum[idx + 1] - s_cum[idx]
-    t = np.where(seg_len > 0, (s_at - s_cum[idx]) / np.maximum(seg_len, 1e-300), 0.0)
-    return dense[idx] + t[:, None] * (dense[nxt] - dense[idx])
+    u = np.concatenate([[0.0], np.cumsum(seg / spacing_fn(dense))])
+    k = max(8, int(round(u[-1])))
+    return _ellipse(a, b, np.interp(np.arange(k) * u[-1] / k, u, np.append(t, 2 * np.pi)))
 
 
 def _sample_polygon(poly, spacing_fn):
@@ -324,10 +296,7 @@ class Mesh:
 
     def areas(self):
         if self._areas is None:
-            p = self.vertices[self.triangles]
-            d1 = p[:, 1] - p[:, 0]
-            d2 = p[:, 2] - p[:, 0]
-            self._areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+            self._areas = _signed_areas(self.vertices, self.triangles)
         return self._areas
 
     def area(self):
@@ -336,25 +305,22 @@ class Mesh:
     def min_angle(self):
         """Smallest interior angle over all triangles, in degrees."""
         p = self.vertices[self.triangles]
-        angs = []
-        for i in range(3):
-            u = p[:, (i + 1) % 3] - p[:, i]
-            v = p[:, (i + 2) % 3] - p[:, i]
-            c = np.einsum("ij,ij->i", u, v) / (
-                np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
-            )
-            angs.append(np.degrees(np.arccos(np.clip(c, -1, 1))))
-        return float(np.min(angs))
+        u, v = np.roll(p, -1, axis=1) - p, np.roll(p, -2, axis=1) - p
+        c = np.einsum("tid,tid->ti", u, v) / (
+            np.linalg.norm(u, axis=2) * np.linalg.norm(v, axis=2))
+        return float(np.degrees(np.arccos(np.clip(c, -1, 1))).min())
 
     def boundary_edges(self):
-        """Edges lying on the boundary, as (n_b, 2) vertex index pairs."""
-        e = np.vstack([self.triangles[:, [0, 1]], self.triangles[:, [1, 2]],
-                       self.triangles[:, [2, 0]]])
-        e_sorted = np.sort(e, axis=1)
-        # one int64 key per edge sorts exactly like the (lo, hi) rows
-        key = e_sorted[:, 0].astype(np.int64) * self.n_vertices + e_sorted[:, 1]
-        _, idx, counts = np.unique(key, return_index=True, return_counts=True)
-        return e_sorted[idx[counts == 1]]
+        """Edges lying on the boundary, as (n_b, 2) vertex index pairs (lo, hi)."""
+        key = self._boundary_keys()
+        return np.column_stack([key // self.n_vertices, key % self.n_vertices])
+
+    def _boundary_keys(self):
+        """Sorted int64 key lo * n + hi of each edge that only one triangle has."""
+        e = np.sort(self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        key, counts = np.unique(e[:, 0].astype(np.int64) * self.n_vertices + e[:, 1],
+                                return_counts=True)
+        return key[counts == 1]
 
 
 def _point_segment_distance(pts, a, b, cap=np.inf):
@@ -405,24 +371,20 @@ def build_mesh(domain: DomainSpec, sing: SingularitySpec, h_max: float) -> Mesh:
     shape = _Shape(domain)
 
     pts = np.asarray(sing.points, dtype=float).reshape(-1, 2)
-    if len(pts) and (~shape.inside(pts)).any():
+    if (~shape.inside(pts)).any():
         raise InvalidSingularity("singular points must lie strictly inside the domain")
-    bdist = shape.boundary_distance(pts) if len(pts) else np.zeros(0)
-    if len(pts) and (bdist < 1e-6).any():
+    bdist = shape.boundary_distance(pts)
+    if (bdist < 1e-6).any():
         raise InvalidSingularity("singular points must be strictly interior")
 
     # outer grading radius per singularity: keep rings off the boundary and
-    # off each other
-    r0 = np.full(len(pts), 2.0 * h_max)
-    if len(pts):
-        r0 = np.minimum(r0, 0.45 * bdist)
-        if len(pts) > 1:
-            dd = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-            np.fill_diagonal(dd, np.inf)
-            r0 = np.minimum(r0, 0.45 * dd.min(axis=1))
-    depths = np.array([sing.grading_depth(j) for j in range(len(pts))], dtype=int)
-    h_min = np.array([r0[j] * GRADING_RATIO ** (depths[j] - 1) for j in range(len(pts))]) \
-        if len(pts) else np.zeros(0)
+    # off each other; the number of geometric refinement levels grows with alpha
+    dd = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    np.fill_diagonal(dd, np.inf)
+    r0 = np.minimum(np.minimum(2.0 * h_max, 0.45 * bdist),
+                    0.45 * dd.min(axis=1, initial=np.inf))
+    depths = np.ceil(4.0 + 2.0 * np.asarray(sing.alphas, dtype=float)).astype(int)
+    h_min = r0 * GRADING_RATIO ** (depths - 1)
 
     def size_at(x):
         x = np.atleast_2d(x)
@@ -466,20 +428,15 @@ def build_mesh(domain: DomainSpec, sing: SingularitySpec, h_max: float) -> Mesh:
 
     # concentric rings around each singular point, innermost fan closed by
     # the point itself
-    sing_vertex_pos = []
     for j in range(len(pts)):
-        rings = []
         for k in range(depths[j]):
             rk = r0[j] * GRADING_RATIO ** k
             th = np.arange(RING_POINTS) * (2 * np.pi / RING_POINTS)
             th = th + (k % 2) * (np.pi / RING_POINTS)
-            rings.append(pts[j] + rk * np.column_stack([np.cos(th), np.sin(th)]))
-        fixed.extend(rings)
-        sing_vertex_pos.append(pts[j])
+            fixed.append(pts[j] + rk * np.column_stack([np.cos(th), np.sin(th)]))
 
     n_before_centers = sum(len(f) for f in fixed)
-    if len(pts):
-        fixed.append(pts)
+    fixed.append(pts)
     fixed_pts = np.vstack(fixed)
     sing_indices = np.arange(n_before_centers, n_before_centers + len(pts))
 
@@ -535,14 +492,17 @@ def build_mesh(domain: DomainSpec, sing: SingularitySpec, h_max: float) -> Mesh:
     return mesh
 
 
-def _interior_triangles(points, simplices, shape):
-    cen = points[simplices].mean(axis=1)
-    keep = shape.inside(cen)
+def _signed_areas(points, simplices):
+    """Triangle areas, positive for counter-clockwise vertex order."""
     p = points[simplices]
     d1 = p[:, 1] - p[:, 0]
     d2 = p[:, 2] - p[:, 0]
-    area = 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-    return simplices[keep & (area > 1e-14)]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
+def _interior_triangles(points, simplices, shape):
+    keep = shape.inside(points[simplices].mean(axis=1))
+    return simplices[keep & (np.abs(_signed_areas(points, simplices)) > 1e-14)]
 
 
 def _smooth(points, simplices, n_fixed, shape):
@@ -567,10 +527,7 @@ def _smooth(points, simplices, n_fixed, shape):
 
 
 def _orient_ccw(points, simplices):
-    p = points[simplices]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    flip = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) < 0
+    flip = _signed_areas(points, simplices) < 0
     out = simplices.copy()
     out[flip] = out[flip][:, [0, 2, 1]]
     return out
@@ -580,21 +537,20 @@ def _validate_mesh(mesh, n_boundary):
     ang = mesh.min_angle()
     if ang < MIN_ANGLE_DEG:
         raise MeshFailure(f"min triangle angle {ang:.2f} deg below {MIN_ANGLE_DEG}")
-    # every boundary segment between consecutive samples must be a mesh edge
-    edges = {tuple(e) for e in np.sort(
-        np.vstack([mesh.triangles[:, [0, 1]], mesh.triangles[:, [1, 2]],
-                   mesh.triangles[:, [2, 0]]]), axis=1).tolist()}
-    for i in range(n_boundary):
-        j = (i + 1) % n_boundary
-        if (min(i, j), max(i, j)) not in edges:
-            raise MeshFailure("boundary edge missing from triangulation")
+    # every chord between consecutive boundary samples must be a boundary
+    # edge of the mesh, a side of exactly one triangle
+    i = np.arange(n_boundary, dtype=np.int64)
+    j = np.roll(i, -1)
+    chords = np.minimum(i, j) * mesh.n_vertices + np.maximum(i, j)
+    if not np.isin(chords, mesh._boundary_keys()).all():
+        raise MeshFailure("boundary edge missing from triangulation")
     used = np.zeros(mesh.n_vertices, dtype=bool)
     used[mesh.triangles.ravel()] = True
     if not used.all():
         raise MeshFailure("mesh contains orphan vertices")
-    for j, v in enumerate(mesh.singular_vertices):
-        if not np.allclose(mesh.vertices[v], mesh.singularities.points[j], atol=1e-14):
-            raise MeshFailure("singular point lost during meshing")
+    if not np.allclose(mesh.vertices[mesh.singular_vertices], mesh.singularities.points,
+                       atol=1e-14):
+        raise MeshFailure("singular point lost during meshing")
 
 
 # ---------------------------------------------------------------------------

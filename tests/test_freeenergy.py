@@ -147,6 +147,24 @@ def test_anderson_minimizer_at_strong_repulsion(which, lam, cap, request):
     assert np.max(np.abs(state.potential - mp.psi)) <= 1e-6
 
 
+def test_minimizer_reports_the_free_energy_of_its_density(fine_problem):
+    # F and E are those of rho(psi), re-evaluated from the returned potential
+    # with E = b'G b / 2; the energy psi'A psi / 2 of psi itself would put
+    # its error into F at first order, times |lambda|
+    lam = -1000.0
+    state = minimize_free_energy(fine_problem, lam)
+    b, factors, log_z, psi_q = fine_problem._load(lam, state.potential)
+    b_i = b[fine_problem.interior]
+    energy = 0.5 * float(b_i @ fine_problem.dirichlet.solve_interior(b_i))
+    wf, log_h = fine_problem.quad.w * factors, fine_problem.quad.log_h
+    entropy = float(np.sum(wf * (log_h + lam * psi_q - log_z)))
+    linear = float(np.sum(wf * log_h))
+    assert state.energy == pytest.approx(energy, rel=1e-12)
+    assert state.free_energy == pytest.approx(entropy - lam * energy - linear, rel=1e-12)
+    assert state.free_energy == (
+        state.entropy_term - state.lam * state.energy - state.linear_term)
+
+
 @pytest.mark.parametrize("without", ["depth", "gram"])
 def test_without_mixing_the_plain_damped_iteration(disk_problem, monkeypatch, without):
     # one kept iterate leaves no differences to mix, and a singular Gram

@@ -9,7 +9,7 @@ from gelfand.errors import ConfigError, InvalidDelta, InvalidSingularity, Invali
 from gelfand.fem import plain_quadrature
 from gelfand.freeenergy import collar_density
 from gelfand.geometry import (DomainSpec, SingularitySpec, _point_segment_distance,
-                              build_mesh, build_weight, green_function,
+                              _Shape, build_mesh, build_weight, green_function,
                               uniform_weight)
 from mesh_tools import boundary_distance, eval_field, locate, write_mesh
 
@@ -33,6 +33,38 @@ def test_disk_area_converges():
 def test_ellipse_area():
     mesh = build_mesh(DomainSpec.ellipse(1.3, 0.8), SingularitySpec.none(), h_max=0.1)
     assert abs(mesh.area() - math.pi * 1.3 * 0.8) < 0.05
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 1.0), (1.3, 0.8), (4.0, 0.5)])
+def test_offset_rings_lie_on_shrunk_ellipses(a, b):
+    # the graded layers' rings are sampled in parameter space and evaluated
+    # on the exact ellipse with semi-axes a - d, b - d
+    shape = _Shape(DomainSpec.ellipse(a, b))
+    for spacing in (lambda x: np.full(len(x), 0.03),
+                    lambda x: 0.02 + 0.03 * np.abs(x[:, 0])):
+        for d in (0.01, 0.1, 0.45 * min(a, b)):
+            ring = shape.offset_ring(d, spacing)
+            assert len(ring) >= 8
+            residual = (ring[:, 0] / (a - d)) ** 2 + (ring[:, 1] / (b - d)) ** 2 - 1.0
+            assert np.abs(residual).max() <= 1e-14, d
+        assert len(shape.offset_ring(min(a, b), spacing)) == 0
+
+
+@pytest.mark.parametrize("bsize, sing, h_max", [
+    (None, SingularitySpec.none(), 0.1),
+    (0.03, SingularitySpec.none(), 0.15),
+    (None, SingularitySpec.of((0.5, 0.0, 0.05)), 0.1)])
+def test_unit_disk_is_the_ellipse_with_unit_axes(bsize, sing, h_max):
+    disk = build_mesh(DomainSpec.unit_disk(boundary_size=bsize), sing, h_max)
+    ellipse = build_mesh(DomainSpec.ellipse(1, 1, boundary_size=bsize), sing, h_max)
+    for name in ("vertices", "triangles", "boundary_mask", "size_target",
+                 "singular_vertices"):
+        assert getattr(disk, name).tobytes() == getattr(ellipse, name).tobytes(), name
+
+
+def test_unknown_shape_is_refused():
+    with pytest.raises(ConfigError, match="unknown shape"):
+        DomainSpec("triangle")
 
 
 def test_boundary_mask_matches_edges(coarse_problem):
@@ -151,6 +183,7 @@ KERNEL_MESHES = {
     "polygon": (DomainSpec.polygon([(0.0, 0.0), (1.2, 0.0), (1.4, 0.9), (0.3, 1.1)]),
                 SingularitySpec.none(), 0.1),
     "graded_disk": (DomainSpec.unit_disk(boundary_size=0.03), SingularitySpec.none(), 0.15),
+    "graded_ellipse": (DomainSpec.ellipse(2, 1, boundary_size=0.03), SingularitySpec.none(), 0.15),
     "singular_disk": (DomainSpec.unit_disk(), SingularitySpec.of((0.5, 0.0, 0.05)), 0.1),
 }
 
@@ -220,6 +253,7 @@ def test_point_segment_distance_degenerate_inputs(cap):
 
 @pytest.mark.parametrize("name,delta", [("disk", 0.1), ("ellipse", 0.3),
                                         ("polygon", 0.1), ("graded_disk", 0.05),
+                                        ("graded_ellipse", 0.05),
                                         ("singular_disk", 0.2)])
 def test_collar_matches_brute_force_collar(kernel_meshes, name, delta):
     mesh = kernel_meshes[name]

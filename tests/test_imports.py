@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module, every
+"""Every name a package module imports is used in that module, no function
+imports from a package module its module already imports at top level, every
 module-level _private name or UPPER_CASE constant and every _private method
 is read by some module, every public name is read by the package or
 documented, and every SuperLU factorization passes the shared recipe
@@ -43,6 +44,34 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def redundant_deferred_imports(source):
+    """(line, module) of each relative import inside a function from a
+    package module that the module already imports at top level: such an
+    import never breaks an import cycle, so it belongs at the top."""
+    tree = ast.parse(source)
+    top = {node.module for node in tree.body
+           if isinstance(node, ast.ImportFrom) and node.level and node.module}
+    deferred = {node for fn in ast.walk(tree)
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                for node in ast.walk(fn)
+                if isinstance(node, ast.ImportFrom) and node.level}
+    return sorted((node.lineno, node.module) for node in deferred if node.module in top)
+
+
+def test_scan_finds_a_redundant_deferred_import():
+    source = ("from .fem import a\nfrom . import geometry\nimport os\n"
+              "def f():\n    from .fem import b\n    from .branch import c\n"
+              "    from . import geometry\n    import os\n"
+              "    def g():\n        from .fem import d\n    return a, b, c, g\n"
+              "class K:\n    def m(self):\n        from .fem import e\n")
+    assert redundant_deferred_imports(source) == [(5, "fem"), (10, "fem"), (14, "fem")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_redundant_deferred_imports(path):
+    assert redundant_deferred_imports(path.read_text()) == []
 
 
 def names_read(trees):

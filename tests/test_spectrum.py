@@ -273,6 +273,36 @@ def test_lanczos_kernel_refuses_closed_krylov_space(coarse_problem, coarse_state
     assert kernel.run(kernel.vecs[:, -1] + kernel.vecs[:, -4]) is None
 
 
+def test_sigma1_from_a_start_on_the_sigma2_mode(fine_problem, monkeypatch):
+    # on the h = 0.05 disk the lowest sigma mode changes between lambda = -98
+    # and -140, so a row's warm start can lie on sigma_2's mode.  Lanczos from
+    # there closes its Krylov space and misses; the cold run from the fixed
+    # start then finds sigma_1, also when the start holds a trace of it
+    state = fine_problem.solve_mp(-140.0)
+    lin = Linearization.at_state(fine_problem, state)
+    A = fine_problem.dirichlet.A_ii.toarray()
+    mhat = lin.M_ii.toarray() - np.outer(lin.b_i, lin.b_i)
+    theta, modes = scipy.linalg.eigh(mhat, A, subset_by_index=[len(A) - 2, len(A) - 1])
+    sigma2, sigma1 = 1.0 / theta - state.lam
+    assert sigma1 == pytest.approx(249.1568, abs=1e-4)
+    assert sigma2 == pytest.approx(249.2223, abs=1e-4)
+    misses, lanczos = [], spectrum._lanczos
+
+    def watched(*args):
+        found = lanczos(*args)
+        misses.append(found is None)
+        return found
+
+    monkeypatch.setattr(spectrum, "_lanczos", watched)
+    calls = counting_eigsh(monkeypatch)
+    for share in (0.0, 1e-11):
+        v0 = modes[:, 0] + share * modes[:, 1]
+        sig = spectrum._sigma_sparse(fine_problem, lin, state.lam, 1, v0=v0)[0]
+        assert sig[0] == pytest.approx(sigma1, rel=1e-10), share
+    assert misses == [True, True]
+    assert calls == [None, None]
+
+
 @pytest.mark.parametrize("h_max, n_interior, method", [
     (0.9, 1, "dense"), (0.7, 2, "dense"), (0.5, 8, "dense"), (0.38, 16, "sparse")])
 def test_tiny_meshes_match_dense(h_max, n_interior, method):
