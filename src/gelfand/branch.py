@@ -23,9 +23,10 @@ Jacobian; later ones start from the second-order predictor that adds
 (lambda' - lambda)^2 / 2 times the difference quotient of eta over the last
 two rows (Allgower-Georg 2003), which keeps the held LU's steps few.  A
 row's LU lives until the next row is accepted, never into its diagnostics.
-The fold is the root of g between the two kept row states that bracket its
-sign change, found by Brent's method with each trial state predicted from
-the lower one.
+The march keeps the (state, g diagnostics) pairs of the rows either side of
+each sign change of g, and find_fold, the one fold locator of trace_branch
+and of solve_lp's fallback, takes the root of g inside the one bracket by
+Brent's method, each trial state predicted from the lower row.
 
 Classification follows the definition of the kind: a domain is of first
 kind when the mean-field equation has no solution at lambda = 8 pi, so the
@@ -106,9 +107,6 @@ class BranchDiagram:
     mu_at_min: float | None = None     # mu at lambda_min (to -inf trend), or None
     mu1_estimate: float | None = None  # mu at the last row (to 0 on first kind)
     termination: str = "completed"     # completed | blowup | stalled
-
-    def positive_rows(self):
-        return [p for p in self.points if p.lam > 0]
 
     def summary(self):
         """The JSON summary: kind, termination, fold and the mu trends."""
@@ -219,35 +217,42 @@ def _positive_targets():
     return out + [EIGHT_PI - EPS_STOP]
 
 
-def _march(problem, start, targets, on_state, tol):
+def _march(problem, start, targets, tol, diagnose=None, to_fold=False):
     """Continuation through the target list, each Newton solve to tol.
 
-    start is the (state, eta) pair to march from.  on_state(state) returns,
-    for every accepted state, its tangent eta = d psi / d lambda and the
-    solve of the Linearization its diagnostics factored, or None to stop
-    there.  The first solve starts from the Euler predictor psi + d eta,
-    d = target - lambda, and factors its own Jacobian; later ones start from
-    the second-order predictor
-    psi + d eta + d^2/2 (eta - eta_prev) / (lambda - lambda_prev) of the
-    last two accepted states and hold the last row's solve as their first
-    LU, so a good predictor factors nothing.  That LU is dropped before
-    on_state diagnoses the next row, so no two rows' factorizations live at
-    once.  A solve is retried at the midpoint when Newton fails within
-    NEWTON_MAX_ITER, factors its Jacobian more than NEWTON_BUDGET times or
-    jumps; failures below the minimum gap end the march gracefully.  Returns
-    the last state and tag.
+    start is the (state, g diagnostics) pair to march from.  diagnose(state)
+    returns, for every accepted state, its g diagnostics, which hold the
+    tangent eta = d psi / d lambda, and the Linearization they factored; by
+    default it factors Linearization.at_state and runs g_of.  The first
+    solve starts from the Euler predictor psi + d eta, d = target - lambda,
+    and factors its own Jacobian; later ones start from the second-order
+    predictor psi + d eta + d^2/2 (eta - eta_prev) / (lambda - lambda_prev)
+    of the last two accepted states and hold the last row's solve as their
+    first LU, so a good predictor factors nothing.  That LU is dropped
+    before the next row is diagnosed, so no two rows' factorizations live at
+    once.  The pairs of consecutive rows (the start's included) either side
+    of each sign change of g are kept as brackets, and to_fold ends the
+    march at the first row where g <= 0.  A solve is retried at the midpoint
+    when Newton fails within NEWTON_MAX_ITER, factors its Jacobian more than
+    NEWTON_BUDGET times or jumps; failures below the minimum gap end the
+    march gracefully.  Returns the last (state, g diagnostics) pair, the
+    brackets and the tag.
     """
-    state, eta = start
+    if diagnose is None:
+        def diagnose(state):
+            lin = Linearization.at_state(problem, state)
+            return g_of(problem, state, lin), lin
+    last, brackets = start, []
     prev = held = None        # (lambda, eta) of the state before; the row's solve
     stack = list(reversed(targets))
     rows = 0
     while stack:
-        target = stack[-1]
+        (state, diag), target = last, stack[-1]
         d = target - state.lam
         try:
-            guess = state.psi + d * eta
+            guess = state.psi + d * diag.eta
             if prev is not None:
-                guess += (0.5 * d * d / (state.lam - prev[0])) * (eta - prev[1])
+                guess += (0.5 * d * d / (state.lam - prev[0])) * (diag.eta - prev[1])
             nxt = problem._newton(target, guess, tol, held)
             jumped = (np.abs(nxt.psi).max()
                       > SUP_JUMP * max(np.abs(state.psi).max(), 0.05))
@@ -261,16 +266,21 @@ def _march(problem, start, targets, on_state, tol):
             stack.append(state.lam + 0.5 * d)
             continue
         if failed:
-            return state, "blowup" if was_blowup else "stalled"
-        prev, state, held = (state.lam, eta), nxt, None
+            return last, brackets, "blowup" if was_blowup else "stalled"
         stack.pop()
-        eta, held = on_state(state) or (None, None)
-        if eta is None:
-            return state, "stopped"
+        prev, held = (state.lam, diag.eta), None
+        nxt_diag, lin = diagnose(nxt)
+        held = lin.solve
+        del lin                   # held is now the only reference to the row's LU
+        if (diag.g > 0) != (nxt_diag.g > 0):
+            brackets.append((last, (nxt, nxt_diag)))
+        last = (nxt, nxt_diag)
+        if to_fold and nxt_diag.g <= 0:
+            return last, brackets, "stopped"
         rows += 1
         if rows >= MAX_ROWS:
-            return state, "stalled"
-    return state, "completed"
+            return last, brackets, "stalled"
+    return last, brackets, "completed"
 
 
 def trace_branch(problem: MeanFieldProblem, lam_min: float = LAM_MIN,
@@ -282,46 +292,38 @@ def trace_branch(problem: MeanFieldProblem, lam_min: float = LAM_MIN,
     solve (the fold's too) taken to the residual tol.  Solver failures near
     8 pi terminate the upward pass gracefully with a partial diagram (that
     is the expected first-kind behavior once the blowup scale falls below
-    the mesh).  The states of the positive rows either side of a sign change
-    of g are kept for the fold locator.  Each pass starts its eigensolves
-    from the lambda = 0 row's eigenvectors and then from its previous row's,
-    through its own copy of one spectrum.WarmStart carrier.  The optional
-    on_row callback sees every finished row in marching order, so callers
-    can persist partial results across a hard failure.  The kind comes from
-    classify_kind on the upward pass's termination and last row.  Raises
-    ConfigError, before any solve, unless lam_min is finite and below 0.
+    the mesh).  The upward march's brackets of the sign change of g go to
+    find_fold.  Each pass starts its eigensolves from the lambda = 0 row's
+    eigenvectors and then from its previous row's, through its own copy of
+    one spectrum.WarmStart carrier.  The optional on_row callback sees every
+    finished row in marching order, so callers can persist partial results
+    across a hard failure.  The kind comes from classify_kind on the upward
+    pass's termination and last row.  Raises ConfigError, before any solve,
+    unless lam_min is finite and below 0.
     """
     check_lam_min(lam_min)
     state0 = problem.solve_mp(0.0, tol=tol)
     rows_neg, rows_pos = [], []
-    # lambda -> (state, g diagnostics) of the positive rows on either side
-    # of each sign change of g; last is the latest positive row's pair
-    kept, last = {}, None
 
-    def collect(bucket, warm):
-        def add(state):
-            nonlocal last
+    def diagnose(bucket, warm):
+        def row_of(state):
             row, diag, lin = _branch_point(problem, state, warm)
             bucket.append(row)
             if on_row is not None:
                 on_row(row)
-            if state.lam > 0:
-                if last is not None and (last[1].g > 0) != (diag.g > 0):
-                    kept.update({last[0].lam: last, state.lam: (state, diag)})
-                last = (state, diag)
-            return diag.eta, lin.solve
-        return add
+            return diag, lin
+        return row_of
 
     warm = WarmStart()
     # the lambda = 0 row's LU is dropped: keeping it for the upward pass
     # would hold it through the whole downward one
     row0, diag0 = _branch_point(problem, state0, warm)[:2]
-    _, term_neg = _march(problem, (state0, diag0.eta), _negative_targets(lam_min),
-                         collect(rows_neg, warm.copy()), tol)
+    *_, term_neg = _march(problem, (state0, diag0), _negative_targets(lam_min), tol,
+                          diagnose(rows_neg, warm.copy()))
     if on_row is not None:
         on_row(row0)
-    _, term_pos = _march(problem, (state0, diag0.eta), _positive_targets(),
-                         collect(rows_pos, warm.copy()), tol)
+    last, brackets, term_pos = _march(problem, (state0, diag0), _positive_targets(),
+                                      tol, diagnose(rows_pos, warm.copy()))
 
     points = rows_neg[::-1] + [row0] + rows_pos
     diagram = BranchDiagram(points=points, termination=term_pos)
@@ -332,40 +334,12 @@ def trace_branch(problem: MeanFieldProblem, lam_min: float = LAM_MIN,
     if term_neg != "completed":
         diagram.termination = "stalled"
     try:
-        fold = find_fold(problem, diagram, kept, newton_tol=tol)
+        fold = find_fold(problem, brackets, newton_tol=tol)
         diagram.fold = (fold.lam, fold.energy, fold.mu)
     except NoFoldInRange:
         diagram.fold = None
-    diagram.kind = classify_kind(problem, term_pos, last, tol=tol)
+    diagram.kind = classify_kind(problem, term_pos, last if rows_pos else None, tol=tol)
     return diagram
-
-
-def find_fold(problem: MeanFieldProblem, diagram: BranchDiagram,
-              states=None, newton_tol: float = NEWTON_TOL) -> MeanFieldState:
-    """The fold state, where g vanishes between two positive grid rows.
-
-    states maps the lambda of a positive row to its (state, g diagnostics)
-    pair, as kept by trace_branch; the pair bracketing the sign change of g
-    seeds locate_fold, whose Newton solves go to newton_tol, so no state is
-    solved from scratch.  Raises NoFoldInRange when g does not change sign
-    on the positive rows (the legitimate outcome for second-kind runs or
-    negative-only data), when it changes sign more than once, or when the
-    bracketing rows have no kept states.
-    """
-    rows = [r for r in diagram.positive_rows() if r.lam < EIGHT_PI]
-    crossings = [(a, b) for a, b in zip(rows, rows[1:])
-                 if a.g_value > 0 >= b.g_value or a.g_value <= 0 < b.g_value]
-    if not crossings:
-        raise NoFoldInRange("g does not change sign on the sampled grid")
-    if len(crossings) > 1:
-        raise NoFoldInRange(f"g changes sign {len(crossings)} times; grid too coarse")
-    lo_row, hi_row = crossings[0]
-    states = states or {}
-    if lo_row.lam not in states or hi_row.lam not in states:
-        raise NoFoldInRange(f"no kept states for the sign change of g on "
-                            f"[{lo_row.lam!r}, {hi_row.lam!r}]")
-    return locate_fold(problem, states[lo_row.lam], states[hi_row.lam],
-                       newton_tol=newton_tol)
 
 
 class _FoldFound(Exception):
@@ -376,16 +350,25 @@ class _FoldFound(Exception):
         self.state = state
 
 
-def locate_fold(problem: MeanFieldProblem, lo, hi,
-                newton_tol: float = NEWTON_TOL) -> MeanFieldState:
-    """The state with |g| < FOLD_G_TOL between two solved states of opposite g.
+def find_fold(problem: MeanFieldProblem, brackets,
+              newton_tol: float = NEWTON_TOL) -> MeanFieldState:
+    """The state with |g| < FOLD_G_TOL inside the one bracket of a march.
 
-    lo and hi are (state, g diagnostics) pairs.  The root of g in lambda is
-    found by Brent's method; each trial lambda is one Newton solve started
-    from the Euler predictor psi_lo + (lambda - lambda_lo) eta_lo, then one
-    g evaluation.  Raises NoFoldInRange, naming the bracket, when g has no
-    sign change on it or the root search ends without meeting FOLD_G_TOL.
+    brackets holds _march's (lo, hi) pairs of (state, g diagnostics) either
+    side of each sign change of g.  The root of g in lambda is found by
+    Brent's method; each trial lambda is one Newton solve to newton_tol
+    started from the Euler predictor psi_lo + (lambda - lambda_lo) eta_lo,
+    then one g evaluation, so no state is solved from scratch.  Raises
+    NoFoldInRange when g does not change sign (the legitimate outcome for
+    second-kind runs), when it changes sign more than once, and, naming
+    the bracket, when g has no sign change on it or the root search ends
+    without meeting FOLD_G_TOL.
     """
+    if not brackets:
+        raise NoFoldInRange("g does not change sign on the sampled grid")
+    if len(brackets) > 1:
+        raise NoFoldInRange(f"g changes sign {len(brackets)} times; grid too coarse")
+    (lo, hi), = brackets
     (s_lo, d_lo), (s_hi, d_hi) = lo, hi
     bracket = f"[{s_lo.lam!r}, {s_hi.lam!r}] (g = {d_lo.g!r}, {d_hi.g!r})"
     for state, diag in (lo, hi):
@@ -496,19 +479,19 @@ def plot_csv(csv_path, out_dir, stem="branch"):
     out = []
     out.append(line_plot(
         os.path.join(out_dir, f"{stem}_lambda_E.svg"),
-        [(lam, e_vals, "E")], xlabel="lambda", ylabel="E",
+        lam, e_vals, "E", xlabel="lambda", ylabel="E",
         title="energy along the branch", vlines=(EIGHT_PI,)))
     out.append(line_plot(
         os.path.join(out_dir, f"{stem}_lambda_g.svg"),
-        [(lam, g_vals, "g")], xlabel="lambda", ylabel="g",
+        lam, g_vals, "g", xlabel="lambda", ylabel="g",
         title="fold indicator", vlines=(EIGHT_PI,)))
     if pos:
         out.append(line_plot(
             os.path.join(out_dir, f"{stem}_E_mu.svg"),
-            [([p.energy for p in pos], [p.mu for p in pos], "mu")],
+            [p.energy for p in pos], [p.mu for p in pos], "mu",
             xlabel="E", ylabel="mu", title="bifurcation diagram"))
     out.append(line_plot(
         os.path.join(out_dir, f"{stem}_mu_E.svg"),
-        [(mu, e_vals, "E")], xlabel="mu", ylabel="E",
+        mu, e_vals, "E", xlabel="mu", ylabel="E",
         title="energy against mu"))
     return out

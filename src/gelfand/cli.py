@@ -19,16 +19,15 @@ import sys
 from .branch import (LAM_MIN, check_lam_min, emit_diagram, plot_csv, trace_branch,
                      write_csv, write_json)
 from .errors import (BlowupDetected, ConfigError, GelfandError, InvalidDelta,
-                     InvalidDensity, InvalidSingularity, InvalidWeight,
-                     NoConvergence, UnsupportedRegime)
+                     InvalidDensity, InvalidWeight, NoConvergence, UnsupportedRegime)
 from .freeenergy import collar_density, minimize_free_energy, verify_energy_bound
 from .geometry import DomainSpec, SingularitySpec, build_mesh, build_weight
 from .meanfield import MeanFieldProblem, save_state
 from .spectrum import weighted_eigs
 
 # errors of this kind mean the request itself was bad, not that a solve failed
-_CONFIG_ERRORS = (ConfigError, InvalidSingularity, InvalidWeight,
-                  InvalidDelta, InvalidDensity, UnsupportedRegime)
+_CONFIG_ERRORS = (ConfigError, InvalidWeight, InvalidDelta, InvalidDensity,
+                  UnsupportedRegime)
 
 FREE_ENERGY_HEADER = "lambda,n,F,entropy,energy,linear,iterations"
 

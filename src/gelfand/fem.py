@@ -330,9 +330,6 @@ class DirichletSolver:
         except RuntimeError as e:
             raise SolverError(f"interior factorization failed: {e}") from e
 
-    def solve_interior(self, rhs_interior):
-        return self.lu.solve(rhs_interior)
-
     def solve(self, rhs_full, boundary_values=None):
         """Solve A u = rhs with the given (default zero) boundary trace."""
         rhs_i = np.asarray(rhs_full, dtype=float)[self.interior]

@@ -207,7 +207,7 @@ def minimize_free_energy(problem: MeanFieldProblem, lam) -> DensityState:
         and (w factors, psi at the points, entropy term, energy, linear term)."""
         b, factors, log_z, psi_q = problem._load(lam, psi)
         target = np.zeros_like(psi)
-        target[problem.interior] = problem.dirichlet.solve_interior(b[problem.interior])
+        target[problem.interior] = problem.dirichlet.lu.solve(b[problem.interior])
         energy = 0.5 * float(b @ target)
         wf = quad.w * factors       # rho dx at the points, rho = h e^(lam psi) / Z
         entropy = float(np.sum(wf * (quad.log_h + lam * psi_q - log_z)))

@@ -278,11 +278,12 @@ class MeanFieldProblem:
         this convex positone problem, so the iterates rise to the minimal
         solution, where g of branch.g_of is positive.  A state with g below
         G_DIRECT, or a failed solve, sends branch._march up from it (or from
-        lambda = 0) to the sign change of g and branch.locate_fold to the
-        fold.  Requests within FOLD_RTOL of the fold value return the fold
-        state, those beyond raise NoConvergence, and those below return the
-        direct state if it converged with g > 0.  Every Newton solve goes to
-        tol.  A mu that is not finite raises ConfigError before any solve.
+        lambda = 0) until g changes sign, and the bracket the march kept to
+        branch.find_fold.  Requests within FOLD_RTOL of the fold value return
+        the fold state, those beyond raise NoConvergence, and those below
+        return the direct state if it converged with g > 0.  Every Newton
+        solve goes to tol.  A mu that is not finite raises ConfigError before
+        any solve.
         """
         mu = _finite("mu", mu)
         if mu == 0.0:
@@ -316,7 +317,7 @@ class MeanFieldProblem:
         return self._finalize(lam, v / lam, factors / z, np.log(z), dn, it, nf)
 
     def _lp_minimal_branch(self, mu, tol):
-        from .branch import EPS_STOP, POS_STEP, _march, g_of, locate_fold  # deferred: cycle
+        from .branch import EPS_STOP, POS_STEP, _march, find_fold, g_of  # deferred: cycle
         state = diag = err = None
         try:
             state = self._lp_newton_negative(mu, tol)
@@ -328,19 +329,12 @@ class MeanFieldProblem:
             return state
         below = diag is not None and diag.g > 0.0     # converged on the minimal branch
         start = state if below else self.solve_mp(0.0, tol=tol)
-        last = [(start, diag if below else g_of(self, start))]   # the last two pairs
-
-        def on_state(s):             # keeps the pair, and ends the march once g <= 0
-            lin = Linearization.at_state(self, s)
-            d = g_of(self, s, lin)
-            last[:] = [last[-1], (s, d)]
-            return (d.eta, lin.solve) if d.g > 0.0 else None
-
         lam_end = EIGHT_PI - EPS_STOP
         targets = np.arange(start.lam + POS_STEP, lam_end, POS_STEP)
-        _march(self, (start, last[0][1].eta), [*targets, lam_end], on_state, tol)
-        if last[-1][1].g <= 0.0:
-            fold = locate_fold(self, *last, newton_tol=tol)
+        _, brackets, _ = _march(self, (start, diag if below else g_of(self, start)),
+                                [*targets, lam_end], tol, to_fold=True)
+        if brackets:
+            fold = find_fold(self, brackets, newton_tol=tol)
             if mu > fold.mu * (1.0 + FOLD_RTOL):
                 raise NoConvergence(f"mu={mu:.6g} exceeds the fold value {fold.mu:.6g}; "
                                     "no minimal-branch solution")

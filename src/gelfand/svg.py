@@ -12,7 +12,7 @@ import math
 WIDTH = 640
 HEIGHT = 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 72, 24, 36, 54
-PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd"]
+COLOR = "#1f77b4"
 
 
 def _nice_ticks(lo, hi, target=5):
@@ -45,22 +45,18 @@ def _px(v):
     return f"{v:.2f}"
 
 
-def line_plot(path, series, xlabel="", ylabel="", title="", vlines=()):
-    """Write a line plot; series is a list of (xs, ys, label) triples.
+def line_plot(path, xs, ys, label, xlabel="", ylabel="", title="", vlines=()):
+    """Write a line plot of the points (xs, ys), named label in the legend.
 
     Non-finite points are dropped.  vlines are x positions drawn as dashed
     vertical markers (asymptotes).  Raises ValueError if no finite data.
     """
-    clean = []
-    for xs, ys, label in series:
-        pts = [(float(x), float(y)) for x, y in zip(xs, ys)
-               if math.isfinite(x) and math.isfinite(y)]
-        if pts:
-            clean.append((pts, label))
-    if not clean:
+    pts = [(float(x), float(y)) for x, y in zip(xs, ys)
+           if math.isfinite(x) and math.isfinite(y)]
+    if not pts:
         raise ValueError("no finite data to plot")
-    all_x = [p[0] for pts, _ in clean for p in pts]
-    all_y = [p[1] for pts, _ in clean for p in pts]
+    all_x = [p[0] for p in pts]
+    all_y = [p[1] for p in pts]
     for v in vlines:
         all_x.append(float(v))
     x_lo, x_hi = min(all_x), max(all_x)
@@ -127,16 +123,14 @@ def line_plot(path, series, xlabel="", ylabel="", title="", vlines=()):
             out.append(f'<line x1="{_px(x)}" y1="{_px(MARGIN_T)}" '
                        f'x2="{_px(x)}" y2="{_px(MARGIN_T + plot_h)}" '
                        f'stroke="gray" stroke-width="1" stroke-dasharray="6,4"/>')
-    for i, (pts, label) in enumerate(clean):
-        color = PALETTE[i % len(PALETTE)]
-        coords = " ".join(f"{_px(sx(x))},{_px(sy(y))}" for x, y in pts)
-        out.append(f'<polyline points="{coords}" fill="none" '
-                   f'stroke="{color}" stroke-width="1.5"/>')
-        if label:
-            out.append(f'<text x="{_px(MARGIN_L + plot_w - 6)}" '
-                       f'y="{_px(MARGIN_T + 16 + 16 * i)}" text-anchor="end" '
-                       f'font-family="sans-serif" font-size="11" '
-                       f'fill="{color}">{label}</text>')
+    coords = " ".join(f"{_px(sx(x))},{_px(sy(y))}" for x, y in pts)
+    out.append(f'<polyline points="{coords}" fill="none" '
+               f'stroke="{COLOR}" stroke-width="1.5"/>')
+    if label:
+        out.append(f'<text x="{_px(MARGIN_L + plot_w - 6)}" '
+                   f'y="{_px(MARGIN_T + 16)}" text-anchor="end" '
+                   f'font-family="sans-serif" font-size="11" '
+                   f'fill="{COLOR}">{label}</text>')
     out.append("</svg>")
     with open(path, "w") as f:
         f.write("\n".join(out))

@@ -3,13 +3,14 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import eigsh
 
 import radial_oracle as oracle
 from gelfand import branch, meanfield
-from gelfand.branch import (CSV_HEADER, EPS_STOP, BranchDiagram, BranchPoint,
-                            _march, _negative_targets, _positive_targets, classify_kind,
-                            dE_dlambda, emit_diagram, find_fold, g_of, locate_fold,
-                            plot_csv, read_csv, solve_eta, trace_branch, write_csv)
+from gelfand.branch import (CSV_HEADER, EPS_STOP, _march, _negative_targets,
+                            _positive_targets, classify_kind, dE_dlambda, emit_diagram,
+                            find_fold, g_of, plot_csv, read_csv, solve_eta, trace_branch,
+                            write_csv)
 from gelfand.errors import ConfigError, NoConvergence, NoFoldInRange
 from gelfand.geometry import DomainSpec, SingularitySpec, build_mesh, uniform_weight
 from gelfand.meanfield import EIGHT_PI, NEWTON_TOL, Linearization, MeanFieldProblem
@@ -71,7 +72,7 @@ def test_g_sign_structure(disk_trace):
     lam_star = diagram.fold[0]
     rows = diagram.points
     assert all(r.g_value > 0 for r in rows if r.lam <= 0)
-    pos = diagram.positive_rows()
+    pos = [r for r in rows if r.lam > 0]
     flips = sum(1 for a, b in zip(pos, pos[1:])
                 if (a.g_value > 0) != (b.g_value > 0))
     assert flips == 1
@@ -92,6 +93,36 @@ def test_fold_state_diagnostics(disk_trace):
     assert abs(diag.g) < 1e-6
     assert z.z3_avg > 0.0
     assert z.z_min >= -1e-6
+
+
+def fixed_mu_nu1(problem, state):
+    """The lowest eigenvalue nu_1 of the fixed-mu pencil
+    (A_ii - lambda M_rho,ii) phi = nu M_rho,ii phi, by scipy's shift-invert
+    Lanczos at sigma = -lambda - 1, below every nu since A_ii is SPD."""
+    M = Linearization.at_state(problem, state).M_ii.tocsc()
+    nu = eigsh(problem.dirichlet.A_ii - state.lam * M, k=1, M=M, sigma=-state.lam - 1.0, which="LM",
+               v0=np.ones(M.shape[0]), return_eigenvectors=False)
+    return float(nu[0])
+
+
+def test_fixed_mu_eigenvalue_sign_is_g_sign(disk_trace):
+    # the fixed-mu linearization -Delta - lambda rho is positive on the
+    # minimal branch and loses that at the fold, where g changes sign
+    problem, states = disk_trace["problem"], disk_trace["states"]
+    rows = disk_trace["diagram"].points
+    assert sorted(states) == [r.lam for r in rows]
+    mismatched = [r.lam for r in rows
+                  if (fixed_mu_nu1(problem, states[r.lam]) > 0) != (r.g_value > 0)]
+    assert mismatched == []
+
+
+@pytest.mark.parametrize("trace", ["disk_trace", "ellipse_trace", "offcenter_trace"])
+def test_fixed_mu_eigenvalue_vanishes_at_the_fold(trace, request):
+    run = request.getfixturevalue(trace)
+    problem = run["problem"]
+    nu0 = fixed_mu_nu1(problem, problem.solve_mp(0.0))
+    nu = fixed_mu_nu1(problem, problem.solve_mp(run["diagram"].fold[0]))
+    assert abs(nu) <= 1e-7 * nu0
 
 
 def test_energy_monotone(disk_trace):
@@ -139,22 +170,34 @@ def test_read_csv_rejects_other_headers(tmp_path):
         read_csv(bad)
 
 
-def _row(lam, g):
-    return BranchPoint(lam=lam, mu=lam / 10.0, energy=0.01 * lam,
-                       dE_dlambda=0.01, g_value=g, sigma1=1.0, tau1=0.5,
-                       poincare=0.4, sup_norm=0.1, residual=1e-10)
+def march_over(problem, targets, tol=NEWTON_TOL, **kwargs):
+    """_march from the lambda = 0 state over targets, each solve to tol."""
+    start = problem.solve_mp(0.0)
+    return _march(problem, (start, g_of(problem, start)), targets, tol, **kwargs)
 
 
-def test_no_fold_without_sign_change(disk_problem):
-    diagram = BranchDiagram(points=[_row(1.0, 0.9), _row(2.0, 0.8)])
-    with pytest.raises(NoFoldInRange):
-        find_fold(disk_problem, diagram)
+def test_no_fold_without_sign_change():
+    # no problem is passed, so a solve would raise
+    with pytest.raises(NoFoldInRange, match="does not change sign on the sampled grid"):
+        find_fold(None, [])
 
 
-def test_fold_rejects_multiple_crossings(disk_problem):
-    points = [_row(1.0, 0.5), _row(2.0, -0.1), _row(3.0, 0.2), _row(4.0, -0.3)]
-    with pytest.raises(NoFoldInRange):
-        find_fold(disk_problem, BranchDiagram(points=points))
+def test_fold_rejects_multiple_crossings(coarse_problem):
+    # g > 0 at 12 and g < 0 at 13 on this disk: there and back crosses twice
+    _, brackets, tag = march_over(coarse_problem, [4.0, 8.0, 12.0, 13.0, 12.0])
+    assert tag == "completed" and len(brackets) == 2
+    for (s_lo, d_lo), (s_hi, d_hi) in brackets:
+        assert (d_lo.g > 0) != (d_hi.g > 0), (s_lo.lam, s_hi.lam)
+    with pytest.raises(NoFoldInRange, match="changes sign 2 times"):
+        find_fold(coarse_problem, brackets)
+
+
+def test_march_to_fold_stops_past_the_sign_change(coarse_problem):
+    last, brackets, tag = march_over(coarse_problem, [4.0, 8.0, 12.0, 13.0, 14.0],
+                                     to_fold=True)
+    assert tag == "stopped" and last[0].lam == 13.0 and last[1].g <= 0
+    (lo, hi), = brackets
+    assert lo[0].lam == 12.0 and lo[1].g > 0 and hi == last
 
 
 def test_classify_requires_rows():
@@ -333,13 +376,7 @@ def test_locate_fold_requires_sign_change(disk_problem):
     pairs = [(s, g_of(disk_problem, s)) for s in
              (disk_problem.solve_mp(2.0), disk_problem.solve_mp(4.0))]
     with pytest.raises(NoFoldInRange, match=r"does not change sign on \[2\.0, 4\.0\]"):
-        locate_fold(disk_problem, *pairs)
-
-
-def test_find_fold_needs_kept_states(disk_problem):
-    points = [_row(1.0, 0.5), _row(2.0, -0.1)]
-    with pytest.raises(NoFoldInRange, match="no kept states"):
-        find_fold(disk_problem, BranchDiagram(points=points))
+        find_fold(disk_problem, [pairs])
 
 
 def test_locate_fold_reports_unmet_tolerance(coarse_problem, monkeypatch):
@@ -348,7 +385,7 @@ def test_locate_fold_reports_unmet_tolerance(coarse_problem, monkeypatch):
     assert pairs[0][1].g > 0 > pairs[1][1].g
     monkeypatch.setattr(branch, "FOLD_G_TOL", 0.0)
     with pytest.raises(NoFoldInRange, match=r"did not reach \|g\| < 0 on \[12\.0, 13\.0\]"):
-        locate_fold(coarse_problem, *pairs)
+        find_fold(coarse_problem, [pairs])
 
 
 def march_from_zero(problem, tol):
@@ -356,15 +393,14 @@ def march_from_zero(problem, tol):
     each row handing its own Linearization's solve to the next solve."""
     states = []
 
-    def on_state(state):
+    def diagnose(state):
         lin = Linearization.at_state(problem, state)
         states.append(state)
-        return g_of(problem, state, lin).eta, lin.solve
+        return g_of(problem, state, lin), lin
 
-    start = problem.solve_mp(0.0)
     targets = [k * math.pi / 4 for k in (1, 2, 3, 4)]
-    _, tag = _march(problem, (start, g_of(problem, start).eta), targets, on_state, tol)
-    assert tag == "completed" and [s.lam for s in states] == targets
+    _, brackets, tag = march_over(problem, targets, tol, diagnose=diagnose)
+    assert tag == "completed" and brackets == [] and [s.lam for s in states] == targets
     return states
 
 

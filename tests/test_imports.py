@@ -1,5 +1,6 @@
 """Every name a package module imports is used in that module, no function
-imports from a package module its module already imports at top level, every
+imports from a package module its module already imports at top level, or
+from one that does not import its module back at top level, every
 module-level _private name or UPPER_CASE constant and every _private method
 is read by some module, every public name is read by the package or
 documented, and every SuperLU factorization passes the shared recipe
@@ -72,6 +73,48 @@ def test_scan_finds_a_redundant_deferred_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_redundant_deferred_imports(path):
     assert redundant_deferred_imports(path.read_text()) == []
+
+
+def acyclic_deferred_imports(sources):
+    """(module, line, imported) of each relative import inside a function
+    from a package module that does not import the importing module at top
+    level: such an import breaks no import cycle, so it belongs at the top.
+
+    sources maps module names to source text; `from . import m` imports m.
+    """
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+
+    def imported(node):
+        return [node.module] if node.module else [alias.name for alias in node.names]
+
+    top = {module: {name for node in tree.body
+                    if isinstance(node, ast.ImportFrom) and node.level
+                    for name in imported(node)}
+           for module, tree in trees.items()}
+    found = set()
+    for module, tree in trees.items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.update((module, node.lineno, name) for node in ast.walk(fn)
+                             if isinstance(node, ast.ImportFrom) and node.level
+                             for name in imported(node) if module not in top.get(name, ()))
+    return sorted(found)
+
+
+def test_scan_finds_an_acyclic_deferred_import():
+    sources = {
+        "a": "from .b import x\ndef f():\n    from .c import y\n    from . import b\n",
+        "b": "def g():\n    from .a import f\n    from .c import z\n",
+        "c": "from .b import g\ndef h():\n    from .b import w\n    def k():\n"
+             "        from .a import v\n",
+    }
+    assert acyclic_deferred_imports(sources) == [("a", 3, "c"), ("a", 4, "b"),
+                                                 ("c", 3, "b"), ("c", 5, "a")]
+
+
+def test_every_deferred_import_breaks_a_cycle():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert acyclic_deferred_imports(sources) == []
 
 
 def names_read(trees):

@@ -149,7 +149,7 @@ def test_cold_solve_reproduces_traced_rows(trace, request):
     # the branch has one solution at each lambda below 8 pi: Newton from zero
     # finds the state the trace reached by continuation
     run = request.getfixturevalue(trace)
-    rows = [p for p in run["diagram"].positive_rows() if p.lam > 2.0 * math.pi]
+    rows = [p for p in run["diagram"].points if p.lam > 2.0 * math.pi]
     for row in (rows[0], rows[len(rows) // 2], rows[-1]):
         state = run["problem"].solve_mp(row.lam)
         assert state.mu == pytest.approx(row.mu, rel=1e-7), row.lam
