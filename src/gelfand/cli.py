@@ -20,7 +20,8 @@ from .branch import (LAM_MIN, check_lam_min, emit_diagram, plot_csv, trace_branc
                      write_csv, write_json)
 from .errors import (BlowupDetected, ConfigError, GelfandError, InvalidDelta,
                      InvalidDensity, InvalidWeight, NoConvergence, UnsupportedRegime)
-from .freeenergy import collar_density, minimize_free_energy, verify_energy_bound
+from .freeenergy import (collar_density, free_energy_of, minimize_free_energy,
+                         verify_energy_bound)
 from .geometry import DomainSpec, SingularitySpec, build_mesh, build_weight
 from .meanfield import MeanFieldProblem, save_state
 from .spectrum import weighted_eigs
@@ -170,14 +171,18 @@ def run_config(args) -> RunConfig:
     return rc
 
 
-def build_problem(rc: RunConfig, floor_n=None, mesh=None) -> MeanFieldProblem:
-    """The configured problem; mesh, if given, is the configured mesh already built."""
-    if mesh is None:
+def build_problem(rc: RunConfig, floor_n=None, like=None) -> MeanFieldProblem:
+    """The configured problem.  like, if given, is a problem already built
+    from rc: its mesh, its weight up to the floor and its weight-independent
+    operators are shared, and only the weighted quadrature is built."""
+    if like is None:
         mesh = build_mesh(rc.domain, rc.singularities, h_max=rc.h_max)
-    weight = build_weight(mesh)
+        weight = build_weight(mesh)
+    else:
+        mesh, weight = like.mesh, dataclasses.replace(like.weight, floor=0.0)
     if floor_n is not None:
         weight = weight.with_floor(floor_n)
-    return MeanFieldProblem(mesh, weight)
+    return MeanFieldProblem(mesh, weight, like=like)
 
 
 def error_payload(e: GelfandError) -> dict:
@@ -282,16 +287,18 @@ def cmd_freeenergy(args):
     lams = args.lam or [-2.0, -20.0, -200.0]
     ns = args.n or [10, 100, 1000]
     rows, bounds = [], []
-    mesh = collar = None          # both depend on the config and delta only
+    # the mesh, its operators and the collar's potential, energy and entropy
+    # depend on the config and delta only; its int rho log h on the weight
+    problem = collar_state = None
     for n in ns:
-        problem = build_problem(rc, floor_n=n, mesh=mesh)
-        if mesh is None:
-            mesh = problem.mesh
-            collar = collar_density(mesh, args.delta)
+        problem = build_problem(rc, floor_n=n, like=problem)
+        if collar_state is None:
+            collar = collar_density(problem.mesh, args.delta, problem.plain)
+        collar_state = free_energy_of(problem, collar, lams[0], like=collar_state)
         for lam in lams:
             state = minimize_free_energy(problem, lam)
             report = verify_energy_bound(problem, lam, args.delta, minimizer=state,
-                                         collar=collar)
+                                         collar_state=collar_state)
             rows.append(f"{lam!r},{n!r},{state.free_energy!r},{state.entropy_term!r},"
                         f"{state.energy!r},{state.linear_term!r},{state.iterations}")
             bounds.append({"lambda": lam, "n": n, "delta": args.delta,

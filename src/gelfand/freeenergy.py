@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import (InvalidDelta, InvalidDensity, NoConvergence, SolverError,
                      UnsupportedRegime)
-from .fem import assemble_mass, plain_quadrature
+from .fem import Quadrature, assemble_mass, plain_quadrature
 from .geometry import Mesh, _point_segment_distance
 from .meanfield import MeanFieldProblem
 
@@ -100,30 +100,41 @@ def _weight_index(problem):
     return 1.0 / floor if floor > 0 else np.inf
 
 
-def free_energy_of(problem: MeanFieldProblem, rho, lam) -> DensityState:
+def free_energy_of(problem: MeanFieldProblem, rho, lam,
+                   like: DensityState | None = None) -> DensityState:
     """Evaluate the functional at a P1 probability density.
 
     The density must be nonnegative with unit lumped mass to 1e-8; the
     entropy uses the 0 log 0 = 0 convention, and the weight term integrates
     log h against the density with the singularity-adapted quadrature.
+
+    The potential, the interaction energy and the entropy are formed from
+    the exact P1 mass matrix and problem.plain, A and dirichlet, none of
+    which depend on the weight or on lambda.  like, if given, is this
+    density's state on a problem that shares those operators with this one
+    (another floor of the same weight, as cli.build_problem builds them);
+    they are then read from it, and only int rho log h is computed here.
     """
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho < -1e-12):
-        raise InvalidDensity("density has negative entries")
-    rho = np.maximum(rho, 0.0)
-    m = _lumped_mass(problem)
-    mass = float(m @ rho)
-    if abs(mass - 1.0) > 1e-8:
-        raise InvalidDensity(f"density mass {mass!r} is not 1")
-    M = assemble_mass(problem.mesh)
-    potential = problem.dirichlet.solve(M @ rho)
-    e_pair = 0.5 * float(rho @ (M @ potential))
-    e_grad = 0.5 * float(potential @ (problem.A @ potential))
-    if abs(e_pair - e_grad) > 1e-6 * max(abs(e_pair), 1e-12):
-        raise SolverError(f"interaction energy duality violated: {e_pair!r} vs {e_grad!r}")
-    v = problem.plain.eval(rho)
-    entropy_term = float(np.sum(
-        problem.plain.w * np.where(v > 0, v * np.log(np.where(v > 0, v, 1.0)), 0.0)))
+    if like is None:
+        rho = np.asarray(rho, dtype=float)
+        if np.any(rho < -1e-12):
+            raise InvalidDensity("density has negative entries")
+        rho = np.maximum(rho, 0.0)
+        mass = float(_lumped_mass(problem) @ rho)
+        if abs(mass - 1.0) > 1e-8:
+            raise InvalidDensity(f"density mass {mass!r} is not 1")
+        M = assemble_mass(problem.mesh)
+        potential = problem.dirichlet.solve(M @ rho)
+        e_pair = 0.5 * float(rho @ (M @ potential))
+        e_grad = 0.5 * float(potential @ (problem.A @ potential))
+        if abs(e_pair - e_grad) > 1e-6 * max(abs(e_pair), 1e-12):
+            raise SolverError(f"interaction energy duality violated: {e_pair!r} vs {e_grad!r}")
+        v = problem.plain.eval(rho)
+        entropy_term = float(np.sum(
+            problem.plain.w * np.where(v > 0, v * np.log(np.where(v > 0, v, 1.0)), 0.0)))
+    else:
+        rho, potential = like.rho, like.potential
+        entropy_term, e_pair = like.entropy_term, like.energy
     # int rho log h against the Lebesgue measure w / h of the weighted points
     quad = problem.quad
     dx = quad.w / np.where(quad.hval > 0, quad.hval, 1.0)
@@ -135,7 +146,7 @@ def free_energy_of(problem: MeanFieldProblem, rho, lam) -> DensityState:
         lam=lam, n=_weight_index(problem))
 
 
-def collar_density(mesh: Mesh, delta: float) -> np.ndarray:
+def collar_density(mesh: Mesh, delta: float, plain: Quadrature | None = None) -> np.ndarray:
     """Uniform probability density on the inner delta-collar of the boundary.
 
     The exact indicator of {dist < delta} is sampled at the quadrature points
@@ -144,14 +155,25 @@ def collar_density(mesh: Mesh, delta: float) -> np.ndarray:
     that consumes the density.  A plain vertex indicator would smear the edge
     by a full cell, which dominates the energy error once delta is only a few
     cells wide.
+
+    The collar depends on the mesh and delta only, so a run over several
+    floors and lambdas builds it once.  plain, if given, is
+    plain_quadrature(mesh) already built (a problem's plain); otherwise it
+    is built here.  Distances are computed only as far as delta: delta must
+    lie below the inradius, which holds iff some vertex lies farther than
+    delta from the boundary, and the exact inradius is computed only for the
+    InvalidDelta message.
     """
     edges = mesh.boundary_edges()
     seg_a = mesh.vertices[edges[:, 0]]
     seg_b = mesh.vertices[edges[:, 1]]
-    inradius = float(_point_segment_distance(mesh.vertices, seg_a, seg_b).max())
-    if not (0.0 < delta < inradius):
+    # below the cap a distance is exact and above it reads at least the cap,
+    # so a cap just past delta tells a vertex at delta from one beyond it
+    if not (delta > 0.0 and float(_point_segment_distance(
+            mesh.vertices, seg_a, seg_b, cap=np.nextafter(delta, np.inf)).max()) > delta):
+        inradius = float(_point_segment_distance(mesh.vertices, seg_a, seg_b).max())
         raise InvalidDelta(f"delta must lie in (0, {inradius:.4g}), got {delta}")
-    quad = plain_quadrature(mesh)
+    quad = plain if plain is not None else plain_quadrature(mesh)
     # only the indicator d < delta is needed, so distances may stop at delta
     d = _point_segment_distance(quad.pos, seg_a, seg_b, cap=delta)
     m = quad.assemble_load(None)
@@ -301,23 +323,26 @@ def minimize_free_energy(problem: MeanFieldProblem, lam) -> DensityState:
 
 def verify_energy_bound(problem: MeanFieldProblem, lam, delta,
                         minimizer: DensityState | None = None,
-                        collar: np.ndarray | None = None) -> EnergyBoundReport:
+                        collar_state: DensityState | None = None) -> EnergyBoundReport:
     """Evaluate every inequality of the vanishing-energy proof chain.
 
     The Jensen slack is the minimizer's jensen_min_slack, a minimum over the
     iterates that minimize_free_energy visited; it depends on that path and
     moves whenever the iteration does, at the same minimizer.
 
-    collar, if given, is collar_density(problem.mesh, delta), computed once
-    by a caller that verifies several cells on one mesh.  Raises SolverError
+    collar_state, if given, is free_energy_of(problem, collar_density(
+    problem.mesh, delta), lam0) at any lam0: none of its terms depends on
+    lambda, so a caller that verifies several lambdas on one problem
+    evaluates the collar once and each cell only forms F at its own lambda.
+    Otherwise the collar and its terms are computed here.  Raises SolverError
     if any recorded slack is negative beyond roundoff; otherwise returns the
     report with all sides and slacks.
     """
     if minimizer is None:
         minimizer = minimize_free_energy(problem, lam)
-    if collar is None:
-        collar = collar_density(problem.mesh, delta)
-    collar_state = free_energy_of(problem, collar, lam)
+    if collar_state is None:
+        collar_state = free_energy_of(
+            problem, collar_density(problem.mesh, delta, problem.plain), lam)
     area = problem.area
     sup_h = problem.weight.sup()
     report = EnergyBoundReport(
@@ -327,7 +352,9 @@ def verify_energy_bound(problem: MeanFieldProblem, lam, delta,
         linear_bound=float(np.log1p(sup_h)),
         linear_value=minimizer.linear_term,
         f_minimizer=minimizer.free_energy,
-        f_collar=collar_state.free_energy,
+        # free_energy_of's expression, so F equals its value at this lambda
+        f_collar=(collar_state.entropy_term - lam * collar_state.energy
+                  - collar_state.linear_term),
         energy_value=minimizer.energy,
         energy_bound=float(
             (minimizer.free_energy + np.log(area) + np.log1p(sup_h)) / abs(lam)),

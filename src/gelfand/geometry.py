@@ -337,7 +337,8 @@ def _point_segment_distance(pts, a, b, cap=np.inf):
     Wherever the distance is below cap the result is bit-identical to the
     brute-force minimum over all segments.  Elsewhere it is at least cap:
     points whose nearest midpoint lies beyond cap + L are not evaluated and
-    read inf.
+    read inf.  The nearest-midpoint search itself stops a little beyond
+    that ball, since no point past it is ever evaluated.
     """
     best = np.full(len(pts), np.inf)
     if len(pts) == 0 or len(a) == 0:
@@ -346,7 +347,8 @@ def _point_segment_distance(pts, a, b, cap=np.inf):
     denom = np.maximum(np.einsum("ij,ij->i", ab, ab), 1e-300)
     tree = cKDTree(0.5 * (a + b))
     reach = 0.5 * float(np.linalg.norm(ab, axis=1).max())
-    d0, _ = tree.query(pts)
+    # past every radius below, so d0 reads inf only where it was never live
+    d0, _ = tree.query(pts, distance_upper_bound=(cap + reach) * (1.0 + 2e-12))
     radius = (np.minimum(d0, cap) + reach) * (1.0 + 1e-12)
     live = np.flatnonzero(d0 <= radius)
     # chunk over points to bound memory

@@ -89,15 +89,23 @@ class MeanFieldState:
 class MeanFieldProblem:
     """Discretization bundle: mesh, weight, operators and their factorizations."""
 
-    def __init__(self, mesh: Mesh, weight: WeightField | None = None):
+    def __init__(self, mesh: Mesh, weight: WeightField | None = None,
+                 like: MeanFieldProblem | None = None):
+        """like, if given, is a problem on this same mesh: its operators that
+        do not depend on the weight (plain, A, dirichlet and its LU, area)
+        are shared, not built again, and only the weighted quadrature is."""
         self.mesh = mesh
         self.weight = weight if weight is not None else build_weight(mesh)
         self.quad = weighted_quadrature(mesh, self.weight)
-        self.plain = plain_quadrature(mesh)
-        self.A = assemble_stiffness(mesh)
-        self.dirichlet = DirichletSolver(self.A, mesh.boundary_mask)
+        if like is None:
+            self.plain = plain_quadrature(mesh)
+            self.A = assemble_stiffness(mesh)
+            self.dirichlet = DirichletSolver(self.A, mesh.boundary_mask)
+            self.area = mesh.area()
+        else:
+            self.plain, self.A, self.dirichlet, self.area = (
+                like.plain, like.A, like.dirichlet, like.area)
         self.interior = self.dirichlet.interior
-        self.area = mesh.area()
         self.weight_mass = self.quad.integrate()
         if not np.isfinite(self.weight_mass) or self.weight_mass <= 1e-300:
             raise DegenerateWeight("weight has no mass")

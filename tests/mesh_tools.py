@@ -3,8 +3,9 @@
 Only the tests read these, so they live here rather than in the package:
 `locate` and `eval_field` evaluate a P1 vertex field at a point,
 `boundary_distance` measures each vertex's distance to the polygonal mesh
-boundary, and `write_mesh` and `load_psi` write a mesh and read back the psi
-file that `gelfand.meanfield.save_state` writes.
+boundary, `brute_distance` is the every-point-against-every-segment
+reference for that distance, and `write_mesh` and `load_psi` write a mesh and
+read back the psi file that `gelfand.meanfield.save_state` writes.
 """
 
 import numpy as np
@@ -18,6 +19,16 @@ def boundary_distance(mesh: Mesh):
     a = mesh.vertices[edges[:, 0]]
     b = mesh.vertices[edges[:, 1]]
     return _point_segment_distance(mesh.vertices, a, b)
+
+
+def brute_distance(pts, a, b):
+    """Every point against every segment: clipped projection, then the norm."""
+    ab = b - a
+    denom = np.maximum(np.einsum("ij,ij->i", ab, ab), 1e-300)
+    rel = pts[:, None, :] - a[None, :, :]
+    t = np.clip(np.einsum("pij,ij->pi", rel, ab) / denom[None, :], 0.0, 1.0)
+    proj = a[None, :, :] + t[:, :, None] * ab[None, :, :]
+    return np.linalg.norm(pts[:, None, :] - proj, axis=2).min(axis=1, initial=np.inf)
 
 
 def locate(mesh: Mesh, point):

@@ -4,9 +4,10 @@ import argparse
 import json
 import math
 
+import numpy as np
 import pytest
 
-from gelfand import branch, cli
+from gelfand import branch, cli, freeenergy
 from gelfand.cli import domain_from_config
 from gelfand.errors import ConfigError, NoConvergence
 
@@ -320,22 +321,36 @@ def test_freeenergy_artifacts(tmp_path, capsys):
 
 
 def test_freeenergy_builds_one_mesh_and_one_collar(tmp_path, monkeypatch, capsys):
-    # the mesh and the collar depend on the config and delta only; every
-    # cell must still match a run that builds both afresh
+    # the mesh, its weight-independent operators, the collar and the collar's
+    # potential, energy and entropy (one exact mass matrix) depend on the
+    # config and delta only; the collar is evaluated once per floor problem,
+    # not once per cell.  Every cell must still match a run that builds all
+    # of it afresh
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
-    calls = []
-    for name in ("build_mesh", "collar_density"):
-        def counting(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+    calls, problems = [], []
+    for module, name in ((cli, "build_mesh"), (cli, "collar_density"),
+                         (cli, "free_energy_of"), (freeenergy, "free_energy_of"),
+                         (freeenergy, "assemble_mass")):
+        def counting(*args, _name=name, _fn=getattr(module, name), **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(cli, name, counting)
+        monkeypatch.setattr(module, name, counting)
+
+    def building(*args, _fn=cli.build_problem, **kwargs):
+        problems.append(_fn(*args, **kwargs))
+        return problems[-1]
+    monkeypatch.setattr(cli, "build_problem", building)
     rc = cli.main(["freeenergy", "--config", cfg, "--out", str(out),
                    "--lambda", "-2", "--lambda", "-20", "--n", "10", "--n", "100",
                    "--delta", "0.2"])
     assert rc == 0
     capsys.readouterr()
-    assert sorted(calls) == ["build_mesh", "collar_density"]
+    assert sorted(calls) == ["assemble_mass", "build_mesh", "collar_density",
+                             "free_energy_of", "free_energy_of"]
+    first, second = problems
+    assert second.mesh is first.mesh and second.plain is first.plain
+    assert second.A is first.A and second.dirichlet is first.dirichlet
     monkeypatch.undo()
     run = cli.run_config(argparse.Namespace(config=cfg, out=str(tmp_path / "ref")))
     bounds = json.loads((out / "bounds.json").read_text())
@@ -344,6 +359,28 @@ def test_freeenergy_builds_one_mesh_and_one_collar(tmp_path, monkeypatch, capsys
         state = cli.minimize_free_energy(problem, entry["lambda"])
         report = cli.verify_energy_bound(problem, entry["lambda"], 0.2, minimizer=state)
         assert entry["slacks"] == report.slacks
+
+
+def test_derived_problem_equals_a_fresh_one(tmp_path):
+    # a floor problem built on another's operators is the fresh problem bit
+    # for bit: the same weighted quadrature, weight mass and Dirichlet solves
+    cfg = write_config(tmp_path, singularities=[{"x": 0.0, "y": 0.0, "alpha": 1.0}])
+    run = cli.run_config(argparse.Namespace(config=cfg, out=str(tmp_path / "out")))
+    first = cli.build_problem(run, floor_n=10)
+    derived = cli.build_problem(run, floor_n=100, like=first)
+    fresh = cli.build_problem(run, floor_n=100)
+    assert derived.dirichlet is first.dirichlet and derived.weight.floor == 0.01
+    assert np.array_equal(derived.quad.w, fresh.quad.w)
+    assert np.array_equal(derived.quad.hval, fresh.quad.hval)
+    assert derived.weight_mass == fresh.weight_mass
+    rhs = np.random.default_rng(0).standard_normal(len(fresh.interior))
+    assert np.array_equal(derived.dirichlet.lu.solve(rhs), fresh.dirichlet.lu.solve(rhs))
+    assert np.array_equal(derived.A.toarray(), fresh.A.toarray())
+    assert np.array_equal(derived.plain.w, fresh.plain.w)
+    assert np.array_equal(derived.weight.vertex_values(), fresh.weight.vertex_values())
+    unfloored = cli.build_problem(run, like=first)
+    assert unfloored.weight.floor == 0.0
+    assert unfloored.weight_mass == cli.build_problem(run).weight_mass
 
 
 def test_freeenergy_step_floor_exits_1(tmp_path, capsys):

@@ -200,6 +200,28 @@ def test_energy_bound_chain_singular():
         assert slack >= -1e-9, name
 
 
+def test_collar_state_serves_every_lambda_and_floor():
+    # cmd_freeenergy evaluates the collar once per floor problem, reading the
+    # weight-independent terms from the first floor's state, and each cell
+    # forms F at its own lambda: bit for bit what a fresh problem reports
+    sing = SingularitySpec.of((0.0, 0.0, 0.5))
+    mesh = build_mesh(DomainSpec.unit_disk(), sing, h_max=0.12)
+    weight = build_weight(mesh, sing)
+    problem = collar_state = None
+    for n in (10, 100):
+        problem = MeanFieldProblem(mesh, weight.with_floor(n), like=problem)
+        if collar_state is None:
+            collar = collar_density(mesh, 0.1, problem.plain)
+        collar_state = free_energy_of(problem, collar, -2.0, like=collar_state)
+        fresh = MeanFieldProblem(mesh, weight.with_floor(n))
+        for lam in (-2.0, -20.0, -200.0):
+            minimizer = minimize_free_energy(problem, lam)
+            report = verify_energy_bound(problem, lam, 0.1, minimizer=minimizer,
+                                         collar_state=collar_state)
+            assert report.f_collar == free_energy_of(fresh, collar, lam).free_energy
+            assert report == verify_energy_bound(fresh, lam, 0.1, minimizer=minimizer)
+
+
 def test_quad_state_consistency(disk_problem):
     # the minimizer state reports a unit-mass density and coherent terms
     state = minimize_free_energy(disk_problem, -2.0)

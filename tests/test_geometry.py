@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from gelfand.freeenergy import collar_density
 from gelfand.geometry import (DomainSpec, SingularitySpec, _point_segment_distance,
                               _Shape, build_mesh, build_weight, green_function,
                               uniform_weight)
-from mesh_tools import boundary_distance, eval_field, locate, write_mesh
+from mesh_tools import boundary_distance, brute_distance, eval_field, locate, write_mesh
 
 
 def test_disk_mesh_quality(coarse_problem):
@@ -194,16 +195,6 @@ def kernel_meshes():
             for name, (dom, sing, h) in KERNEL_MESHES.items()}
 
 
-def brute_distance(pts, a, b):
-    """Every point against every segment: clipped projection, then the norm."""
-    ab = b - a
-    denom = np.maximum(np.einsum("ij,ij->i", ab, ab), 1e-300)
-    rel = pts[:, None, :] - a[None, :, :]
-    t = np.clip(np.einsum("pij,ij->pi", rel, ab) / denom[None, :], 0.0, 1.0)
-    proj = a[None, :, :] + t[:, :, None] * ab[None, :, :]
-    return np.linalg.norm(pts[:, None, :] - proj, axis=2).min(axis=1, initial=np.inf)
-
-
 def assert_matches_reference(pts, a, b, cap):
     d = _point_segment_distance(pts, a, b, cap)
     ref = brute_distance(pts, a, b)
@@ -211,6 +202,22 @@ def assert_matches_reference(pts, a, b, cap):
     assert d.shape == (len(pts),)
     assert np.array_equal(d[below], ref[below])
     assert np.all(d[~below] >= cap)
+
+
+def shell_points(rng, a, b, radius, lo, hi, count=100):
+    """Points at radius from their nearest segment midpoint, up to a few
+    1e-12 relative on either side.  Random points beyond radius are pulled in
+    along the ray to their nearest midpoint, which stays the nearest."""
+    mid = 0.5 * (a + b)
+    pts = rng.uniform(lo - radius - 0.5, hi + radius + 0.5, size=(20 * count, 2))
+    d = np.linalg.norm(pts[:, None, :] - mid[None, :, :], axis=2)
+    k = d.argmin(axis=1)
+    d0 = d[np.arange(len(pts)), k]
+    beyond = np.flatnonzero(d0 > radius)[:count]
+    k, d0 = k[beyond], d0[beyond]
+    unit = (pts[beyond] - mid[k]) / d0[:, None]
+    rel = rng.choice([-2e-12, -1e-12, 0.0, 1e-12, 2e-12, 3e-12], size=len(beyond))
+    return mid[k] + (radius * (1.0 + rel))[:, None] * unit
 
 
 @settings(max_examples=40, deadline=None)
@@ -222,17 +229,23 @@ def test_point_segment_distance_matches_brute_force(kernel_meshes, name, cap, se
     edges = mesh.boundary_edges()
     rng = np.random.default_rng(seed)
     # any subset of the boundary is a valid segment set, and so are points
-    # off the mesh: quadrature points, vertices and a box around the domain
+    # off the mesh: quadrature points, vertices, a box around the domain and
+    # points far outside it
     keep = np.sort(rng.choice(len(edges), size=rng.integers(1, len(edges) + 1),
                               replace=False))
     a = mesh.vertices[edges[keep, 0]]
     b = mesh.vertices[edges[keep, 1]]
     quad_pts = plain_quadrature(mesh).pos
     lo, hi = mesh.vertices.min(axis=0) - 0.2, mesh.vertices.max(axis=0) + 0.2
-    pts = np.vstack([mesh.vertices,
-                     quad_pts[rng.choice(len(quad_pts), size=500)],
-                     rng.uniform(lo, hi, size=(200, 2))])
-    assert_matches_reference(pts, a, b, cap)
+    parts = [mesh.vertices, quad_pts[rng.choice(len(quad_pts), size=500)],
+             rng.uniform(lo, hi, size=(200, 2)),
+             rng.uniform(lo - 50.0, hi + 50.0, size=(50, 2))]
+    if math.isfinite(cap):
+        # the kernel's nearest-midpoint search stops near cap + L (L the
+        # largest half-length); points on that shell straddle its bound
+        reach = 0.5 * float(np.linalg.norm(b - a, axis=1).max())
+        parts.append(shell_points(rng, a, b, cap + reach, lo, hi))
+    assert_matches_reference(np.vstack(parts), a, b, cap)
 
 
 @pytest.mark.parametrize("cap", [0.1, math.inf])
@@ -265,3 +278,18 @@ def test_collar_matches_brute_force_collar(kernel_meshes, name, delta):
     rho = quad.assemble_load(factors) / m
     rho /= float(m @ rho)
     assert np.array_equal(collar_density(mesh, delta), rho)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_MESHES))
+def test_collar_delta_at_the_inradius_edge(kernel_meshes, name):
+    # delta must lie below the inradius r, the largest vertex distance to the
+    # boundary; the check scans the vertices only as far as delta, and the
+    # message still reports r
+    mesh = kernel_meshes[name]
+    edges = mesh.boundary_edges()
+    r = float(brute_distance(mesh.vertices, mesh.vertices[edges[:, 0]],
+                             mesh.vertices[edges[:, 1]]).max())
+    assert collar_density(mesh, r * (1.0 - 1e-9)).shape == (mesh.n_vertices,)
+    for delta in (r, r * (1.0 + 1e-9), 0.0, -0.1, math.nan):
+        with pytest.raises(InvalidDelta, match=re.escape(f"(0, {r:.4g}), got")):
+            collar_density(mesh, delta)
