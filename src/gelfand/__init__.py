@@ -25,6 +25,7 @@ from .geometry import (
     WeightField,
     build_mesh,
     build_weight,
+    domain_from_config,
     green_function,
     uniform_weight,
 )
@@ -54,7 +55,6 @@ from .branch import (
     trace_branch,
     write_csv,
 )
-from .cli import domain_from_config
 from .freeenergy import (
     DensityState,
     EnergyBoundReport,

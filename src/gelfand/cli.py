@@ -22,7 +22,7 @@ from .errors import (BlowupDetected, ConfigError, GelfandError, InvalidDelta,
                      InvalidDensity, InvalidWeight, NoConvergence, UnsupportedRegime)
 from .freeenergy import (collar_density, free_energy_of, minimize_free_energy,
                          verify_energy_bound)
-from .geometry import DomainSpec, SingularitySpec, build_mesh, build_weight
+from .geometry import build_mesh, build_weight, config_number, domain_from_config
 from .meanfield import MeanFieldProblem, save_state
 from .spectrum import weighted_eigs
 
@@ -57,89 +57,6 @@ def load_json(path):
         raise ConfigError(
             f"malformed JSON in {path} at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from None
-
-
-def domain_from_config(cfg: dict):
-    """Parse the JSON document layout into specs.
-
-    Expected keys: schema (=1), shape, params, singularities, mesh.h_max.
-    Returns (DomainSpec, SingularitySpec, h_max).
-    """
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be an object")
-    schema = cfg.get("schema", 1)
-    if schema != 1:
-        raise ConfigError(f"unsupported schema version {schema}")
-    try:
-        shape = cfg["shape"]
-    except KeyError:
-        raise ConfigError("config is missing required key 'shape'") from None
-    params = cfg.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("'params' must be an object")
-    bsize = params.get("boundary_size")
-    if bsize is not None:
-        bsize = config_number(bsize, "params.boundary_size", positive=True)
-    if shape == "unit_disk":
-        dom = DomainSpec.unit_disk(boundary_size=bsize)
-    elif shape == "ellipse":
-        try:
-            a, b = params["a"], params["b"]
-        except KeyError as e:
-            raise ConfigError(f"ellipse params need key {e}") from None
-        dom = DomainSpec.ellipse(config_number(a, "params.a", positive=True),
-                                 config_number(b, "params.b", positive=True),
-                                 boundary_size=bsize)
-    elif shape == "polygon":
-        try:
-            vertices = params["vertices"]
-        except KeyError:
-            raise ConfigError("polygon params need key 'vertices'") from None
-        if not isinstance(vertices, list):
-            raise ConfigError("polygon vertices must be a list of [x, y] pairs")
-        dom = DomainSpec.polygon([config_point(v, f"polygon vertex {i}")
-                                  for i, v in enumerate(vertices)])
-    else:
-        raise ConfigError(f"unknown shape {shape!r}")
-
-    sing_cfg = cfg.get("singularities", [])
-    if not isinstance(sing_cfg, list):
-        raise ConfigError("'singularities' must be a list")
-    triples = []
-    for i, item in enumerate(sing_cfg):
-        try:
-            x, y, alpha = item["x"], item["y"], item["alpha"]
-        except (KeyError, TypeError):
-            raise ConfigError("each singularity needs keys x, y, alpha") from None
-        what = f"singularity {i}"
-        triples.append((config_number(x, f"{what} x"), config_number(y, f"{what} y"),
-                        config_number(alpha, f"{what} alpha", positive=True)))
-    sing = SingularitySpec.of(*triples)
-
-    mesh_cfg = cfg.get("mesh", {})
-    try:
-        h_max = mesh_cfg["h_max"]
-    except (KeyError, TypeError):
-        raise ConfigError("config is missing mesh.h_max") from None
-    return dom, sing, config_number(h_max, "mesh.h_max", positive=True)
-
-
-def config_number(value, what, positive=False):
-    """A config value as a finite float, positive if asked, or ConfigError."""
-    try:
-        x = float(value)
-        if math.isfinite(x) and (x > 0 or not positive):
-            return x
-    except (TypeError, ValueError):
-        pass
-    raise ConfigError(f"{what} must be a finite{' positive' * positive} number, got {value!r}")
-
-
-def config_point(value, what):
-    """A config [x, y] pair as a tuple of finite floats, or ConfigError."""
-    if not isinstance(value, list) or len(value) != 2:
-        raise ConfigError(f"{what} must be an [x, y] pair, got {value!r}")
-    return tuple(config_number(c, what) for c in value)
 
 
 def finite_float(text):

@@ -1,12 +1,16 @@
 """Domains, graded triangulations, Green functions and singular weights.
 
-The mesh generator produces conforming Delaunay triangulations of ellipses,
-the unit disk among them, and of simple polygons.  Each prescribed singular
-point is placed as an exact mesh vertex surrounded by concentric rings whose
-radii halve toward the point, so element diameters decrease geometrically
-there.  A hexagonal
-background lattice fills the rest of the domain and a few Laplacian smoothing
-passes even out the transition zones.
+A JSON domain config (`domain_from_config`) becomes a DomainSpec, a
+SingularitySpec and h_max.  The mesh generator produces conforming Delaunay
+triangulations of ellipses, the unit disk among them, and of simple polygons.
+Each prescribed singular point is placed as an exact mesh vertex surrounded
+by concentric rings whose radii halve toward the point, so element diameters
+decrease geometrically there.  A hexagonal background lattice fills the rest
+of the domain and a few Laplacian smoothing passes even out the transition
+zones.  qhull triangulates the points once; after each smoothing pass it runs
+again only when a Lawson certificate (every triangle keeps its orientation
+and every interior edge stays strictly locally Delaunay) fails, so the
+triangle set is always the one qhull would return for the moved points.
 
 The Dirichlet Green function G_p is represented as the explicit logarithmic
 kernel plus a finite-element harmonic remainder.  This keeps pointwise
@@ -16,7 +20,9 @@ construction maps to h(p) = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -30,6 +36,9 @@ GRADING_RATIO = 0.5
 RING_POINTS = 12
 MIN_ANGLE_DEG = 15.0
 SMOOTHING_ROUNDS = 3
+# Relative margin of the in-circle test that lets smoothing keep a Delaunay
+# triangulation (see _Qhull).
+LAWSON_MARGIN = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +122,89 @@ class SingularitySpec:
             np.fill_diagonal(d, np.inf)
             if d.min() < 1e-12:
                 raise InvalidSingularity("duplicate singular points")
+
+
+def domain_from_config(cfg: dict):
+    """Parse the JSON document layout into specs.
+
+    Expected keys: schema (=1), shape, params, singularities, mesh.h_max.
+    Returns (DomainSpec, SingularitySpec, h_max).
+    """
+    if not isinstance(cfg, dict):
+        raise ConfigError("config root must be an object")
+    schema = cfg.get("schema", 1)
+    if schema != 1:
+        raise ConfigError(f"unsupported schema version {schema}")
+    try:
+        shape = cfg["shape"]
+    except KeyError:
+        raise ConfigError("config is missing required key 'shape'") from None
+    params = cfg.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError("'params' must be an object")
+    bsize = params.get("boundary_size")
+    if bsize is not None:
+        bsize = config_number(bsize, "params.boundary_size", positive=True)
+    if shape == "unit_disk":
+        dom = DomainSpec.unit_disk(boundary_size=bsize)
+    elif shape == "ellipse":
+        try:
+            a, b = params["a"], params["b"]
+        except KeyError as e:
+            raise ConfigError(f"ellipse params need key {e}") from None
+        dom = DomainSpec.ellipse(config_number(a, "params.a", positive=True),
+                                 config_number(b, "params.b", positive=True),
+                                 boundary_size=bsize)
+    elif shape == "polygon":
+        try:
+            vertices = params["vertices"]
+        except KeyError:
+            raise ConfigError("polygon params need key 'vertices'") from None
+        if not isinstance(vertices, list):
+            raise ConfigError("polygon vertices must be a list of [x, y] pairs")
+        dom = DomainSpec.polygon([config_point(v, f"polygon vertex {i}")
+                                  for i, v in enumerate(vertices)])
+    else:
+        raise ConfigError(f"unknown shape {shape!r}")
+
+    sing_cfg = cfg.get("singularities", [])
+    if not isinstance(sing_cfg, list):
+        raise ConfigError("'singularities' must be a list")
+    triples = []
+    for i, item in enumerate(sing_cfg):
+        try:
+            x, y, alpha = item["x"], item["y"], item["alpha"]
+        except (KeyError, TypeError):
+            raise ConfigError("each singularity needs keys x, y, alpha") from None
+        what = f"singularity {i}"
+        triples.append((config_number(x, f"{what} x"), config_number(y, f"{what} y"),
+                        config_number(alpha, f"{what} alpha", positive=True)))
+    sing = SingularitySpec.of(*triples)
+
+    mesh_cfg = cfg.get("mesh", {})
+    try:
+        h_max = mesh_cfg["h_max"]
+    except (KeyError, TypeError):
+        raise ConfigError("config is missing mesh.h_max") from None
+    return dom, sing, config_number(h_max, "mesh.h_max", positive=True)
+
+
+def config_number(value, what, positive=False):
+    """A config value as a finite float, positive if asked, or ConfigError."""
+    try:
+        x = float(value)
+        if math.isfinite(x) and (x > 0 or not positive):
+            return x
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{what} must be a finite{' positive' * positive} number, got {value!r}")
+
+
+def config_point(value, what):
+    """A config [x, y] pair as a tuple of finite floats, or ConfigError."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{what} must be an [x, y] pair, got {value!r}")
+    return tuple(config_number(c, what) for c in value)
 
 
 # ---------------------------------------------------------------------------
@@ -467,13 +559,14 @@ def build_mesh(domain: DomainSpec, sing: SingularitySpec, h_max: float) -> Mesh:
     points = np.vstack([fixed_pts, lattice])
     n_fixed = len(fixed_pts)
 
-    tri = Delaunay(points)
-    simplices = _interior_triangles(points, tri.simplices, shape)
+    raw = _Qhull(points, n_fixed)
+    simplices = _interior_triangles(points, raw.simplices, shape)
 
     for _ in range(SMOOTHING_ROUNDS):
         points = _smooth(points, simplices, n_fixed, shape)
-        tri = Delaunay(points)
-        simplices = _interior_triangles(points, tri.simplices, shape)
+        if not raw.certifies(points):
+            raw = _Qhull(points, n_fixed)
+        simplices = _interior_triangles(points, raw.simplices, shape)
 
     simplices = _orient_ccw(points, simplices)
 
@@ -496,10 +589,8 @@ def build_mesh(domain: DomainSpec, sing: SingularitySpec, h_max: float) -> Mesh:
 
 def _signed_areas(points, simplices):
     """Triangle areas, positive for counter-clockwise vertex order."""
-    p = points[simplices]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    x, y = points[:, 0][simplices.T], points[:, 1][simplices.T]
+    return 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0]))
 
 
 def _interior_triangles(points, simplices, shape):
@@ -507,17 +598,78 @@ def _interior_triangles(points, simplices, shape):
     return simplices[keep & (np.abs(_signed_areas(points, simplices)) > 1e-14)]
 
 
+class _Qhull:
+    """qhull's Delaunay triangulation of the mesh points, with the Lawson
+    certificate that says when it still triangulates them after they moved.
+
+    By the Delaunay lemma (Lawson 1977), a triangulation of a point set's
+    convex hull whose interior edges are all strictly locally Delaunay is its
+    unique Delaunay triangulation.  So after a smoothing pass `certifies`
+    says, without calling qhull, that qhull would return the same triangle
+    set for the moved points.  It holds when
+      - the triangulation uses every point and has only fixed vertices on
+        its hull (smoothing moves points to convex combinations of points,
+        so the hull, and the region triangulated, stay the same);
+      - every triangle keeps the counter-clockwise order qhull gives it in
+        2-D, with area > 1e-14 (none folded over or collapsed);
+      - across every interior edge the opposite vertex lies strictly outside
+        the triangle's circumcircle: the in-circle determinant is below
+        -LAWSON_MARGIN max|p|^2 area, far beyond its rounding in coordinates
+        of magnitude max|p| (Shewchuk 1997).
+    A tie (four cocircular points), a flip or an inversion fails it, and the
+    caller runs qhull anew.
+    """
+
+    def __init__(self, points, n_fixed):
+        tri = Delaunay(points)
+        self.simplices, self._neighbors = tri.simplices, tri.neighbors
+        self.reusable = bool(np.bincount(self.simplices.ravel(), minlength=len(points)).all()
+                             and (tri.convex_hull < n_fixed).all())
+
+    @cached_property
+    def _interior_edges(self):
+        """Each interior edge once, from its lower-numbered triangle t: t, the
+        (3, E) vertices of t and the vertex across the edge, which is the
+        one of the neighbour u that faces t."""
+        s, nbr = self.simplices, self._neighbors
+        flat = nbr.ravel()
+        slot = np.flatnonzero(flat > np.arange(flat.size) // 3)
+        t, u = slot // 3, flat[slot]
+        back = nbr[u]
+        faces_t = np.where(back[:, 0] == t, 0, np.where(back[:, 1] == t, 1, 2))
+        return t, s[t].T, s[u, faces_t]
+
+    def certifies(self, points):
+        """True when this is still qhull's triangulation of points."""
+        if not self.reusable:
+            return False
+        area = _signed_areas(points, self.simplices)
+        if not (area > 1e-14).all():
+            return False
+        t, abc, opp = self._interior_edges
+        x, y = points[:, 0], points[:, 1]
+        X, Y = x[abc] - x[opp], y[abc] - y[opp]
+        r2 = X * X + Y * Y
+        incircle = (r2[0] * (X[1] * Y[2] - Y[1] * X[2]) + r2[1] * (X[2] * Y[0] - Y[2] * X[0])
+                    + r2[2] * (X[0] * Y[1] - Y[0] * X[1]))
+        margin = LAWSON_MARGIN * (x * x + y * y).max()
+        return bool((incircle < -margin * area[t]).all())
+
+
 def _smooth(points, simplices, n_fixed, shape):
-    """One Laplacian pass over non-fixed vertices."""
+    """One Laplacian pass over non-fixed vertices.
+
+    Each vertex moves to the mean of its neighbours over the triangle sides,
+    a convex combination of points, so no point leaves their convex hull.
+    The sums run side (0, 1), then (1, 2), then (2, 0), each first from its
+    first vertex and then from its second, one triangle after another.
+    """
     n = len(points)
-    nbr_sum = np.zeros((n, 2))
-    nbr_cnt = np.zeros(n)
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        i, j = simplices[:, a], simplices[:, b]
-        np.add.at(nbr_sum, i, points[j])
-        np.add.at(nbr_cnt, i, 1.0)
-        np.add.at(nbr_sum, j, points[i])
-        np.add.at(nbr_cnt, j, 1.0)
+    s = simplices.T
+    at = s[[0, 1, 1, 2, 2, 0]].ravel()
+    nbr = points[s[[1, 0, 2, 1, 0, 2]].ravel()]
+    nbr_cnt = np.bincount(at, minlength=n)
+    nbr_sum = np.column_stack([np.bincount(at, nbr[:, 0], n), np.bincount(at, nbr[:, 1], n)])
     target = nbr_sum / np.maximum(nbr_cnt, 1)[:, None]
     moved = points.copy()
     free = np.arange(n) >= n_fixed

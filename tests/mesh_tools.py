@@ -1,16 +1,53 @@
-"""Point evaluation, boundary distance and plain-text I/O of mesh fields.
+"""Point evaluation, boundary distance, mesh references and plain-text I/O.
 
 Only the tests read these, so they live here rather than in the package:
 `locate` and `eval_field` evaluate a P1 vertex field at a point,
 `boundary_distance` measures each vertex's distance to the polygonal mesh
 boundary, `brute_distance` is the every-point-against-every-segment
-reference for that distance, and `write_mesh` and `load_psi` write a mesh and
+reference for that distance, `build_mesh_qhull_every_round` (qhull after
+every smoothing pass) and `smooth_add_at` (sums by `np.add.at`) are the
+references for `build_mesh` and `_smooth`, `triangle_set` is a
+triangulation as a set, and `write_mesh` and `load_psi` write a mesh and
 read back the psi file that `gelfand.meanfield.save_state` writes.
 """
 
+from unittest import mock
+
 import numpy as np
 
+from gelfand import geometry
 from gelfand.geometry import Mesh, _point_segment_distance
+
+
+def build_mesh_qhull_every_round(domain, sing, h_max):
+    """build_mesh with qhull run again after every smoothing pass."""
+    with mock.patch.object(geometry._Qhull, "certifies", lambda self, points: False):
+        return geometry.build_mesh(domain, sing, h_max)
+
+
+def smooth_add_at(points, simplices, n_fixed, shape):
+    """Laplacian pass summed by np.add.at, side (0, 1), (1, 2), then (2, 0)."""
+    n = len(points)
+    nbr_sum = np.zeros((n, 2))
+    nbr_cnt = np.zeros(n)
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        i, j = simplices[:, a], simplices[:, b]
+        np.add.at(nbr_sum, i, points[j])
+        np.add.at(nbr_cnt, i, 1.0)
+        np.add.at(nbr_sum, j, points[i])
+        np.add.at(nbr_cnt, j, 1.0)
+    target = nbr_sum / np.maximum(nbr_cnt, 1)[:, None]
+    moved = points.copy()
+    free = (np.arange(n) >= n_fixed) & (nbr_cnt > 0)
+    moved[free] = target[free]
+    ok = shape.inside(moved)
+    moved[~ok] = points[~ok]
+    return moved
+
+
+def triangle_set(simplices):
+    """Triangles as a set of sorted vertex triples: order and rotation dropped."""
+    return set(map(tuple, np.sort(simplices, axis=1).tolist()))
 
 
 def boundary_distance(mesh: Mesh):

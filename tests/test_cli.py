@@ -3,10 +3,15 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gelfand
 from gelfand import branch, cli, freeenergy
 from gelfand.cli import domain_from_config
 from gelfand.errors import ConfigError, NoConvergence
@@ -426,6 +431,20 @@ def test_help_and_usage_exits(capsys):
     assert cli.main([]) == 2
     assert cli.main(["solve"]) == 2
     capsys.readouterr()
+
+
+def test_module_entry_point_runs_without_warning():
+    # the package imports no `gelfand.cli` name, so `python -m gelfand.cli`
+    # does not find the module already loaded; domain_from_config lives in
+    # geometry and resolves from the package and from the CLI
+    assert gelfand.domain_from_config is cli.domain_from_config
+    src = str(Path(gelfand.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    run = subprocess.run([sys.executable, "-W", "default", "-m", "gelfand.cli", "--help"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert "RuntimeWarning" not in run.stderr, run.stderr
 
 
 @pytest.mark.parametrize("command", ["branch", "classify"])

@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import Delaunay
 
+from gelfand import geometry
 from gelfand.errors import ConfigError, InvalidDelta, InvalidSingularity, InvalidWeight
 from gelfand.fem import plain_quadrature
 from gelfand.freeenergy import collar_density
 from gelfand.geometry import (DomainSpec, SingularitySpec, _point_segment_distance,
-                              _Shape, build_mesh, build_weight, green_function,
-                              uniform_weight)
-from mesh_tools import boundary_distance, brute_distance, eval_field, locate, write_mesh
+                              _Qhull, _Shape, _smooth, build_mesh, build_weight,
+                              green_function, uniform_weight)
+from mesh_tools import (boundary_distance, brute_distance, build_mesh_qhull_every_round,
+                        eval_field, locate, smooth_add_at, triangle_set, write_mesh)
 
 
 def test_disk_mesh_quality(coarse_problem):
@@ -161,6 +164,138 @@ def test_mesh_grades_toward_singularity():
     near = mesh.size_target[d < 0.05].min()
     far = mesh.size_target[d > 0.7].max()
     assert near < 0.2 * far
+
+
+HEXAGON = np.array([(math.cos(t), math.sin(t)) for t in np.arange(6) * math.pi / 3])
+RHOMBUS = np.array([(-1.0, 0.0), (1.0, 0.0), (0.0, 0.5), (0.0, -0.5)])
+
+
+def test_lawson_certificate_accepts_a_strictly_delaunay_quad():
+    # the shared edge is the short diagonal, far from cocircular
+    raw = _Qhull(RHOMBUS, n_fixed=4)
+    assert triangle_set(raw.simplices) == {(0, 2, 3), (1, 2, 3)}
+    assert raw.certifies(RHOMBUS)
+    # a free interior point off the centre of a fixed hexagon, moved a little
+    points = np.vstack([HEXAGON, [(0.01, 0.02)]])
+    raw = _Qhull(points, n_fixed=6)
+    points[6] = (-0.05, 0.03)
+    assert raw.certifies(points)
+    assert triangle_set(raw.simplices) == triangle_set(Delaunay(points).simplices)
+
+
+def test_lawson_certificate_refuses_an_edge_moved_past_the_circle():
+    raw = _Qhull(RHOMBUS, n_fixed=4)
+    moved = RHOMBUS * [1.0, 3.0]
+    # both triangles keep their orientation, but (1, 0) now lies inside the
+    # circle through (-1, 0), (0, 1.5) and (0, -1.5)
+    assert (geometry._signed_areas(moved, raw.simplices) > 0).all()
+    assert not raw.certifies(moved)
+    assert triangle_set(Delaunay(moved).simplices) != triangle_set(raw.simplices)
+
+
+def test_lawson_certificate_refuses_a_cocircular_tie():
+    square = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+    assert not _Qhull(square, n_fixed=4).certifies(square)
+
+
+def test_lawson_certificate_refuses_an_inverted_triangle():
+    points = np.vstack([HEXAGON, [(0.0, 0.0)]])
+    raw = _Qhull(points, n_fixed=6)
+    # just past the middle of the side from (1, 0) to (1/2, sqrt(3)/2): the
+    # folded triangle's circle holds both vertices across its other edges,
+    # so only the orientation clause can refuse it
+    points[6] = 0.505 * (HEXAGON[0] + HEXAGON[1])
+    assert (geometry._signed_areas(points, raw.simplices) < 0).sum() == 1
+    assert not raw.certifies(points)
+
+
+def test_lawson_certificate_refuses_an_unused_point():
+    # qhull leaves the second copy of the centre out of the triangulation
+    points = np.vstack([HEXAGON, [(0.0, 0.0), (0.0, 0.0)]])
+    raw = _Qhull(points, n_fixed=6)
+    assert 7 not in raw.simplices
+    assert not raw.certifies(points)
+
+
+def test_lawson_certificate_refuses_a_free_hull_vertex():
+    # a free hull vertex could move inward, and the old triangulation would
+    # then no longer cover the hull, though each of its edges stayed Delaunay
+    points = np.vstack([HEXAGON, [(0.0, 0.0)]])
+    raw = _Qhull(points, n_fixed=5)
+    assert not raw.reusable and not raw.certifies(points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-4, 1e-3, 3e-3, 1e-2, 0.05]))
+def test_lawson_certificate_implies_qhull_agrees(seed, scale):
+    # a fixed square frame around a jittered 6 x 6 lattice, whose points then move
+    rng = np.random.default_rng(seed)
+    g = np.linspace(-0.8, 0.8, 6)
+    lattice = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+    points = np.vstack([[(-1.5, -1.5), (1.5, -1.5), (1.5, 1.5), (-1.5, 1.5)],
+                        lattice + rng.uniform(-0.1, 0.1, lattice.shape)])
+    raw = _Qhull(points, n_fixed=4)
+    moved = points.copy()
+    moved[4:] += scale * rng.standard_normal(lattice.shape)
+    if raw.certifies(moved):
+        assert triangle_set(raw.simplices) == triangle_set(Delaunay(moved).simplices)
+
+
+L_SHAPE = DomainSpec.polygon([(0, 0), (1, 0), (1, 0.5), (0.5, 0.5), (0.5, 1), (0, 1)])
+QHULL_MESHES = {
+    "disk_h0.08": (DomainSpec.unit_disk(), SingularitySpec.none(), 0.08),
+    "disk_h0.05": (DomainSpec.unit_disk(), SingularitySpec.none(), 0.05),
+    "disk_h0.03": (DomainSpec.unit_disk(), SingularitySpec.none(), 0.03),
+    "ellipse_1.3x0.8": (DomainSpec.ellipse(1.3, 0.8), SingularitySpec.none(), 0.05),
+    "ellipse_2x1": (DomainSpec.ellipse(2.0, 1.0), SingularitySpec.none(), 0.05),
+    "ellipse_4x0.5": (DomainSpec.ellipse(4.0, 0.5), SingularitySpec.none(), 0.05),
+    "alpha1_origin": (DomainSpec.unit_disk(), SingularitySpec.of((0.0, 0.0, 1.0)), 0.05),
+    "alpha0.05_off_centre": (DomainSpec.unit_disk(), SingularitySpec.of((0.5, 0.0, 0.05)),
+                             0.05),
+    "graded_boundary": (DomainSpec.unit_disk(boundary_size=0.01), SingularitySpec.none(), 0.05),
+    "rectangle_2x1": (DomainSpec.polygon([(-1, -0.5), (1, -0.5), (1, 0.5), (-1, 0.5)]),
+                      SingularitySpec.none(), 0.05),
+    "l_shape": (L_SHAPE, SingularitySpec.none(), 0.05),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QHULL_MESHES))
+def test_mesh_equals_qhull_every_round(name):
+    mesh = build_mesh(*QHULL_MESHES[name])
+    ref = build_mesh_qhull_every_round(*QHULL_MESHES[name])
+    assert triangle_set(mesh.triangles) == triangle_set(ref.triangles)
+    scale = np.abs(ref.vertices).max()
+    assert np.abs(mesh.vertices - ref.vertices).max() <= 1e-15 * scale
+    assert np.array_equal(mesh.boundary_mask, ref.boundary_mask)
+    assert np.array_equal(mesh.singular_vertices, ref.singular_vertices)
+
+
+@pytest.mark.parametrize("name, calls", [("disk_h0.05", 1),
+                                         ("graded_boundary", 1 + geometry.SMOOTHING_ROUNDS)])
+def test_qhull_calls_per_mesh(monkeypatch, name, calls):
+    # the default disk keeps its first triangulation through all smoothing
+    # passes; the graded disk has a cocircular tie after each of them
+    seen = []
+
+    def counting(points):
+        seen.append(len(points))
+        return Delaunay(points)
+
+    monkeypatch.setattr(geometry, "Delaunay", counting)
+    build_mesh(*QHULL_MESHES[name])
+    assert len(seen) == calls
+
+
+@pytest.mark.parametrize("name", ["disk_h0.05", "alpha1_origin", "graded_boundary"])
+def test_smooth_bincount_equals_add_at(name):
+    domain, sing, h_max = QHULL_MESHES[name]
+    mesh = build_mesh(domain, sing, h_max)
+    shape = _Shape(domain)
+    n_fixed = int(mesh.boundary_mask.sum())
+    ours = _smooth(mesh.vertices, mesh.triangles, n_fixed, shape)
+    ref = smooth_add_at(mesh.vertices, mesh.triangles, n_fixed, shape)
+    assert ours.tobytes() == ref.tobytes()
+    assert not np.array_equal(ours, mesh.vertices)
 
 
 def test_write_mesh(tmp_path, coarse_problem):
