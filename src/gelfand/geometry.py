@@ -617,7 +617,10 @@ class _Qhull:
         -LAWSON_MARGIN max|p|^2 area, far beyond its rounding in coordinates
         of magnitude max|p| (Shewchuk 1997).
     A tie (four cocircular points), a flip or an inversion fails it, and the
-    caller runs qhull anew.
+    caller runs qhull anew.  Edges whose four vertices are all fixed never
+    move, so they are tested once, when qhull runs: a tie among them (as
+    between boundary rings or on a polygon) leaves the triangulation not
+    reusable, and certifies then refuses without testing anything.
     """
 
     def __init__(self, points, n_fixed):
@@ -625,19 +628,31 @@ class _Qhull:
         self.simplices, self._neighbors = tri.simplices, tri.neighbors
         self.reusable = bool(np.bincount(self.simplices.ravel(), minlength=len(points)).all()
                              and (tri.convex_hull < n_fixed).all())
+        fixed = (self.simplices < n_fixed).all(axis=1)
+        if self.reusable and np.count_nonzero(fixed) > 1:
+            self.reusable = _locally_delaunay(points, _signed_areas(points, self.simplices),
+                                              self._edges(fixed))
 
-    @cached_property
-    def _interior_edges(self):
-        """Each interior edge once, from its lower-numbered triangle t: t, the
-        (3, E) vertices of t and the vertex across the edge, which is the
-        one of the neighbour u that faces t."""
+    def _edges(self, among=None):
+        """Each interior edge between two triangles of the mask among (all
+        by default) once, from its lower-numbered triangle t: t, the (3, E)
+        vertices of t and the vertex across the edge, which is the one of
+        the neighbour u that faces t."""
         s, nbr = self.simplices, self._neighbors
         flat = nbr.ravel()
-        slot = np.flatnonzero(flat > np.arange(flat.size) // 3)
+        owner = np.arange(flat.size) // 3
+        keep = flat > owner
+        if among is not None:
+            keep &= among[owner] & among[flat]
+        slot = np.flatnonzero(keep)
         t, u = slot // 3, flat[slot]
         back = nbr[u]
         faces_t = np.where(back[:, 0] == t, 0, np.where(back[:, 1] == t, 1, 2))
         return t, s[t].T, s[u, faces_t]
+
+    @cached_property
+    def _interior_edges(self):
+        return self._edges()
 
     def certifies(self, points):
         """True when this is still qhull's triangulation of points."""
@@ -646,14 +661,21 @@ class _Qhull:
         area = _signed_areas(points, self.simplices)
         if not (area > 1e-14).all():
             return False
-        t, abc, opp = self._interior_edges
-        x, y = points[:, 0], points[:, 1]
-        X, Y = x[abc] - x[opp], y[abc] - y[opp]
-        r2 = X * X + Y * Y
-        incircle = (r2[0] * (X[1] * Y[2] - Y[1] * X[2]) + r2[1] * (X[2] * Y[0] - Y[2] * X[0])
-                    + r2[2] * (X[0] * Y[1] - Y[0] * X[1]))
-        margin = LAWSON_MARGIN * (x * x + y * y).max()
-        return bool((incircle < -margin * area[t]).all())
+        return _locally_delaunay(points, area, self._interior_edges)
+
+
+def _locally_delaunay(points, area, edges):
+    """Whether every edge of the (t, abc, opp) table is strictly locally
+    Delaunay: opp lies outside the circumcircle of triangle t = abc, whose
+    signed area is area[t], by the margin of _Qhull."""
+    t, abc, opp = edges
+    x, y = points[:, 0], points[:, 1]
+    X, Y = x[abc] - x[opp], y[abc] - y[opp]
+    r2 = X * X + Y * Y
+    incircle = (r2[0] * (X[1] * Y[2] - Y[1] * X[2]) + r2[1] * (X[2] * Y[0] - Y[2] * X[0])
+                + r2[2] * (X[0] * Y[1] - Y[0] * X[1]))
+    margin = LAWSON_MARGIN * (x * x + y * y).max()
+    return bool((incircle < -margin * area[t]).all())
 
 
 def _smooth(points, simplices, n_fixed, shape):

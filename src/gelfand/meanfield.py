@@ -36,7 +36,7 @@ psi)) is ever formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import json
@@ -84,6 +84,9 @@ class MeanFieldState:
     log_z: float
     iterations: int = 0          # Newton and chord steps
     factorizations: int = 0      # Jacobians factored, one per Newton step
+    # (point factors, load b) of the Newton solve's last residual, until the
+    # first Linearization.at_state of this state takes them over
+    newton_load: tuple | None = field(default=None, repr=False, compare=False)
 
 
 class MeanFieldProblem:
@@ -246,10 +249,12 @@ class MeanFieldProblem:
             b, factors, _ = aux
             return Linearization(self, lam, factors, b).solve
 
-        psi, (_, factors, log_z), dn, it, nf = self._damped_newton(
+        psi, (b, factors, log_z), dn, it, nf = self._damped_newton(
             psi, residual, factor, TRUST_SUP / max(1.0, lam), tol,
             f"lambda={lam:.6g}", lam=lam, held=held)
-        return self._finalize(lam, psi, factors, log_z, dn, it, nf)
+        state = self._finalize(lam, psi, factors, log_z, dn, it, nf)
+        state.newton_load = (factors, b)
+        return state
 
     def _finalize(self, lam, psi, factors, log_z, dn, iterations, factorizations):
         mass = self.quad.integrate(factors)
@@ -379,7 +384,8 @@ class JacobianPattern:
     must share the pattern of the one the layout was built from, as every
     `Quadrature.assemble_mass` result of one quadrature does.  s_order and
     k_order factor S and K; each orders its pattern once, at its first
-    factorization.
+    factorization.  The interior block M_ii is gathered in CSR from M's
+    interior entries, which keep their order.
     """
 
     def __init__(self, A_ii, M, interior):
@@ -389,6 +395,8 @@ class JacobianPattern:
         rows = local[np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))]
         cols = local[M.indices]
         self.m_src = np.nonzero((rows >= 0) & (cols >= 0))[0]   # interior entries of M
+        self.m_indices = cols[self.m_src].astype(np.int32)
+        self.m_indptr = np.searchsorted(rows[self.m_src], np.arange(n + 1)).astype(np.int32)
         A = A_ii.tocoo()
         keys, slots = np.unique(np.concatenate([
             A.col.astype(np.int64) * n + A.row, cols[self.m_src] * n + rows[self.m_src]]),
@@ -414,6 +422,11 @@ class JacobianPattern:
         data = self.a_data.copy()
         data[self.m_dst] -= s * M.data[self.m_src]
         return data
+
+    def mass_interior(self, M):
+        """M_ii, CSR."""
+        return sp.csr_matrix((M.data[self.m_src], self.m_indices, self.m_indptr),
+                             shape=(self.n, self.n))
 
     def interior(self, s, M):
         """A_ii - s M_ii."""
@@ -504,13 +517,19 @@ class Linearization:
 
     @classmethod
     def at_state(cls, problem, state: MeanFieldState):
+        """The linearization at state.  The first one at a Newton state takes
+        over the point factors and load of the solve's last residual, which
+        the state then drops; any other evaluates them again, to the same
+        bits."""
+        if state.newton_load is not None:
+            (factors, load), state.newton_load = state.newton_load, None
+            return cls(problem, state.lam, factors, load)
         factors, _ = problem._exp_factors(state.lam, problem.quad.eval(state.psi))
         return cls(problem, state.lam, factors)
 
     @cached_property
     def M_ii(self):
-        idx = self.problem.interior
-        return self.M_rho[idx][:, idx].tocsr()
+        return self.problem.jacobian_pattern(self.M_rho).mass_interior(self.M_rho)
 
     def _factor(self):
         if self._lu is None:
@@ -518,11 +537,17 @@ class Linearization:
         return self._lu
 
     def solve(self, rhs_interior, rtol=1e-10):
-        """Solve L x = rhs on the interior space, refined to rtol residual."""
+        """Solve L x = rhs on the interior space, refined to rtol residual.
+
+        rhs is a vector or, with rtol None, a block of columns: rtol None
+        makes one bordered LU solve of the whole block and no refinement,
+        the preconditioner of the tau_1 eigensolver.
+        """
         lu = self._factor()
-        rhs = np.concatenate([rhs_interior, [0.0]])
-        sol = lu.solve(rhs)
-        x = sol[:-1]
+        border = np.zeros((1,) + rhs_interior.shape[1:])
+        x = lu.solve(np.concatenate([rhs_interior, border]))[:-1]
+        if rtol is None:
+            return x
         scale = max(float(np.linalg.norm(rhs_interior)), 1e-300)
         for _ in range(3):
             res = self.apply(x) - rhs_interior
@@ -536,7 +561,8 @@ class Linearization:
         return x
 
     def apply(self, x_interior):
-        return (self.K @ np.append(x_interior, self.b_i @ x_interior))[:-1]
+        """L x for a vector or a block of columns x."""
+        return (self.K @ np.concatenate([x_interior, (self.b_i @ x_interior)[None]]))[:-1]
 
     def rho_average(self, field_full):
         return float(self.b @ field_full)

@@ -18,8 +18,10 @@ the discrete level by Rayleigh-quotient comparison.
 Each pencil has one solver path, run by the package's own kernels.  sigma
 is found by Lanczos with full reorthogonalization (see _lanczos) inverted
 through the LU of the Dirichlet stiffness; tau_1 and C_P by block LOBPCG
-(Knyazev 2001, see _lobpcg) preconditioned by factors already held, the
-row's bordered LU and one LU of A + M_rho.  A run that misses its tolerance
+(Knyazev 2001, see _lobpcg) preconditioned by factors already held: tau_1
+by one unrefined solve of each residual block with the row's bordered LU
+(Linearization.solve with rtol None), C_P by one LU of A + M_rho that the
+WarmStart carrier keeps from its first row.  A run that misses its tolerance
 falls back to ARPACK, so no returned value is unconverged.  C_P is a
 near-double pair on symmetric domains, so its block holds two vectors.  The
 runs start from a WarmStart carrier's vectors, a trace row's predecessor's,
@@ -43,8 +45,6 @@ from .meanfield import Linearization, MeanFieldProblem, MeanFieldState
 LOBPCG_TOL = 1e-10  # residual norm of B-normalized vectors a run must reach
 LOBPCG_MAXITER = 40  # iterations after which a run falls back to ARPACK
 LANCZOS_MAXITER = 120  # sigma Lanczos steps after which a run falls back to ARPACK
-# the tau_1 preconditioner is one bordered LU solve, not a refined one
-TAU_PRECOND_RTOL = 1e-6
 
 
 @dataclass
@@ -165,7 +165,9 @@ def _lobpcg(A, B, X, precond, Y=None):
 
     def products(V):
         # Fortran order keeps each column contiguous, so blocks join cheaply
-        return np.asfortranarray(np.vstack([V, A(V), B(V)]))
+        VAB = np.empty((3 * n, V.shape[1]), order="F")
+        VAB[:n], VAB[n:2 * n], VAB[2 * n:] = V, A(V), B(V)
+        return VAB
 
     def residual(XAB, vals):
         return XAB[n:2 * n] - XAB[2 * n:] * vals
@@ -323,9 +325,9 @@ def standard_tau1(problem: MeanFieldProblem, state: MeanFieldState,
     """Smallest eigenvalue of the linearization against the full density mass.
 
     LOBPCG runs on (J, M_ii), where J = A_ii - lam (M_ii - b b') is applied
-    by the bordered linearization and preconditioned by one solve with its
-    LU, started from the carrier's vector; when it misses, ARPACK solves the
-    inverted pencil.
+    to a whole block through the bordered K and preconditioned by one
+    unrefined solve of the block with the bordered LU, started from the
+    carrier's vector; when it misses, ARPACK solves the inverted pencil.
     """
     if lin is None:
         lin = Linearization.at_state(problem, state)
@@ -334,8 +336,7 @@ def standard_tau1(problem: MeanFieldProblem, state: MeanFieldState,
     if _dense(n_i):
         return float(_dense_eigh(lin, "tau")[0][0])
     start = warm.tau if warm.tau is not None else _fixed_start((n_i, 1))
-    found = _lobpcg(_columns(lin.apply), lin.M_ii, start,
-                    _columns(lambda r: lin.solve(r, rtol=TAU_PRECOND_RTOL)))
+    found = _lobpcg(lin.apply, lin.M_ii, start, lambda R: lin.solve(R, rtol=None))
     if found is not None:
         vals, warm.tau = found
         return float(vals[0])

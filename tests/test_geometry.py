@@ -195,7 +195,9 @@ def test_lawson_certificate_refuses_an_edge_moved_past_the_circle():
 
 def test_lawson_certificate_refuses_a_cocircular_tie():
     square = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
-    assert not _Qhull(square, n_fixed=4).certifies(square)
+    raw = _Qhull(square, n_fixed=4)
+    # the tie is among fixed points, so it is found once, when qhull runs
+    assert not raw.reusable and not raw.certifies(square)
 
 
 def test_lawson_certificate_refuses_an_inverted_triangle():
@@ -271,10 +273,12 @@ def test_mesh_equals_qhull_every_round(name):
 
 
 @pytest.mark.parametrize("name, calls", [("disk_h0.05", 1),
-                                         ("graded_boundary", 1 + geometry.SMOOTHING_ROUNDS)])
+                                         ("graded_boundary", 1 + geometry.SMOOTHING_ROUNDS),
+                                         ("l_shape", 1 + geometry.SMOOTHING_ROUNDS)])
 def test_qhull_calls_per_mesh(monkeypatch, name, calls):
     # the default disk keeps its first triangulation through all smoothing
-    # passes; the graded disk has a cocircular tie after each of them
+    # passes; the graded disk and the L-shape have a cocircular tie after
+    # each of them
     seen = []
 
     def counting(points):
@@ -284,6 +288,32 @@ def test_qhull_calls_per_mesh(monkeypatch, name, calls):
     monkeypatch.setattr(geometry, "Delaunay", counting)
     build_mesh(*QHULL_MESHES[name])
     assert len(seen) == calls
+
+
+@pytest.mark.parametrize("name, tested", [("disk_h0.05", geometry.SMOOTHING_ROUNDS),
+                                          ("graded_boundary", 0), ("l_shape", 0)])
+def test_certificate_tests_edges_only_when_it_can_hold(monkeypatch, name, tested):
+    # the graded disk's and the L-shape's ties lie among fixed points: found
+    # when qhull runs, they make every later certifies refuse untested
+    counts = {"certifies": 0, "tested": 0}
+    inside, certifies, locally_delaunay = [], _Qhull.certifies, geometry._locally_delaunay
+
+    def tested_edges(*args):
+        counts["tested"] += bool(inside)
+        return locally_delaunay(*args)
+
+    def certifying(self, points):
+        counts["certifies"] += 1
+        inside.append(True)
+        try:
+            return certifies(self, points)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(geometry, "_locally_delaunay", tested_edges)
+    monkeypatch.setattr(_Qhull, "certifies", certifying)
+    build_mesh(*QHULL_MESHES[name])
+    assert counts == {"certifies": geometry.SMOOTHING_ROUNDS, "tested": tested}
 
 
 @pytest.mark.parametrize("name", ["disk_h0.05", "alpha1_origin", "graded_boundary"])

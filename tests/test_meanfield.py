@@ -229,7 +229,7 @@ NEWTON_FORMS = {
 @pytest.mark.parametrize("form", sorted(NEWTON_FORMS))
 def test_negative_mu_line_search_stall_raises(coarse_problem, monkeypatch, form):
     # a residual that never decreases stalls the line search at once
-    monkeypatch.setattr(coarse_problem.dirichlet, "dual_norm", lambda r: 1.0)
+    monkeypatch.setattr(type(coarse_problem.dirichlet), "dual_norm", lambda self, r: 1.0)
     with pytest.raises(NoConvergence, match="line search failed") as info:
         NEWTON_FORMS[form](coarse_problem, NEWTON_TOL)
     assert info.value.iterations == 0
@@ -239,17 +239,18 @@ def test_negative_mu_line_search_stall_raises(coarse_problem, monkeypatch, form)
 def test_negative_mu_loads_each_iterate_once(coarse_problem, monkeypatch):
     # the accepted line-search trial carries its factors and load into the
     # next iteration: one load per residual, and no iterate is loaded twice
-    quad, dirichlet = coarse_problem.quad, coarse_problem.dirichlet
+    # wraps go on the classes, so undoing them leaves the shared problem as it was
+    quad, dirichlet = type(coarse_problem.quad), type(coarse_problem.dirichlet)
     loaded, residuals = [], []
     load, dual_norm = quad.assemble_load, dirichlet.dual_norm
 
-    def counting_load(factors=None):
+    def counting_load(self, factors=None):
         loaded.append(factors.tobytes())
-        return load(factors)
+        return load(self, factors)
 
-    def counting_dual_norm(r):
+    def counting_dual_norm(self, r):
         residuals.append(r)
-        return dual_norm(r)
+        return dual_norm(self, r)
 
     monkeypatch.setattr(quad, "assemble_load", counting_load)
     monkeypatch.setattr(dirichlet, "dual_norm", counting_dual_norm)
@@ -300,6 +301,38 @@ def test_bordered_matrix_on_fixed_pattern(which, lam, request):
     sol = lin.solve(rhs, rtol=1e-10)
     residual = S @ sol + lam * lin.b_i * (lin.b_i @ sol) - rhs
     assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("which, blocks", [("coarse_problem", 1), ("singular_problem", 2)])
+def test_interior_mass_gathered_through_the_pattern(which, blocks, request):
+    problem = request.getfixturevalue(which)
+    assert len(problem.quad.blocks) == blocks
+    lin = Linearization.at_state(problem, problem.solve_mp(-4.0))
+    idx = problem.interior
+    ref = lin.M_rho[idx][:, idx]
+    for part in ("data", "indices", "indptr"):
+        got, want = getattr(lin.M_ii, part), getattr(ref, part)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("which", ["coarse_problem", "singular_problem"])
+@pytest.mark.parametrize("lam", [-20.0, 6.0])
+def test_newton_state_hands_its_load_to_one_linearization(which, lam, request, monkeypatch):
+    # the first Linearization at a Newton state takes over the point factors
+    # and load of the solve's last residual and assembles no load; the next
+    # one evaluates them again, to the same bits
+    problem = request.getfixturevalue(which)
+    state = problem.solve_mp(lam)
+    loads, assemble_load = [], type(problem.quad).assemble_load
+    monkeypatch.setattr(type(problem.quad), "assemble_load",
+                        lambda *args: loads.append(1) or assemble_load(*args))
+    row = Linearization.at_state(problem, state)
+    assert loads == [] and state.newton_load is None
+    again = Linearization.at_state(problem, state)
+    assert loads == [1]
+    assert row.M_rho.data.tobytes() == again.M_rho.data.tobytes()
+    assert row.b.tobytes() == again.b.tobytes()
+    assert row.K.data.tobytes() == again.K.data.tobytes()
 
 
 class TestSolveLP:

@@ -140,9 +140,8 @@ class KernelRun:
         self.steps = 0
         if pencil == "tau":
             n, self.Y = len(problem.interior), None
-            self.A, self.B = spectrum._columns(lin.apply), lin.M_ii
-            solve = spectrum._columns(
-                lambda r: lin.solve(r, rtol=spectrum.TAU_PRECOND_RTOL))
+            self.A, self.B = lin.apply, lin.M_ii
+            solve = lambda R: lin.solve(R, rtol=None)
             M = lin.M_ii.toarray()
             J = problem.dirichlet.A_ii.toarray() - state.lam * (
                 M - np.outer(lin.b_i, lin.b_i))
@@ -199,6 +198,47 @@ def test_lobpcg_kernel_miss_is_none(coarse_problem, coarse_states, pencil, monke
     assert kernel.run() is None
     monkeypatch.setattr(spectrum, "LOBPCG_MAXITER", 0)
     assert kernel.run() is None
+
+
+class Counting:
+    """A stand-in for a matrix or an LU that counts its products and solves."""
+
+    def __init__(self, inner, counts, key):
+        self.inner, self.counts, self.key = inner, counts, key
+
+    def solve(self, rhs):
+        self.counts[self.key] += 1
+        return self.inner.solve(rhs)
+
+    def __matmul__(self, x):
+        self.counts[self.key] += 1
+        return self.inner @ x
+
+
+def test_tau1_preconditioner_is_one_unrefined_bordered_solve(coarse_problem, coarse_states,
+                                                             monkeypatch):
+    # each LOBPCG step preconditions its residual block by one bordered LU
+    # solve, with no K product (no refinement residual) on the way
+    state = coarse_states[4.0 * math.pi]
+    lin = Linearization.at_state(coarse_problem, state)
+    counts = {"lu": 0, "K": 0}
+    lin._lu = Counting(lin._factor(), counts, "lu")
+    lin.K = Counting(lin.K, counts, "K")
+    lobpcg, steps = spectrum._lobpcg, []
+
+    def counted(A, B, X, precond, Y=None):
+        def once(R):
+            before = dict(counts)
+            W = precond(R)
+            steps.append((counts["lu"] - before["lu"], counts["K"] - before["K"]))
+            assert W.shape == R.shape
+            return W
+        return lobpcg(A, B, X, once, Y)
+
+    monkeypatch.setattr(spectrum, "_lobpcg", counted)
+    tau1 = standard_tau1(coarse_problem, state, lin=lin)
+    assert tau1 == pytest.approx(dense_references(coarse_problem, state)[1], rel=1e-10)
+    assert len(steps) > 1 and set(steps) == {(1, 0)}
 
 
 def test_lobpcg_kernel_refuses_dependent_start(coarse_problem, coarse_states):
