@@ -18,17 +18,12 @@ import sys
 
 from .branch import (LAM_MIN, check_lam_min, emit_diagram, plot_csv, trace_branch,
                      write_csv, write_json)
-from .errors import (BlowupDetected, ConfigError, GelfandError, InvalidDelta,
-                     InvalidDensity, InvalidWeight, NoConvergence, UnsupportedRegime)
+from .errors import BlowupDetected, ConfigError, GelfandError, NoConvergence
 from .freeenergy import (collar_density, free_energy_of, minimize_free_energy,
                          verify_energy_bound)
 from .geometry import build_mesh, build_weight, config_number, domain_from_config
 from .meanfield import MeanFieldProblem, save_state
 from .spectrum import weighted_eigs
-
-# errors of this kind mean the request itself was bad, not that a solve failed
-_CONFIG_ERRORS = (ConfigError, InvalidWeight, InvalidDelta, InvalidDensity,
-                  UnsupportedRegime)
 
 FREE_ENERGY_HEADER = "lambda,n,F,entropy,energy,linear,iterations"
 
@@ -90,8 +85,8 @@ def run_config(args) -> RunConfig:
 
 def build_problem(rc: RunConfig, floor_n=None, like=None) -> MeanFieldProblem:
     """The configured problem.  like, if given, is a problem already built
-    from rc: its mesh, its weight up to the floor and its weight-independent
-    operators are shared, and only the weighted quadrature is built."""
+    from rc: its mesh, and with it the mesh's operators, and its weight up
+    to the floor are shared, and only the weighted quadrature is built."""
     if like is None:
         mesh = build_mesh(rc.domain, rc.singularities, h_max=rc.h_max)
         weight = build_weight(mesh)
@@ -99,7 +94,7 @@ def build_problem(rc: RunConfig, floor_n=None, like=None) -> MeanFieldProblem:
         mesh, weight = like.mesh, dataclasses.replace(like.weight, floor=0.0)
     if floor_n is not None:
         weight = weight.with_floor(floor_n)
-    return MeanFieldProblem(mesh, weight, like=like)
+    return MeanFieldProblem(mesh, weight)
 
 
 def error_payload(e: GelfandError) -> dict:
@@ -210,7 +205,7 @@ def cmd_freeenergy(args):
     for n in ns:
         problem = build_problem(rc, floor_n=n, like=problem)
         if collar_state is None:
-            collar = collar_density(problem.mesh, args.delta, problem.plain)
+            collar = collar_density(problem.mesh, args.delta)
         collar_state = free_energy_of(problem, collar, lams[0], like=collar_state)
         for lam in lams:
             state = minimize_free_energy(problem, lam)
@@ -302,7 +297,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except _CONFIG_ERRORS as e:
+    except ConfigError as e:    # the request itself was bad, not a solve
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except GelfandError as e:

@@ -1,7 +1,8 @@
 """Exception hierarchy for the gelfand toolkit.
 
-Every error raised on purpose by the package derives from GelfandError, so
-callers (in particular the CLI) can separate solver trouble from bad input.
+Every error raised on purpose by the package derives from GelfandError; bad
+input (config, weight, density, collar width, unsupported parameter) raises a
+ConfigError, which callers such as the CLI separate from solver trouble.
 """
 
 
@@ -23,7 +24,7 @@ class MeshFailure(GelfandError):
     """Mesh generation produced an unusable triangulation."""
 
 
-class InvalidWeight(GelfandError):
+class InvalidWeight(ConfigError):
     """Weight field violates its contract (negative values, bad metadata)."""
 
 
@@ -63,7 +64,7 @@ class OverflowGuard(SolverError):
     """Exponential nonlinearity produced non-finite values despite shifting."""
 
 
-class UnsupportedRegime(GelfandError):
+class UnsupportedRegime(ConfigError):
     """Operation called outside the parameter range it is defined for."""
 
 
@@ -79,9 +80,9 @@ class NoFoldInRange(GelfandError):
 
 # -- free energy ------------------------------------------------------------
 
-class InvalidDensity(GelfandError):
+class InvalidDensity(ConfigError):
     """Density input is not a nonnegative unit-mass field."""
 
 
-class InvalidDelta(GelfandError):
+class InvalidDelta(ConfigError):
     """Collar width is empty or swallows the whole domain."""

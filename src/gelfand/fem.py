@@ -165,7 +165,7 @@ def _deg4_block(mesh, tris, point_values):
     verts = mesh.triangles[tris]
     p = mesh.vertices[verts]                      # (T, 3, 2)
     pos = np.einsum("qi,tid->tqd", DEG4_BARY, p)
-    areas = mesh.areas()[tris]
+    areas = mesh.areas[tris]
     hval = np.einsum("qi,ti->tq", DEG4_BARY, point_values[verts])
     w = areas[:, None] * DEG4_W[None, :] * hval
     return QuadBlock(verts=verts, shp=DEG4_BARY, pos=pos, w=w, hval=hval)
@@ -176,7 +176,7 @@ def plain_quadrature(mesh: Mesh) -> Quadrature:
     ones = np.ones(mesh.n_vertices)
     block = _deg4_block(mesh, np.arange(mesh.n_triangles), ones)
     block.hval = np.ones_like(block.w)
-    block.w = mesh.areas()[:, None] * DEG4_W[None, :]
+    block.w = mesh.areas[:, None] * DEG4_W[None, :]
     return Quadrature(mesh.n_vertices, [block])
 
 
@@ -283,7 +283,7 @@ def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
     t1 = p[:, 0] - p[:, 2]
     t2 = p[:, 1] - p[:, 0]
     edges = np.stack([t0, t1, t2], axis=1)        # (T, 3, 2)
-    areas = mesh.areas()
+    areas = mesh.areas
     local = np.einsum("tid,tjd->tij", edges, edges) / (4.0 * areas)[:, None, None]
     r = np.repeat(mesh.triangles, 3, axis=1).reshape(-1, 3, 3)
     c = np.tile(mesh.triangles[:, None, :], (1, 3, 1))
@@ -296,7 +296,7 @@ def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
 
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     """Plain P1 mass matrix (exact)."""
-    areas = mesh.areas()
+    areas = mesh.areas
     local = (areas[:, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))[None]
     r = np.repeat(mesh.triangles, 3, axis=1).reshape(-1, 3, 3)
     c = np.tile(mesh.triangles[:, None, :], (1, 3, 1))

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import (InvalidDelta, InvalidDensity, NoConvergence, SolverError,
                      UnsupportedRegime)
-from .fem import Quadrature, assemble_mass, plain_quadrature
+from .fem import assemble_mass
 from .geometry import Mesh, _point_segment_distance
 from .meanfield import MeanFieldProblem
 
@@ -109,11 +109,10 @@ def free_energy_of(problem: MeanFieldProblem, rho, lam,
     log h against the density with the singularity-adapted quadrature.
 
     The potential, the interaction energy and the entropy are formed from
-    the exact P1 mass matrix and problem.plain, A and dirichlet, none of
+    the exact P1 mass matrix and the mesh's plain, A and dirichlet, none of
     which depend on the weight or on lambda.  like, if given, is this
-    density's state on a problem that shares those operators with this one
-    (another floor of the same weight, as cli.build_problem builds them);
-    they are then read from it, and only int rho log h is computed here.
+    density's state on a problem on the same mesh; they are then read from
+    it, and only int rho log h is computed here.
     """
     if like is None:
         rho = np.asarray(rho, dtype=float)
@@ -146,7 +145,7 @@ def free_energy_of(problem: MeanFieldProblem, rho, lam,
         lam=lam, n=_weight_index(problem))
 
 
-def collar_density(mesh: Mesh, delta: float, plain: Quadrature | None = None) -> np.ndarray:
+def collar_density(mesh: Mesh, delta: float) -> np.ndarray:
     """Uniform probability density on the inner delta-collar of the boundary.
 
     The exact indicator of {dist < delta} is sampled at the quadrature points
@@ -157,12 +156,10 @@ def collar_density(mesh: Mesh, delta: float, plain: Quadrature | None = None) ->
     cells wide.
 
     The collar depends on the mesh and delta only, so a run over several
-    floors and lambdas builds it once.  plain, if given, is
-    plain_quadrature(mesh) already built (a problem's plain); otherwise it
-    is built here.  Distances are computed only as far as delta: delta must
-    lie below the inradius, which holds iff some vertex lies farther than
-    delta from the boundary, and the exact inradius is computed only for the
-    InvalidDelta message.
+    floors and lambdas builds it once, sampled at mesh.plain.  Distances are
+    computed only as far as delta: delta must lie below the inradius, which
+    holds iff some vertex lies farther than delta from the boundary, and the
+    exact inradius is computed only for the InvalidDelta message.
     """
     edges = mesh.boundary_edges()
     seg_a = mesh.vertices[edges[:, 0]]
@@ -173,7 +170,7 @@ def collar_density(mesh: Mesh, delta: float, plain: Quadrature | None = None) ->
             mesh.vertices, seg_a, seg_b, cap=np.nextafter(delta, np.inf)).max()) > delta):
         inradius = float(_point_segment_distance(mesh.vertices, seg_a, seg_b).max())
         raise InvalidDelta(f"delta must lie in (0, {inradius:.4g}), got {delta}")
-    quad = plain if plain is not None else plain_quadrature(mesh)
+    quad = mesh.plain
     # only the indicator d < delta is needed, so distances may stop at delta
     d = _point_segment_distance(quad.pos, seg_a, seg_b, cap=delta)
     m = quad.assemble_load(None)
@@ -342,7 +339,7 @@ def verify_energy_bound(problem: MeanFieldProblem, lam, delta,
         minimizer = minimize_free_energy(problem, lam)
     if collar_state is None:
         collar_state = free_energy_of(
-            problem, collar_density(problem.mesh, delta, problem.plain), lam)
+            problem, collar_density(problem.mesh, delta), lam)
     area = problem.area
     sup_h = problem.weight.sup()
     report = EnergyBoundReport(

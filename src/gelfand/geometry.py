@@ -15,13 +15,15 @@ triangle set is always the one qhull would return for the moved points.
 The Dirichlet Green function G_p is represented as the explicit logarithmic
 kernel plus a finite-element harmonic remainder.  This keeps pointwise
 accuracy near p; the value at p itself is +inf, which downstream weight
-construction maps to h(p) = 0.
+construction maps to h(p) = 0.  A Mesh owns the operators of the mesh alone
+(stiffness, factored Dirichlet block, plain quadrature), so every Green
+function, weight and MeanFieldProblem on it solves through one factorization.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
 
@@ -366,6 +368,8 @@ class Mesh:
     boundary_mask   (n,) True on boundary vertices
     size_target     (n,) local target element size used during generation
     singular_vertices  (k,) vertex index of each singular point
+    areas, stiffness, dirichlet (the factored interior block) and plain (the
+    Lebesgue rule): formed on first read, shared by all weights and problems
     """
 
     vertices: np.ndarray
@@ -376,7 +380,6 @@ class Mesh:
     domain: DomainSpec
     singularities: SingularitySpec
     h_max: float
-    _areas: np.ndarray = field(default=None, repr=False)
 
     @property
     def n_vertices(self):
@@ -386,13 +389,27 @@ class Mesh:
     def n_triangles(self):
         return len(self.triangles)
 
+    @cached_property
     def areas(self):
-        if self._areas is None:
-            self._areas = _signed_areas(self.vertices, self.triangles)
-        return self._areas
+        return _signed_areas(self.vertices, self.triangles)
 
     def area(self):
-        return float(self.areas().sum())
+        return float(self.areas.sum())
+
+    @cached_property
+    def stiffness(self):
+        from .fem import assemble_stiffness  # deferred: fem imports Mesh
+        return assemble_stiffness(self)
+
+    @cached_property
+    def dirichlet(self):
+        from .fem import DirichletSolver  # deferred: fem imports Mesh
+        return DirichletSolver(self.stiffness, self.boundary_mask)
+
+    @cached_property
+    def plain(self):
+        from .fem import plain_quadrature  # deferred: fem imports Mesh
+        return plain_quadrature(self)
 
     def min_angle(self):
         """Smallest interior angle over all triangles, in degrees."""
@@ -749,9 +766,8 @@ class GreenField:
 
 
 def green_function(mesh: Mesh, p) -> GreenField:
-    """Green function of -Laplace with zero boundary data, pole at vertex p."""
-    from .fem import DirichletSolver, assemble_stiffness  # deferred: fem imports Mesh
-
+    """Green function of -Laplace with zero boundary data, pole at vertex p;
+    the harmonic remainder is one solve through the mesh's shared LU."""
     p = np.asarray(p, dtype=float)
     d = np.linalg.norm(mesh.vertices - p, axis=1)
     v = int(np.argmin(d))
@@ -764,10 +780,8 @@ def green_function(mesh: Mesh, p) -> GreenField:
         kernel = -np.log(d) / (2 * np.pi)
     kernel[v] = np.inf
 
-    A = assemble_stiffness(mesh)
-    boundary_values = -kernel.copy()  # harmonic part cancels the kernel on the boundary
-    harmonic = DirichletSolver(A, mesh.boundary_mask).solve(
-        np.zeros(mesh.n_vertices), boundary_values=boundary_values)
+    # the harmonic part cancels the kernel on the boundary
+    harmonic = mesh.dirichlet.solve(np.zeros(mesh.n_vertices), boundary_values=-kernel)
     values = kernel + harmonic
     values[v] = np.inf
     return GreenField(values=values, harmonic=harmonic, vertex=v, point=p)

@@ -53,8 +53,7 @@ from .errors import (
     NoConvergence,
     OverflowGuard,
 )
-from .fem import (SPLU_RECIPE, DirichletSolver, assemble_stiffness, plain_quadrature,
-                  weighted_quadrature)
+from .fem import SPLU_RECIPE, weighted_quadrature
 from .geometry import Mesh, WeightField, build_weight
 
 EIGHT_PI = 8.0 * np.pi
@@ -81,7 +80,6 @@ class MeanFieldState:
     energy: float
     mass_check: float
     residual: float
-    log_z: float
     iterations: int = 0          # Newton and chord steps
     factorizations: int = 0      # Jacobians factored, one per Newton step
     # (point factors, load b) of the Newton solve's last residual, until the
@@ -90,24 +88,17 @@ class MeanFieldState:
 
 
 class MeanFieldProblem:
-    """Discretization bundle: mesh, weight, operators and their factorizations."""
+    """Discretization bundle: mesh, weight, operators and their factorizations.
 
-    def __init__(self, mesh: Mesh, weight: WeightField | None = None,
-                 like: MeanFieldProblem | None = None):
-        """like, if given, is a problem on this same mesh: its operators that
-        do not depend on the weight (plain, A, dirichlet and its LU, area)
-        are shared, not built again, and only the weighted quadrature is."""
+    plain, A (the stiffness), dirichlet and area are read from the mesh, so
+    all problems on one mesh, one per weight or floor, share them."""
+
+    def __init__(self, mesh: Mesh, weight: WeightField | None = None):
         self.mesh = mesh
         self.weight = weight if weight is not None else build_weight(mesh)
         self.quad = weighted_quadrature(mesh, self.weight)
-        if like is None:
-            self.plain = plain_quadrature(mesh)
-            self.A = assemble_stiffness(mesh)
-            self.dirichlet = DirichletSolver(self.A, mesh.boundary_mask)
-            self.area = mesh.area()
-        else:
-            self.plain, self.A, self.dirichlet, self.area = (
-                like.plain, like.A, like.dirichlet, like.area)
+        self.plain, self.A, self.dirichlet = mesh.plain, mesh.stiffness, mesh.dirichlet
+        self.area = mesh.area()
         self.interior = self.dirichlet.interior
         self.weight_mass = self.quad.integrate()
         if not np.isfinite(self.weight_mass) or self.weight_mass <= 1e-300:
@@ -264,7 +255,7 @@ class MeanFieldProblem:
         return MeanFieldState(
             lam=float(lam), psi=psi, mu=mu, u=lam * psi, rho=rho,
             energy=energy, mass_check=float(mass), residual=float(dn),
-            log_z=float(log_z), iterations=iterations, factorizations=factorizations,
+            iterations=iterations, factorizations=factorizations,
         )
 
     def _is_concentrated(self, state):

@@ -354,8 +354,10 @@ def test_freeenergy_builds_one_mesh_and_one_collar(tmp_path, monkeypatch, capsys
     assert sorted(calls) == ["assemble_mass", "build_mesh", "collar_density",
                              "free_energy_of", "free_energy_of"]
     first, second = problems
-    assert second.mesh is first.mesh and second.plain is first.plain
-    assert second.A is first.A and second.dirichlet is first.dirichlet
+    mesh = first.mesh
+    assert second.mesh is mesh and second.plain is first.plain is mesh.plain
+    assert second.A is first.A is mesh.stiffness
+    assert second.dirichlet is first.dirichlet is mesh.dirichlet
     monkeypatch.undo()
     run = cli.run_config(argparse.Namespace(config=cfg, out=str(tmp_path / "ref")))
     bounds = json.loads((out / "bounds.json").read_text())
@@ -367,14 +369,17 @@ def test_freeenergy_builds_one_mesh_and_one_collar(tmp_path, monkeypatch, capsys
 
 
 def test_derived_problem_equals_a_fresh_one(tmp_path):
-    # a floor problem built on another's operators is the fresh problem bit
-    # for bit: the same weighted quadrature, weight mass and Dirichlet solves
+    # a floor problem built on another's mesh, and so on its operators, is
+    # the problem on a freshly built mesh bit for bit: the same weighted
+    # quadrature, weight mass and Dirichlet solves
     cfg = write_config(tmp_path, singularities=[{"x": 0.0, "y": 0.0, "alpha": 1.0}])
     run = cli.run_config(argparse.Namespace(config=cfg, out=str(tmp_path / "out")))
     first = cli.build_problem(run, floor_n=10)
     derived = cli.build_problem(run, floor_n=100, like=first)
     fresh = cli.build_problem(run, floor_n=100)
-    assert derived.dirichlet is first.dirichlet and derived.weight.floor == 0.01
+    assert derived.mesh is first.mesh and fresh.mesh is not first.mesh
+    assert derived.dirichlet is first.dirichlet is first.mesh.dirichlet
+    assert derived.weight.floor == 0.01
     assert np.array_equal(derived.quad.w, fresh.quad.w)
     assert np.array_equal(derived.quad.hval, fresh.quad.hval)
     assert derived.weight_mass == fresh.weight_mass
@@ -386,6 +391,22 @@ def test_derived_problem_equals_a_fresh_one(tmp_path):
     unfloored = cli.build_problem(run, like=first)
     assert unfloored.weight.floor == 0.0
     assert unfloored.weight_mass == cli.build_problem(run).weight_mass
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--delta", "5"], "delta must lie in"),                     # InvalidDelta
+    (["--lambda", "1"], "requires lambda < 0"),                  # UnsupportedRegime
+    (["--n", "0"], "floor parameter n must be positive"),        # InvalidWeight
+], ids=["delta", "lambda", "n"])
+def test_freeenergy_bad_request_exits_2(tmp_path, capsys, flags, message):
+    # a request the free-energy chain does not accept is a config error:
+    # exit 2 and no error.json
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["freeenergy", "--config", cfg, "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not (out / "error.json").exists()
 
 
 def test_freeenergy_step_floor_exits_1(tmp_path, capsys):

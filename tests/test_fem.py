@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from gelfand import fem
 from gelfand.fem import (DirichletSolver, assemble_mass, assemble_stiffness,
                          plain_quadrature, weighted_quadrature)
 from gelfand.geometry import (DomainSpec, SingularitySpec, build_mesh, build_weight,
                               uniform_weight)
+from gelfand.meanfield import MeanFieldProblem
 from mesh_tools import eval_field
 
 
@@ -248,3 +250,24 @@ def test_only_fem_reads_quadrature_blocks():
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Attribute) and node.attr == "blocks")
     assert readers == []
+
+
+def test_one_dirichlet_factorization_per_mesh(monkeypatch):
+    # the Green function of each singular point and every problem on the
+    # mesh solve through the mesh's one factored Dirichlet block, and share
+    # its stiffness and plain quadrature
+    factored = []
+
+    def counting(*args, _splu=fem.splu, **kwargs):
+        factored.append(args[0].shape)
+        return _splu(*args, **kwargs)
+    monkeypatch.setattr(fem, "splu", counting)
+    sing = SingularitySpec.of((0.5, 0.2, 0.5), (-0.7, -0.1, 1.5))
+    mesh = build_mesh(DomainSpec.ellipse(2.0, 1.0), sing, h_max=0.1)
+    weight = build_weight(mesh, sing)
+    problems = [MeanFieldProblem(mesh, weight.with_floor(n)) for n in (10, 100)]
+    n_interior = int((~mesh.boundary_mask).sum())
+    assert factored == [(n_interior, n_interior)]
+    for problem in problems:
+        assert problem.dirichlet is mesh.dirichlet and problem.A is mesh.stiffness
+        assert problem.plain is mesh.plain and problem.dirichlet.A is mesh.stiffness

@@ -203,17 +203,17 @@ def test_energy_bound_chain_singular():
 def test_collar_state_serves_every_lambda_and_floor():
     # cmd_freeenergy evaluates the collar once per floor problem, reading the
     # weight-independent terms from the first floor's state, and each cell
-    # forms F at its own lambda: bit for bit what a fresh problem reports
+    # forms F at its own lambda: bit for bit what a problem on a freshly
+    # built mesh reports
     sing = SingularitySpec.of((0.0, 0.0, 0.5))
     mesh = build_mesh(DomainSpec.unit_disk(), sing, h_max=0.12)
     weight = build_weight(mesh, sing)
-    problem = collar_state = None
+    collar, collar_state = collar_density(mesh, 0.1), None
     for n in (10, 100):
-        problem = MeanFieldProblem(mesh, weight.with_floor(n), like=problem)
-        if collar_state is None:
-            collar = collar_density(mesh, 0.1, problem.plain)
+        problem = MeanFieldProblem(mesh, weight.with_floor(n))
         collar_state = free_energy_of(problem, collar, -2.0, like=collar_state)
-        fresh = MeanFieldProblem(mesh, weight.with_floor(n))
+        fresh_mesh = build_mesh(DomainSpec.unit_disk(), sing, h_max=0.12)
+        fresh = MeanFieldProblem(fresh_mesh, build_weight(fresh_mesh, sing).with_floor(n))
         for lam in (-2.0, -20.0, -200.0):
             minimizer = minimize_free_energy(problem, lam)
             report = verify_energy_bound(problem, lam, 0.1, minimizer=minimizer,
@@ -257,7 +257,10 @@ def test_minimizer_evaluates_each_iterate_once(disk_problem, monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(disk_problem.quad, "eval", counted("eval", disk_problem.quad.eval))
+    # on the class: undoing an instance patch would leave a bound eval in the
+    # session fixture's instance dict, hiding it from later class-level wraps
+    quad = type(disk_problem.quad)
+    monkeypatch.setattr(quad, "eval", counted("eval", quad.eval))
     monkeypatch.setattr(MeanFieldProblem, "_load", counted("load", MeanFieldProblem._load))
     monkeypatch.setattr(MeanFieldProblem, "vertex_density",
                         counted("density", MeanFieldProblem.vertex_density))

@@ -21,7 +21,7 @@ from mesh_tools import (boundary_distance, brute_distance, build_mesh_qhull_ever
 def test_disk_mesh_quality(coarse_problem):
     mesh = coarse_problem.mesh
     assert mesh.min_angle() >= 15.0
-    assert np.all(mesh.areas() > 0)
+    assert np.all(mesh.areas > 0)
     # polygonal approximation from inside: area below pi, converging
     assert 0 < math.pi - mesh.area() < 0.15
 

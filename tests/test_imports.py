@@ -3,8 +3,8 @@ imports from a package module its module already imports at top level, or
 from one that does not import its module back at top level, every
 module-level _private name or UPPER_CASE constant and every _private method
 is read by some module, every public name is read by the package or
-documented, and every SuperLU factorization passes the shared recipe
-`fem.SPLU_RECIPE`.
+documented, every SuperLU factorization passes the shared recipe
+`fem.SPLU_RECIPE`, and only the Mesh builds the operators it owns.
 
 pyflakes and ruff are not part of the toolchain, so these scans are the guard
 against imports, helpers and constants left behind when code is deleted, and
@@ -298,3 +298,36 @@ def test_recipe_relax_within_panel_size():
     from gelfand.fem import SPLU_RECIPE
     assert SPLU_RECIPE["permc_spec"] == "MMD_AT_PLUS_A"
     assert 1 <= SPLU_RECIPE["relax"] <= SPLU_RECIPE.get("panel_size", 20)
+
+
+# the operators a Mesh owns, one each per mesh (geometry.Mesh)
+MESH_OPERATORS = ("assemble_stiffness", "DirichletSolver", "plain_quadrature")
+
+
+def mesh_operators_built_elsewhere(source):
+    """Line of each call of a MESH_OPERATORS builder outside the Mesh class:
+    an operator of the mesh alone is read from it, never built again."""
+    tree = ast.parse(source)
+    owned = {id(node) for cls in ast.walk(tree)
+             if isinstance(cls, ast.ClassDef) and cls.name == "Mesh"
+             for node in ast.walk(cls)}
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and id(node) not in owned
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in MESH_OPERATORS)
+
+
+def test_scan_finds_a_mesh_operator_built_elsewhere():
+    source = ("class Mesh:\n    def stiffness(self):\n"
+              "        return assemble_stiffness(self)\n"
+              "A = assemble_stiffness(mesh)\n"
+              "def f(mesh):\n    return fem.DirichletSolver(A, b), plain_quadrature(mesh)\n"
+              "class Problem:\n    def __init__(self, mesh):\n"
+              "        self.plain = plain_quadrature(mesh)\n"
+              "        self.lu = DirichletSolver\n")
+    assert mesh_operators_built_elsewhere(source) == [4, 6, 6, 9]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_mesh_builds_its_operators(path):
+    assert mesh_operators_built_elsewhere(path.read_text()) == []

@@ -479,7 +479,8 @@ def test_v_newton_accepts_trial_below_tol(coarse_problem, monkeypatch, form):
     # a trial that meets the tolerance is accepted even when it misses the
     # Armijo decrease
     norms = iter([1.0, 1.0 - 1e-6])
-    monkeypatch.setattr(coarse_problem.dirichlet, "dual_norm", lambda r: next(norms))
+    monkeypatch.setattr(type(coarse_problem.dirichlet), "dual_norm",
+                        lambda self, r: next(norms))
     state = NEWTON_FORMS[form](coarse_problem, 1.0 - 1e-7)
     assert state.iterations == 1 and state.residual == 1.0 - 1e-6
 
