@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from functools import cached_property
 
 from .branch import (LAM_MIN, check_lam_min, emit_diagram, plot_csv, trace_branch,
                      write_csv, write_json)
@@ -30,7 +31,8 @@ FREE_ENERGY_HEADER = "lambda,n,F,entropy,energy,linear,iterations"
 
 @dataclasses.dataclass
 class RunConfig:
-    """Everything a subcommand needs beyond its own flags."""
+    """Everything a subcommand needs beyond its own flags.  mesh and the unfloored
+    weight are built on first read, in build_problem, and shared by its problems."""
 
     domain: object
     singularities: object
@@ -38,6 +40,14 @@ class RunConfig:
     lam_min: float
     tol: float
     out_dir: str
+
+    @cached_property
+    def mesh(self):
+        return build_mesh(self.domain, self.singularities, h_max=self.h_max)
+
+    @cached_property
+    def weight(self):
+        return build_weight(self.mesh)
 
 
 def load_json(path):
@@ -83,18 +93,10 @@ def run_config(args) -> RunConfig:
     return rc
 
 
-def build_problem(rc: RunConfig, floor_n=None, like=None) -> MeanFieldProblem:
-    """The configured problem.  like, if given, is a problem already built
-    from rc: its mesh, and with it the mesh's operators, and its weight up
-    to the floor are shared, and only the weighted quadrature is built."""
-    if like is None:
-        mesh = build_mesh(rc.domain, rc.singularities, h_max=rc.h_max)
-        weight = build_weight(mesh)
-    else:
-        mesh, weight = like.mesh, dataclasses.replace(like.weight, floor=0.0)
-    if floor_n is not None:
-        weight = weight.with_floor(floor_n)
-    return MeanFieldProblem(mesh, weight)
+def build_problem(rc: RunConfig, floor_n=None) -> MeanFieldProblem:
+    """The configured problem on rc's mesh, rc's weight floored at 1/floor_n if given."""
+    return MeanFieldProblem(rc.mesh, rc.weight if floor_n is None
+                            else rc.weight.with_floor(floor_n))
 
 
 def error_payload(e: GelfandError) -> dict:
@@ -198,29 +200,29 @@ def cmd_freeenergy(args):
     rc = run_config(args)
     lams = args.lam or [-2.0, -20.0, -200.0]
     ns = args.n or [10, 100, 1000]
-    rows, bounds = [], []
-    # the mesh, its operators and the collar's potential, energy and entropy
-    # depend on the config and delta only; its int rho log h on the weight
-    problem = collar_state = None
-    for n in ns:
-        problem = build_problem(rc, floor_n=n, like=problem)
-        if collar_state is None:
-            collar = collar_density(problem.mesh, args.delta)
-        collar_state = free_energy_of(problem, collar, lams[0], like=collar_state)
-        for lam in lams:
-            state = minimize_free_energy(problem, lam)
-            report = verify_energy_bound(problem, lam, args.delta, minimizer=state,
-                                         collar_state=collar_state)
-            rows.append(f"{lam!r},{n!r},{state.free_energy!r},{state.entropy_term!r},"
-                        f"{state.energy!r},{state.linear_term!r},{state.iterations}")
-            bounds.append({"lambda": lam, "n": n, "delta": args.delta,
-                           "slacks": report.slacks})
+    rows, bounds, collar = [], [], None
     csv_path = os.path.join(rc.out_dir, "freeenergy.csv")
-    with open(csv_path, "w") as f:
-        f.write(FREE_ENERGY_HEADER + "\n")
-        for row in rows:
-            f.write(row + "\n")
-    write_json(bounds, os.path.join(rc.out_dir, "bounds.json"))
+    try:
+        for n in ns:
+            problem = build_problem(rc, floor_n=n)
+            if collar is None:      # the mesh is built by the first build_problem
+                collar = collar_density(problem.mesh, args.delta)
+            collar_state = free_energy_of(problem, collar, lams[0])  # serves every lambda
+            for lam in lams:
+                state = minimize_free_energy(problem, lam)
+                report = verify_energy_bound(problem, lam, args.delta, minimizer=state,
+                                             collar_state=collar_state)
+                rows.append(f"{lam!r},{n!r},{state.free_energy!r},{state.entropy_term!r},"
+                            f"{state.energy!r},{state.linear_term!r},{state.iterations}")
+                bounds.append({"lambda": lam, "n": n, "delta": args.delta,
+                               "slacks": report.slacks})
+    finally:                # a failure still writes the finished cells
+        if rows:
+            with open(csv_path, "w") as f:
+                f.write(FREE_ENERGY_HEADER + "\n")
+                for row in rows:
+                    f.write(row + "\n")
+            write_json(bounds, os.path.join(rc.out_dir, "bounds.json"))
     print(f"rows={len(rows)} -> {csv_path}")
     return 0
 

@@ -36,7 +36,6 @@ import numpy as np
 
 from .errors import (InvalidDelta, InvalidDensity, NoConvergence, SolverError,
                      UnsupportedRegime)
-from .fem import assemble_mass
 from .geometry import Mesh, _point_segment_distance
 from .meanfield import MeanFieldProblem
 
@@ -91,8 +90,10 @@ class EnergyBoundReport:
         }
 
 
-def _lumped_mass(problem: MeanFieldProblem):
-    return problem.plain.assemble_load(None)
+def _check_duality(e, e_dual):
+    """Raise SolverError unless two forms of one interaction energy agree."""
+    if abs(e - e_dual) > 1e-6 * max(abs(e), 1e-12):
+        raise SolverError(f"interaction energy duality violated: {e!r} vs {e_dual!r}")
 
 
 def _weight_index(problem):
@@ -100,8 +101,7 @@ def _weight_index(problem):
     return 1.0 / floor if floor > 0 else np.inf
 
 
-def free_energy_of(problem: MeanFieldProblem, rho, lam,
-                   like: DensityState | None = None) -> DensityState:
+def free_energy_of(problem: MeanFieldProblem, rho, lam) -> DensityState:
     """Evaluate the functional at a P1 probability density.
 
     The density must be nonnegative with unit lumped mass to 1e-8; the
@@ -109,31 +109,22 @@ def free_energy_of(problem: MeanFieldProblem, rho, lam,
     log h against the density with the singularity-adapted quadrature.
 
     The potential, the interaction energy and the entropy are formed from
-    the exact P1 mass matrix and the mesh's plain, A and dirichlet, none of
-    which depend on the weight or on lambda.  like, if given, is this
-    density's state on a problem on the same mesh; they are then read from
-    it, and only int rho log h is computed here.
+    the mesh's mass, lumped_mass, plain, stiffness and dirichlet, none of
+    which is built here; only the weight term reads the problem's weight.
     """
-    if like is None:
-        rho = np.asarray(rho, dtype=float)
-        if np.any(rho < -1e-12):
-            raise InvalidDensity("density has negative entries")
-        rho = np.maximum(rho, 0.0)
-        mass = float(_lumped_mass(problem) @ rho)
-        if abs(mass - 1.0) > 1e-8:
-            raise InvalidDensity(f"density mass {mass!r} is not 1")
-        M = assemble_mass(problem.mesh)
-        potential = problem.dirichlet.solve(M @ rho)
-        e_pair = 0.5 * float(rho @ (M @ potential))
-        e_grad = 0.5 * float(potential @ (problem.A @ potential))
-        if abs(e_pair - e_grad) > 1e-6 * max(abs(e_pair), 1e-12):
-            raise SolverError(f"interaction energy duality violated: {e_pair!r} vs {e_grad!r}")
-        v = problem.plain.eval(rho)
-        entropy_term = float(np.sum(
-            problem.plain.w * np.where(v > 0, v * np.log(np.where(v > 0, v, 1.0)), 0.0)))
-    else:
-        rho, potential = like.rho, like.potential
-        entropy_term, e_pair = like.entropy_term, like.energy
+    rho = np.asarray(rho, dtype=float)
+    if np.any(rho < -1e-12):
+        raise InvalidDensity("density has negative entries")
+    rho = np.maximum(rho, 0.0)
+    mass = float(problem.mesh.lumped_mass @ rho)
+    if abs(mass - 1.0) > 1e-8:
+        raise InvalidDensity(f"density mass {mass!r} is not 1")
+    potential = problem.dirichlet.solve(problem.mesh.mass @ rho)
+    e_pair = 0.5 * float(rho @ (problem.mesh.mass @ potential))
+    _check_duality(e_pair, 0.5 * float(potential @ (problem.A @ potential)))
+    v = problem.plain.eval(rho)
+    entropy_term = float(np.sum(
+        problem.plain.w * np.where(v > 0, v * np.log(np.where(v > 0, v, 1.0)), 0.0)))
     # int rho log h against the Lebesgue measure w / h of the weighted points
     quad = problem.quad
     dx = quad.w / np.where(quad.hval > 0, quad.hval, 1.0)
@@ -173,7 +164,7 @@ def collar_density(mesh: Mesh, delta: float) -> np.ndarray:
     quad = mesh.plain
     # only the indicator d < delta is needed, so distances may stop at delta
     d = _point_segment_distance(quad.pos, seg_a, seg_b, cap=delta)
-    m = quad.assemble_load(None)
+    m = mesh.lumped_mass
     rho = quad.assemble_load((d < delta).astype(float)) / m
     mass = float(m @ rho)
     if mass <= 0.0:
@@ -217,7 +208,7 @@ def minimize_free_energy(problem: MeanFieldProblem, lam) -> DensityState:
     """
     if lam >= 0:
         raise UnsupportedRegime("free-energy minimization requires lambda < 0")
-    m = _lumped_mass(problem)
+    m = problem.mesh.lumped_mass
     quad = problem.quad
     log_h_mass = np.log(problem.weight_mass)
 
@@ -304,11 +295,8 @@ def minimize_free_energy(problem: MeanFieldProblem, lam) -> DensityState:
                 # F and E are those of rho(psi), with E = b'G b / 2; the
                 # energy of psi itself, psi'A psi / 2, must agree with
                 # int rho psi / 2
-                e_grad = 0.5 * float(psi @ (problem.A @ psi))
-                e_dual = 0.5 * float(np.sum(wf * psi_q))
-                if abs(e_grad - e_dual) > 1e-6 * max(abs(e_grad), 1e-12):
-                    raise SolverError(
-                        f"interaction energy duality violated: {e_grad!r} vs {e_dual!r}")
+                _check_duality(0.5 * float(psi @ (problem.A @ psi)),
+                               0.5 * float(np.sum(wf * psi_q)))
                 return DensityState(
                     rho=rho / float(m @ rho), potential=psi, free_energy=f_cur,
                     entropy_term=entropy, energy=energy, linear_term=linear,

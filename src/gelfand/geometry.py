@@ -16,7 +16,7 @@ The Dirichlet Green function G_p is represented as the explicit logarithmic
 kernel plus a finite-element harmonic remainder.  This keeps pointwise
 accuracy near p; the value at p itself is +inf, which downstream weight
 construction maps to h(p) = 0.  A Mesh owns the operators of the mesh alone
-(stiffness, factored Dirichlet block, plain quadrature), so every Green
+(stiffness, factored Dirichlet block, plain quadrature, mass), so every Green
 function, weight and MeanFieldProblem on it solves through one factorization.
 """
 
@@ -368,8 +368,9 @@ class Mesh:
     boundary_mask   (n,) True on boundary vertices
     size_target     (n,) local target element size used during generation
     singular_vertices  (k,) vertex index of each singular point
-    areas, stiffness, dirichlet (the factored interior block) and plain (the
-    Lebesgue rule): formed on first read, shared by all weights and problems
+    areas, stiffness, dirichlet (the factored interior block), plain (the
+    Lebesgue rule), mass (the exact P1 mass matrix) and lumped_mass (plain's
+    load of 1): formed on first read, shared by all weights and problems
     """
 
     vertices: np.ndarray
@@ -410,6 +411,15 @@ class Mesh:
     def plain(self):
         from .fem import plain_quadrature  # deferred: fem imports Mesh
         return plain_quadrature(self)
+
+    @cached_property
+    def mass(self):
+        from .fem import assemble_mass  # deferred: fem imports Mesh
+        return assemble_mass(self)
+
+    @cached_property
+    def lumped_mass(self):
+        return self.plain.assemble_load(None)
 
     def min_angle(self):
         """Smallest interior angle over all triangles, in degrees."""

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import gelfand
-from gelfand import branch, cli, freeenergy
+from gelfand import branch, cli, fem, freeenergy
 from gelfand.cli import domain_from_config
 from gelfand.errors import ConfigError, NoConvergence
 
@@ -326,17 +326,16 @@ def test_freeenergy_artifacts(tmp_path, capsys):
 
 
 def test_freeenergy_builds_one_mesh_and_one_collar(tmp_path, monkeypatch, capsys):
-    # the mesh, its weight-independent operators, the collar and the collar's
-    # potential, energy and entropy (one exact mass matrix) depend on the
-    # config and delta only; the collar is evaluated once per floor problem,
-    # not once per cell.  Every cell must still match a run that builds all
-    # of it afresh
+    # the mesh, its operators (one exact mass matrix among them) and the
+    # collar depend on the config and delta only; the collar is evaluated
+    # once per floor problem, not once per cell.  Every cell must still match
+    # a run that builds all of it afresh
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
     calls, problems = [], []
     for module, name in ((cli, "build_mesh"), (cli, "collar_density"),
                          (cli, "free_energy_of"), (freeenergy, "free_energy_of"),
-                         (freeenergy, "assemble_mass")):
+                         (fem, "assemble_mass")):
         def counting(*args, _name=name, _fn=getattr(module, name), **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)
@@ -356,6 +355,7 @@ def test_freeenergy_builds_one_mesh_and_one_collar(tmp_path, monkeypatch, capsys
     first, second = problems
     mesh = first.mesh
     assert second.mesh is mesh and second.plain is first.plain is mesh.plain
+    assert second.weight.values is first.weight.values
     assert second.A is first.A is mesh.stiffness
     assert second.dirichlet is first.dirichlet is mesh.dirichlet
     monkeypatch.undo()
@@ -369,17 +369,22 @@ def test_freeenergy_builds_one_mesh_and_one_collar(tmp_path, monkeypatch, capsys
 
 
 def test_derived_problem_equals_a_fresh_one(tmp_path):
-    # a floor problem built on another's mesh, and so on its operators, is
-    # the problem on a freshly built mesh bit for bit: the same weighted
-    # quadrature, weight mass and Dirichlet solves
+    # floor problems built from one run config share its mesh, and so its
+    # operators, and its unfloored weight; each is the problem from a fresh
+    # run config bit for bit: the same weighted quadrature, weight mass and
+    # Dirichlet solves
     cfg = write_config(tmp_path, singularities=[{"x": 0.0, "y": 0.0, "alpha": 1.0}])
-    run = cli.run_config(argparse.Namespace(config=cfg, out=str(tmp_path / "out")))
+
+    def run_config():
+        return cli.run_config(argparse.Namespace(config=cfg, out=str(tmp_path / "out")))
+    run = run_config()
     first = cli.build_problem(run, floor_n=10)
-    derived = cli.build_problem(run, floor_n=100, like=first)
-    fresh = cli.build_problem(run, floor_n=100)
-    assert derived.mesh is first.mesh and fresh.mesh is not first.mesh
+    derived = cli.build_problem(run, floor_n=100)
+    fresh = cli.build_problem(run_config(), floor_n=100)
+    assert derived.mesh is first.mesh is run.mesh and fresh.mesh is not first.mesh
     assert derived.dirichlet is first.dirichlet is first.mesh.dirichlet
-    assert derived.weight.floor == 0.01
+    assert derived.weight.values is first.weight.values is run.weight.values
+    assert run.weight.floor == 0.0 and derived.weight.floor == 0.01
     assert np.array_equal(derived.quad.w, fresh.quad.w)
     assert np.array_equal(derived.quad.hval, fresh.quad.hval)
     assert derived.weight_mass == fresh.weight_mass
@@ -388,9 +393,9 @@ def test_derived_problem_equals_a_fresh_one(tmp_path):
     assert np.array_equal(derived.A.toarray(), fresh.A.toarray())
     assert np.array_equal(derived.plain.w, fresh.plain.w)
     assert np.array_equal(derived.weight.vertex_values(), fresh.weight.vertex_values())
-    unfloored = cli.build_problem(run, like=first)
-    assert unfloored.weight.floor == 0.0
-    assert unfloored.weight_mass == cli.build_problem(run).weight_mass
+    unfloored = cli.build_problem(run)
+    assert unfloored.weight is run.weight
+    assert unfloored.weight_mass == cli.build_problem(run_config()).weight_mass
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -425,6 +430,29 @@ def test_freeenergy_step_floor_exits_1(tmp_path, capsys):
     assert payload["error"] == "NoConvergence"
     assert payload["iterations"] == info.value.iterations < 200
     assert payload["residual"] == info.value.residual and math.isfinite(payload["residual"])
+
+
+def test_freeenergy_failure_keeps_finished_cells(tmp_path, capsys):
+    # the lambda = -2 cell finishes before lambda = -1e5 stops at the step
+    # floor: its row and bounds are written as a successful run writes them,
+    # and error.json is the failing cell's as if it had run alone
+    cfg = write_config(tmp_path, h_max=0.08)
+
+    def run(name, *lams):
+        out = tmp_path / name
+        flags = [arg for lam in lams for arg in ("--lambda", lam)]
+        code = cli.main(["freeenergy", "--config", cfg, "--out", str(out),
+                         "--n", "10", *flags])
+        capsys.readouterr()
+        return code, out
+
+    (code, partial), (ok_code, ok), (alone_code, alone) = (
+        run("partial", "-2", "-100000"), run("ok", "-2"), run("alone", "-100000"))
+    assert (code, ok_code, alone_code) == (1, 0, 1)
+    for name in ("freeenergy.csv", "bounds.json"):
+        assert (partial / name).read_bytes() == (ok / name).read_bytes(), name
+    assert not (alone / "freeenergy.csv").exists()
+    assert (partial / "error.json").read_bytes() == (alone / "error.json").read_bytes()
 
 
 def test_plot_roundtrip(branch_run, tmp_path, capsys):

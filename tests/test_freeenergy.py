@@ -1,11 +1,14 @@
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
 import radial_oracle as oracle
 from conftest import make_problem
-from gelfand import freeenergy
+import gelfand
+from gelfand import fem, freeenergy
 from gelfand.cli import error_payload
 from gelfand.errors import (InvalidDelta, InvalidDensity, NoConvergence,
                             OverflowGuard, UnsupportedRegime)
@@ -201,17 +204,16 @@ def test_energy_bound_chain_singular():
 
 
 def test_collar_state_serves_every_lambda_and_floor():
-    # cmd_freeenergy evaluates the collar once per floor problem, reading the
-    # weight-independent terms from the first floor's state, and each cell
-    # forms F at its own lambda: bit for bit what a problem on a freshly
-    # built mesh reports
+    # cmd_freeenergy evaluates the collar once per floor problem on one mesh
+    # and each cell forms F at its own lambda: bit for bit what a problem on
+    # a freshly built mesh reports
     sing = SingularitySpec.of((0.0, 0.0, 0.5))
     mesh = build_mesh(DomainSpec.unit_disk(), sing, h_max=0.12)
     weight = build_weight(mesh, sing)
-    collar, collar_state = collar_density(mesh, 0.1), None
+    collar = collar_density(mesh, 0.1)
     for n in (10, 100):
         problem = MeanFieldProblem(mesh, weight.with_floor(n))
-        collar_state = free_energy_of(problem, collar, -2.0, like=collar_state)
+        collar_state = free_energy_of(problem, collar, -2.0)
         fresh_mesh = build_mesh(DomainSpec.unit_disk(), sing, h_max=0.12)
         fresh = MeanFieldProblem(fresh_mesh, build_weight(fresh_mesh, sing).with_floor(n))
         for lam in (-2.0, -20.0, -200.0):
@@ -220,6 +222,27 @@ def test_collar_state_serves_every_lambda_and_floor():
                                          collar_state=collar_state)
             assert report.f_collar == free_energy_of(fresh, collar, lam).free_energy
             assert report == verify_energy_bound(fresh, lam, 0.1, minimizer=minimizer)
+
+
+def test_mesh_assembles_its_mass_matrix_once(monkeypatch):
+    # the exact P1 mass matrix depends on the mesh alone: evaluating a density
+    # and verifying the bound chain at several lambdas, with no collar_state
+    # shared, assembles it once, counted at every name the package calls it by
+    problem = make_problem(DomainSpec.unit_disk(), SingularitySpec.none(), 0.08)
+    collar = collar_density(problem.mesh, 0.1)
+    calls, real = [], fem.assemble_mass
+
+    def counting(mesh):
+        calls.append(mesh)
+        return real(mesh)
+    for info in pkgutil.iter_modules(gelfand.__path__):
+        module = importlib.import_module(f"gelfand.{info.name}")
+        if getattr(module, "assemble_mass", None) is real:
+            monkeypatch.setattr(module, "assemble_mass", counting)
+    for lam in (-2.0, -20.0, -200.0):
+        free_energy_of(problem, collar, lam)
+        verify_energy_bound(problem, lam, 0.1)
+    assert len(calls) == 1 and calls[0] is problem.mesh
 
 
 def test_quad_state_consistency(disk_problem):
