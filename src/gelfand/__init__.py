@@ -31,6 +31,7 @@ from .geometry import (
 )
 from .meanfield import (
     EIGHT_PI,
+    Linearization,
     MeanFieldProblem,
     MeanFieldState,
     save_state,
@@ -74,7 +75,8 @@ __all__ = [
     "DomainSpec", "GreenField", "Mesh", "SingularitySpec", "WeightField",
     "build_mesh", "build_weight", "domain_from_config", "green_function",
     "uniform_weight",
-    "EIGHT_PI", "MeanFieldProblem", "MeanFieldState", "save_state",
+    "EIGHT_PI", "Linearization", "MeanFieldProblem", "MeanFieldState",
+    "save_state",
     "SpectrumReport", "poincare_constant", "standard_tau1", "weighted_eigs",
     "BranchDiagram", "BranchPoint", "classify_kind",
     "dE_dlambda", "emit_diagram", "find_fold", "g_of", "plot_csv",

@@ -131,29 +131,26 @@ class GDiagnostics:
 # pointwise branch quantities
 
 
-def solve_eta(problem: MeanFieldProblem, state: MeanFieldState,
-              lin: Linearization | None = None) -> np.ndarray:
+def solve_eta(lin: Linearization, state: MeanFieldState) -> np.ndarray:
     """The branch derivative d psi / d lambda as a Dirichlet field.
 
-    Solves the linearized equation with load rho (psi - <psi>).
+    Solves the linearized equation lin, Linearization.at_state(problem,
+    state), with load rho (psi - <psi>).
     """
-    if lin is None:
-        lin = Linearization.at_state(problem, state)
+    problem = lin.problem
     rhs = (lin.M_rho @ state.psi - lin.rho_average(state.psi) * lin.b)[problem.interior]
     eta = np.zeros(problem.mesh.n_vertices)
     eta[problem.interior] = lin.solve(rhs, rtol=1e-10)
     return eta
 
 
-def g_of(problem: MeanFieldProblem, state: MeanFieldState,
-         lin: Linearization | None = None) -> GDiagnostics:
+def g_of(lin: Linearization, state: MeanFieldState) -> GDiagnostics:
     """The fold indicator g = 1 - lambda <z> and the branch derivative eta.
 
-    z = psi + lambda eta, and its rho average is formed as 2E + lambda <eta>.
+    lin is Linearization.at_state(problem, state); z = psi + lambda eta, and
+    its rho average is formed as 2E + lambda <eta>.
     """
-    if lin is None:
-        lin = Linearization.at_state(problem, state)
-    eta = solve_eta(problem, state, lin=lin)
+    eta = solve_eta(lin, state)
     z_avg = 2.0 * state.energy + state.lam * lin.rho_average(eta)
     return GDiagnostics(g=1.0 - state.lam * z_avg, eta=eta)
 
@@ -172,8 +169,8 @@ def _branch_point(problem, state, warm=None):
     warm is the spectrum's WarmStart carrier of the pass, if any.
     """
     lin = Linearization.at_state(problem, state)
-    diag = g_of(problem, state, lin=lin)
-    report = weighted_eigs(problem, state, k=1, lin=lin, warm=warm)
+    diag = g_of(lin, state)
+    report = weighted_eigs(lin, k=1, warm=warm)
     row = BranchPoint(
         lam=state.lam, mu=state.mu, energy=state.energy,
         dE_dlambda=dE_dlambda(problem, state, diag.eta), g_value=diag.g,
@@ -241,7 +238,7 @@ def _march(problem, start, targets, tol, diagnose=None, to_fold=False):
     if diagnose is None:
         def diagnose(state):
             lin = Linearization.at_state(problem, state)
-            return g_of(problem, state, lin), lin
+            return g_of(lin, state), lin
     last, brackets = start, []
     prev = held = None        # (lambda, eta) of the state before; the row's solve
     stack = list(reversed(targets))
@@ -383,7 +380,7 @@ def find_fold(problem: MeanFieldProblem, brackets,
             return known[lam]
         guess = s_lo.psi + (lam - s_lo.lam) * d_lo.eta
         state = problem._newton(lam, guess, newton_tol)
-        value = g_of(problem, state).g
+        value = g_of(Linearization.at_state(problem, state), state).g
         if abs(value) < FOLD_G_TOL:
             raise _FoldFound(state)
         return value

@@ -23,7 +23,7 @@ from .errors import BlowupDetected, ConfigError, GelfandError, NoConvergence
 from .freeenergy import (collar_density, free_energy_of, minimize_free_energy,
                          verify_energy_bound)
 from .geometry import build_mesh, build_weight, config_number, domain_from_config
-from .meanfield import MeanFieldProblem, save_state
+from .meanfield import Linearization, MeanFieldProblem, save_state
 from .spectrum import weighted_eigs
 
 FREE_ENERGY_HEADER = "lambda,n,F,entropy,energy,linear,iterations"
@@ -167,7 +167,7 @@ def cmd_spectrum(args):
     rc = run_config(args)
     problem = build_problem(rc)
     state = problem.solve_mp(args.lam, tol=rc.tol)
-    report = weighted_eigs(problem, state, k=args.k)
+    report = weighted_eigs(Linearization.at_state(problem, state), k=args.k)
     csv_path = os.path.join(rc.out_dir, "spectrum.csv")
     with open(csv_path, "w") as f:
         f.write("j,sigma\n")
@@ -210,8 +210,7 @@ def cmd_freeenergy(args):
             collar_state = free_energy_of(problem, collar, lams[0])  # serves every lambda
             for lam in lams:
                 state = minimize_free_energy(problem, lam)
-                report = verify_energy_bound(problem, lam, args.delta, minimizer=state,
-                                             collar_state=collar_state)
+                report = verify_energy_bound(problem, state, collar_state)
                 rows.append(f"{lam!r},{n!r},{state.free_energy!r},{state.entropy_term!r},"
                             f"{state.energy!r},{state.linear_term!r},{state.iterations}")
                 bounds.append({"lambda": lam, "n": n, "delta": args.delta,

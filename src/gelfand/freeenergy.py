@@ -68,7 +68,6 @@ class EnergyBoundReport:
 
     lam: float
     n: float
-    delta: float
     entropy_bound: float        # log|Omega|
     entropy_value: float        # S(rho) = -int rho log rho
     linear_bound: float         # log(1 + sup h)
@@ -306,40 +305,38 @@ def minimize_free_energy(problem: MeanFieldProblem, lam) -> DensityState:
                         iterations=MAX_ITER, residual=prev_l1)
 
 
-def verify_energy_bound(problem: MeanFieldProblem, lam, delta,
-                        minimizer: DensityState | None = None,
-                        collar_state: DensityState | None = None) -> EnergyBoundReport:
+def verify_energy_bound(problem: MeanFieldProblem, minimizer: DensityState,
+                        collar: DensityState) -> EnergyBoundReport:
     """Evaluate every inequality of the vanishing-energy proof chain.
 
-    The Jensen slack is the minimizer's jensen_min_slack, a minimum over the
-    iterates that minimize_free_energy visited; it depends on that path and
-    moves whenever the iteration does, at the same minimizer.
-
-    collar_state, if given, is free_energy_of(problem, collar_density(
-    problem.mesh, delta), lam0) at any lam0: none of its terms depends on
-    lambda, so a caller that verifies several lambdas on one problem
-    evaluates the collar once and each cell only forms F at its own lambda.
-    Otherwise the collar and its terms are computed here.  Raises SolverError
-    if any recorded slack is negative beyond roundoff; otherwise returns the
-    report with all sides and slacks.
+    minimizer is minimize_free_energy(problem, lam) and collar is
+    free_energy_of(problem, collar_density(problem.mesh, delta), lam0) at any
+    lam0: none of its terms depends on lambda, so its F is formed here at the
+    minimizer's lam.  The Jensen slack is the minimizer's jensen_min_slack, a
+    minimum over the iterates that minimize_free_energy visited; it depends
+    on that path and moves whenever the iteration does.  Raises
+    InvalidDensity, naming both floors, when either state is not of this
+    problem's floor and mesh, and SolverError if any recorded slack is
+    negative beyond roundoff.
     """
-    if minimizer is None:
-        minimizer = minimize_free_energy(problem, lam)
-    if collar_state is None:
-        collar_state = free_energy_of(
-            problem, collar_density(problem.mesh, delta), lam)
+    n = _weight_index(problem)
+    for name, state in (("minimizer", minimizer), ("collar", collar)):
+        if state.n != n or len(state.rho) != problem.mesh.n_vertices:
+            raise InvalidDensity(f"{name} of floor n = {state.n!r} on {len(state.rho)} "
+                                 f"vertices given for the problem of floor n = {n!r} on "
+                                 f"{problem.mesh.n_vertices}")
+    lam = minimizer.lam
     area = problem.area
     sup_h = problem.weight.sup()
     report = EnergyBoundReport(
-        lam=lam, n=minimizer.n, delta=delta,
+        lam=lam, n=n,
         entropy_bound=float(np.log(area)),
         entropy_value=-minimizer.entropy_term,
         linear_bound=float(np.log1p(sup_h)),
         linear_value=minimizer.linear_term,
         f_minimizer=minimizer.free_energy,
         # free_energy_of's expression, so F equals its value at this lambda
-        f_collar=(collar_state.entropy_term - lam * collar_state.energy
-                  - collar_state.linear_term),
+        f_collar=collar.entropy_term - lam * collar.energy - collar.linear_term,
         energy_value=minimizer.energy,
         energy_bound=float(
             (minimizer.free_energy + np.log(area) + np.log1p(sup_h)) / abs(lam)),

@@ -54,7 +54,7 @@ from .errors import (
     OverflowGuard,
 )
 from .fem import SPLU_RECIPE, weighted_quadrature
-from .geometry import Mesh, WeightField, build_weight
+from .geometry import Mesh, WeightField
 
 EIGHT_PI = 8.0 * np.pi
 
@@ -90,12 +90,13 @@ class MeanFieldState:
 class MeanFieldProblem:
     """Discretization bundle: mesh, weight, operators and their factorizations.
 
+    The caller builds the weight, as build_weight(mesh) or a floor of it.
     plain, A (the stiffness), dirichlet and area are read from the mesh, so
     all problems on one mesh, one per weight or floor, share them."""
 
-    def __init__(self, mesh: Mesh, weight: WeightField | None = None):
+    def __init__(self, mesh: Mesh, weight: WeightField):
         self.mesh = mesh
-        self.weight = weight if weight is not None else build_weight(mesh)
+        self.weight = weight
         self.quad = weighted_quadrature(mesh, self.weight)
         self.plain, self.A, self.dirichlet = mesh.plain, mesh.stiffness, mesh.dirichlet
         self.area = mesh.area()
@@ -328,15 +329,16 @@ class MeanFieldProblem:
         except (NoConvergence, BlowupDetected) as e:
             err = e
         else:
-            diag = g_of(self, state)
+            diag = g_of(Linearization.at_state(self, state), state)
         if diag is not None and diag.g >= G_DIRECT:
             return state
         below = diag is not None and diag.g > 0.0     # converged on the minimal branch
         start = state if below else self.solve_mp(0.0, tol=tol)
         lam_end = EIGHT_PI - EPS_STOP
         targets = np.arange(start.lam + POS_STEP, lam_end, POS_STEP)
-        _, brackets, _ = _march(self, (start, diag if below else g_of(self, start)),
-                                [*targets, lam_end], tol, to_fold=True)
+        if not below:
+            diag = g_of(Linearization.at_state(self, start), start)
+        _, brackets, _ = _march(self, (start, diag), [*targets, lam_end], tol, to_fold=True)
         if brackets:
             fold = find_fold(self, brackets, newton_tol=tol)
             if mu > fold.mu * (1.0 + FOLD_RTOL):
@@ -493,15 +495,16 @@ class Linearization:
     """Bordered solver for L = A - lam (M_rho - b b') on the interior space.
 
     `factors` are the flat point factors e^(lam psi)/Z the operator was
-    built from; M_ii, the interior block of M_rho, is formed only when read.
+    built from and `load` their load vector b; M_ii, the interior block of
+    M_rho, is formed only when read.
     """
 
-    def __init__(self, problem: MeanFieldProblem, lam, factors, load=None):
+    def __init__(self, problem: MeanFieldProblem, lam, factors, load):
         self.problem = problem
         self.lam = lam
         self.factors = factors
         self.M_rho = problem.quad.assemble_mass(factors)
-        self.b = load if load is not None else problem.quad.assemble_load(factors)
+        self.b = load
         self.b_i = self.b[problem.interior]
         self.K = problem.jacobian_pattern(self.M_rho).bordered(lam, self.M_rho, self.b_i)
         self._lu = None
@@ -516,7 +519,7 @@ class Linearization:
             (factors, load), state.newton_load = state.newton_load, None
             return cls(problem, state.lam, factors, load)
         factors, _ = problem._exp_factors(state.lam, problem.quad.eval(state.psi))
-        return cls(problem, state.lam, factors)
+        return cls(problem, state.lam, factors, problem.quad.assemble_load(factors))
 
     @cached_property
     def M_ii(self):

@@ -13,7 +13,9 @@ of v.  The constant field is the kernel of the full-space pencil, so C_P is
 its second eigenvalue; sigma and tau exclude it by the boundary condition.
 sigma_1 > 0 expresses invertibility of the linearized operator along the
 branch, and the orderings sigma_1 >= tau_1 and sigma_j + lam >= C_P hold at
-the discrete level by Rayleigh-quotient comparison.
+the discrete level by Rayleigh-quotient comparison.  Every solver takes the
+state's Linearization.at_state(problem, state), which holds the problem,
+lambda, M_rho and b, and reads nothing else of the state.
 
 Each pencil has one solver path, run by the package's own kernels.  sigma
 is found by Lanczos with full reorthogonalization (see _lanczos) inverted
@@ -40,7 +42,7 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from .errors import DegenerateWeight, SolverError
 from .fem import SPLU_RECIPE
-from .meanfield import Linearization, MeanFieldProblem, MeanFieldState
+from .meanfield import Linearization
 
 LOBPCG_TOL = 1e-10  # residual norm of B-normalized vectors a run must reach
 LOBPCG_MAXITER = 40  # iterations after which a run falls back to ARPACK
@@ -250,10 +252,9 @@ def _mhat_full(lin: Linearization):
     return lambda v: lin.M_rho @ v - lin.b * (lin.b @ v)
 
 
-def weighted_eigs(problem: MeanFieldProblem, state: MeanFieldState, k: int = 10,
-                  lin: Linearization | None = None,
+def weighted_eigs(lin: Linearization, k: int = 10,
                   warm: WarmStart | None = None) -> SpectrumReport:
-    """The k smallest eigenpairs of the oscillation-paired linearization.
+    """The k smallest eigenpairs of the oscillation-paired linearization lin.
 
     Eigenfields are returned as Dirichlet fields, normalized so the
     rho-weighted Gram matrix of their oscillations phi - <phi> is the
@@ -263,19 +264,17 @@ def weighted_eigs(problem: MeanFieldProblem, state: MeanFieldState, k: int = 10,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if lin is None:
-        lin = Linearization.at_state(problem, state)
     warm = warm or WarmStart()
+    problem, lam = lin.problem, lin.lam
     idx = problem.interior
     n_i = len(idx)
     k = min(k, n_i)
-    lam = state.lam
     if _dense(n_i, k):
         s, vecs = _dense_eigh(lin, "sigma")
         sig, vecs, method = s[:k] - lam, vecs[:, :k], "dense"
     else:
         v0 = None if warm.sigma is None else warm.sigma.sum(axis=1)
-        sig, vecs = _sigma_sparse(problem, lin, lam, k, v0=v0)
+        sig, vecs = _sigma_sparse(lin, k, v0=v0)
         warm.sigma, method = vecs, "sparse"
     phis = np.zeros((problem.mesh.n_vertices, k))
     phis[idx] = vecs
@@ -285,18 +284,19 @@ def weighted_eigs(problem: MeanFieldProblem, state: MeanFieldState, k: int = 10,
     mean_error = float(np.abs(lin.b @ mean_free).max())
     return SpectrumReport(
         lam=lam, sigmas=sig, phis=phis,
-        tau1=standard_tau1(problem, state, lin=lin, warm=warm),
-        poincare=poincare_constant(problem, state, lin=lin, warm=warm),
+        tau1=standard_tau1(lin, warm=warm),
+        poincare=poincare_constant(lin, warm=warm),
         ortho_error=ortho_error, mean_error=mean_error, method=method,
     )
 
 
-def _sigma_sparse(problem, lin, lam, k, v0=None):
+def _sigma_sparse(lin, k, v0=None):
     """Largest-theta Lanczos on Mhat v = theta A v; sigma = 1/theta - lam.
 
     v0 starts the package's Lanczos run; by default a fixed random vector.
     When the run misses, ARPACK solves the pencil from the fixed vector.
     """
+    problem = lin.problem
     n_i = len(problem.interior)
     M_ii, b_i = lin.M_ii, lin.b_i
     mhat = lambda x: M_ii @ x - b_i * (b_i @ x)
@@ -314,25 +314,21 @@ def _sigma_sparse(problem, lin, lam, k, v0=None):
         raise DegenerateWeight("oscillation mass is rank-deficient beyond the constant")
     # vectors come back A-orthonormal; phi' Mhat phi = theta rescales them
     vecs = vecs / np.sqrt(theta)[None, :]
-    sig = 1.0 / theta - lam
+    sig = 1.0 / theta - lin.lam
     order = np.argsort(sig)
     return sig[order], vecs[:, order]
 
 
-def standard_tau1(problem: MeanFieldProblem, state: MeanFieldState,
-                  lin: Linearization | None = None,
-                  warm: WarmStart | None = None) -> float:
-    """Smallest eigenvalue of the linearization against the full density mass.
+def standard_tau1(lin: Linearization, warm: WarmStart | None = None) -> float:
+    """Smallest eigenvalue of the linearization lin against the full density mass.
 
     LOBPCG runs on (J, M_ii), where J = A_ii - lam (M_ii - b b') is applied
     to a whole block through the bordered K and preconditioned by one
     unrefined solve of the block with the bordered LU, started from the
     carrier's vector; when it misses, ARPACK solves the inverted pencil.
     """
-    if lin is None:
-        lin = Linearization.at_state(problem, state)
     warm = warm or WarmStart()
-    n_i = len(problem.interior)
+    n_i = len(lin.problem.interior)
     if _dense(n_i):
         return float(_dense_eigh(lin, "tau")[0][0])
     start = warm.tau if warm.tau is not None else _fixed_start((n_i, 1))
@@ -351,10 +347,8 @@ def standard_tau1(problem: MeanFieldProblem, state: MeanFieldState,
     return float(1.0 / theta[0])
 
 
-def poincare_constant(problem: MeanFieldProblem, state: MeanFieldState,
-                      lin: Linearization | None = None,
-                      warm: WarmStart | None = None) -> float:
-    """Second eigenvalue of the full-space stiffness/density pencil.
+def poincare_constant(lin: Linearization, warm: WarmStart | None = None) -> float:
+    """Second eigenvalue of the full-space stiffness/density pencil at lin.
 
     The first eigenvalue is zero with constant eigenfield; every other
     eigenfield is automatically mean-free in the rho pairing, so this is the
@@ -363,9 +357,8 @@ def poincare_constant(problem: MeanFieldProblem, state: MeanFieldState,
     block and preconditioned by its LU of A + M_rho; when it misses, ARPACK
     solves the pencil by shift-invert.
     """
-    if lin is None:
-        lin = Linearization.at_state(problem, state)
     warm = warm or WarmStart()
+    problem = lin.problem
     if _dense(len(problem.interior)):
         return float(_dense_eigh(lin, "poincare")[0][1])
     n = problem.mesh.n_vertices

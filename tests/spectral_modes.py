@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gelfand.meanfield import Linearization, MeanFieldProblem, MeanFieldState
+from gelfand.meanfield import Linearization, MeanFieldState
 from gelfand.spectrum import SpectrumReport, _dense_eigh, _mhat_full
 
 
@@ -24,16 +24,14 @@ def dense_sigma_oracle(problem, state, k=5):
     return _dense_eigh(Linearization.at_state(problem, state), "sigma")[0][:k] - state.lam
 
 
-def expand_modes(problem: MeanFieldProblem, state: MeanFieldState, eta,
-                 report: SpectrumReport,
-                 lin: Linearization | None = None) -> ModeCoefficients:
-    """Coefficients of psi and eta oscillations in the eigenfield basis.
+def expand_modes(lin: Linearization, state: MeanFieldState, eta,
+                 report: SpectrumReport) -> ModeCoefficients:
+    """Coefficients of psi and eta oscillations in the eigenfield basis, lin
+    being Linearization.at_state(problem, state).
 
     a_j pairs the oscillation of psi with mode j, b_j that of eta; the
     eigenvalue relation makes sigma_j b_j = a_j for resolved modes.
     """
-    if lin is None:
-        lin = Linearization.at_state(problem, state)
     mhat = _mhat_full(lin)
     a = report.phis.T @ mhat(state.psi)
     b = report.phis.T @ mhat(np.asarray(eta, dtype=float))

@@ -12,9 +12,10 @@ import pytest
 
 import radial_oracle as oracle
 from gelfand.branch import dE_dlambda, g_of, solve_eta
-from gelfand.freeenergy import minimize_free_energy, verify_energy_bound
+from gelfand.freeenergy import (collar_density, free_energy_of, minimize_free_energy,
+                                verify_energy_bound)
 from gelfand.geometry import uniform_weight
-from gelfand.meanfield import MeanFieldProblem
+from gelfand.meanfield import Linearization, MeanFieldProblem
 from gelfand.spectrum import weighted_eigs
 from spectral_modes import dense_sigma_oracle, expand_modes
 from z_diagnostics import z_diagnostics
@@ -66,9 +67,10 @@ def test_criterion_04_derivative_identity(disk_problem):
     worst_fd, worst_gap = 0.0, -math.inf
     for lam in lams:
         state = disk_problem.solve_mp(lam)
-        eta = solve_eta(disk_problem, state)
-        report = weighted_eigs(disk_problem, state, k=20)
-        coeffs = expand_modes(disk_problem, state, eta, report)
+        lin = Linearization.at_state(disk_problem, state)
+        eta = solve_eta(lin, state)
+        report = weighted_eigs(lin, k=20)
+        coeffs = expand_modes(lin, state, eta, report)
         direct = dE_dlambda(disk_problem, state, eta)
         e_plus = disk_problem.solve_mp(lam + d_lam, initial_guess=state.psi).energy
         e_minus = disk_problem.solve_mp(lam - d_lam, initial_guess=state.psi).energy
@@ -118,7 +120,7 @@ def test_criterion_06_fold_indicator(fine_trace, disk_trace, ellipse_trace,
     lam_star = diagram.fold[0]
     problem = fine_trace["problem"]
     state = problem.solve_mp(lam_star)
-    z = z_diagnostics(problem, state, g_of(problem, state).eta)
+    z = z_diagnostics(problem, state, g_of(Linearization.at_state(problem, state), state).eta)
     ok = (g0_err <= 1e-6 and neg_min > 0.0 and flips_ok
           and z.z3_avg > 0.0 and z.z_min >= -1e-6)
     verdict(6, ok, f"|g(0)-1|={g0_err:.2e}, min g on lam<=0 {neg_min:.3f}, "
@@ -163,11 +165,13 @@ def test_criterion_08_energy_vanishes_oracle_rate(fine_problem):
 
 def test_criterion_08_chain_inequalities(disk_problem):
     worst = math.inf
+    collar = collar_density(disk_problem.mesh, 0.1)
     for n in (10, 100, 1000):
         problem = MeanFieldProblem(
             disk_problem.mesh, uniform_weight(disk_problem.mesh).with_floor(n))
         for lam in (-2.0, -20.0, -200.0):
-            report = verify_energy_bound(problem, lam, 0.1)
+            report = verify_energy_bound(problem, minimize_free_energy(problem, lam),
+                                         free_energy_of(problem, collar, lam))
             worst = min(worst, min(report.slacks.values()))
     ok = worst >= -1e-9
     verdict(8, ok, f"min chain slack {worst:.3e} over 9 (lambda, n) pairs, "
@@ -186,7 +190,7 @@ def test_criterion_10_dense_sparse_equivalence(coarse_problem):
     assert n_i <= 500, n_i
     state = coarse_problem.solve_mp(2.0)
     dense = dense_sigma_oracle(coarse_problem, state, k=5)
-    sparse = weighted_eigs(coarse_problem, state, k=5)
+    sparse = weighted_eigs(Linearization.at_state(coarse_problem, state), k=5)
     assert sparse.method == "sparse"
     rel = float(np.max(np.abs(dense - sparse.sigmas) / np.abs(dense)))
     verdict(10, rel <= 1e-8, f"max rel sigma_1..5 gap {rel:.2e} "

@@ -45,7 +45,7 @@ def test_tau1_reaches_lin_solve_once_per_lobpcg_step(coarse_problem, monkeypatch
     try:
         recorder.install()
         close = recorder.op()
-        spectrum.standard_tau1(coarse_problem, state, lin=lin)
+        spectrum.standard_tau1(lin)
         metrics = recorder.layer_metrics(close())
     finally:
         recorder.uninstall()

@@ -21,7 +21,7 @@ from z_diagnostics import z_diagnostics
 
 def test_g_at_zero_is_one(disk_problem):
     state = disk_problem.solve_mp(0.0)
-    diag = g_of(disk_problem, state)
+    diag = g_of(Linearization.at_state(disk_problem, state), state)
     assert diag.g == pytest.approx(1.0, abs=1e-12)
     assert z_diagnostics(disk_problem, state, diag.eta).identity_error < 1e-12
 
@@ -30,14 +30,14 @@ def test_g_identity_form(disk_problem):
     # <z> assembled as 2E + lambda <eta> must agree with the direct average
     for lam in (-5.0, 2.0, 9.0):
         state = disk_problem.solve_mp(lam)
-        diag = g_of(disk_problem, state)
+        diag = g_of(Linearization.at_state(disk_problem, state), state)
         assert z_diagnostics(disk_problem, state, diag.eta).identity_error < 1e-6
 
 
 def test_derivative_direct_vs_finite_difference(disk_problem):
     lam, dl = 1.0, 1e-3
     state = disk_problem.solve_mp(lam)
-    eta = solve_eta(disk_problem, state)
+    eta = solve_eta(Linearization.at_state(disk_problem, state), state)
     direct = dE_dlambda(disk_problem, state, eta)
     e_plus = disk_problem.solve_mp(lam + dl, initial_guess=state.psi).energy
     e_minus = disk_problem.solve_mp(lam - dl, initial_guess=state.psi).energy
@@ -47,10 +47,11 @@ def test_derivative_direct_vs_finite_difference(disk_problem):
 
 def test_spectral_sum_from_below(disk_problem):
     state = disk_problem.solve_mp(6.0)
-    eta = solve_eta(disk_problem, state)
+    lin = Linearization.at_state(disk_problem, state)
+    eta = solve_eta(lin, state)
     direct = dE_dlambda(disk_problem, state, eta)
-    report = weighted_eigs(disk_problem, state, k=20)
-    modes = expand_modes(disk_problem, state, eta, report)
+    report = weighted_eigs(lin, k=20)
+    modes = expand_modes(lin, state, eta, report)
     terms = (state.lam + report.sigmas) * report.sigmas * modes.b ** 2
     assert np.all(terms >= -1e-12)
     s5, s20 = float(np.sum(terms[:5])), float(np.sum(terms[:20]))
@@ -88,7 +89,7 @@ def test_fold_state_diagnostics(disk_trace):
     problem = disk_trace["problem"]
     lam_star = disk_trace["diagram"].fold[0]
     state = problem.solve_mp(lam_star)
-    diag = g_of(problem, state)
+    diag = g_of(Linearization.at_state(problem, state), state)
     z = z_diagnostics(problem, state, diag.eta)
     assert abs(diag.g) < 1e-6
     assert z.z3_avg > 0.0
@@ -173,7 +174,8 @@ def test_read_csv_rejects_other_headers(tmp_path):
 def march_over(problem, targets, tol=NEWTON_TOL, **kwargs):
     """_march from the lambda = 0 state over targets, each solve to tol."""
     start = problem.solve_mp(0.0)
-    return _march(problem, (start, g_of(problem, start)), targets, tol, **kwargs)
+    diag = g_of(Linearization.at_state(problem, start), start)
+    return _march(problem, (start, diag), targets, tol, **kwargs)
 
 
 def test_no_fold_without_sign_change():
@@ -209,7 +211,7 @@ def test_classify_short_run_undetermined(disk_problem):
     # a march that stalled short of 8 pi decides nothing; one that blew up
     # shows the blowup that defines the first kind; neither needs a solve
     state = disk_problem.solve_mp(1.0)
-    last = (state, g_of(disk_problem, state))
+    last = (state, g_of(Linearization.at_state(disk_problem, state), state))
     assert classify_kind(None, "stalled", last) == "undetermined"
     assert classify_kind(None, "blowup", last) == "first"
 
@@ -220,7 +222,8 @@ def test_classify_long_ellipse_is_second_kind():
     mesh = build_mesh(DomainSpec.ellipse(4.0, 0.5), SingularitySpec.none(), h_max=0.08)
     problem = MeanFieldProblem(mesh, uniform_weight(mesh))
     state = problem.solve_mp(EIGHT_PI - EPS_STOP)
-    assert classify_kind(problem, "completed", (state, g_of(problem, state))) == "second"
+    diag = g_of(Linearization.at_state(problem, state), state)
+    assert classify_kind(problem, "completed", (state, diag)) == "second"
 
 
 @pytest.mark.parametrize("lam_min", [5.0, 0.0, math.nan, -math.inf])
@@ -323,7 +326,7 @@ def test_fold_located_from_kept_states(disk_problem, counted_trace):
     assert work["fold_solve_mp"] == 0
     assert 1 <= work["fold_solves"] <= 12
     state = folds[0]
-    assert abs(g_of(disk_problem, state).g) < 1e-8
+    assert abs(g_of(Linearization.at_state(disk_problem, state), state).g) < 1e-8
     assert counted_trace["diagram"].fold == (state.lam, state.energy, state.mu)
 
 
@@ -373,14 +376,14 @@ def test_positive_grid_pinned():
 
 
 def test_locate_fold_requires_sign_change(disk_problem):
-    pairs = [(s, g_of(disk_problem, s)) for s in
+    pairs = [(s, g_of(Linearization.at_state(disk_problem, s), s)) for s in
              (disk_problem.solve_mp(2.0), disk_problem.solve_mp(4.0))]
     with pytest.raises(NoFoldInRange, match=r"does not change sign on \[2\.0, 4\.0\]"):
         find_fold(disk_problem, [pairs])
 
 
 def test_locate_fold_reports_unmet_tolerance(coarse_problem, monkeypatch):
-    pairs = [(s, g_of(coarse_problem, s)) for s in
+    pairs = [(s, g_of(Linearization.at_state(coarse_problem, s), s)) for s in
              (coarse_problem.solve_mp(12.0), coarse_problem.solve_mp(13.0))]
     assert pairs[0][1].g > 0 > pairs[1][1].g
     monkeypatch.setattr(branch, "FOLD_G_TOL", 0.0)
@@ -396,7 +399,7 @@ def march_from_zero(problem, tol):
     def diagnose(state):
         lin = Linearization.at_state(problem, state)
         states.append(state)
-        return g_of(problem, state, lin), lin
+        return g_of(lin, state), lin
 
     targets = [k * math.pi / 4 for k in (1, 2, 3, 4)]
     _, brackets, tag = march_over(problem, targets, tol, diagnose=diagnose)
@@ -434,9 +437,9 @@ def test_no_earlier_row_lu_alive_in_diagnostics(disk_problem, monkeypatch, run):
         init(self, *args, **kwargs)
         alive.add(self)
 
-    def watched_g_of(problem, state, lin=None):
+    def watched_g_of(lin, state):
         seen.append(sorted(other.lam for other in alive if other.lam != state.lam))
-        return g_of_real(problem, state, lin)
+        return g_of_real(lin, state)
 
     monkeypatch.setattr(Linearization, "__init__", tracked_init)
     monkeypatch.setattr(branch, "g_of", watched_g_of)

@@ -364,7 +364,9 @@ def test_freeenergy_builds_one_mesh_and_one_collar(tmp_path, monkeypatch, capsys
     for entry in bounds:
         problem = cli.build_problem(run, floor_n=entry["n"])
         state = cli.minimize_free_energy(problem, entry["lambda"])
-        report = cli.verify_energy_bound(problem, entry["lambda"], 0.2, minimizer=state)
+        collar = cli.free_energy_of(problem, cli.collar_density(problem.mesh, 0.2),
+                                    entry["lambda"])
+        report = cli.verify_energy_bound(problem, state, collar)
         assert entry["slacks"] == report.slacks
 
 

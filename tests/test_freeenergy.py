@@ -186,8 +186,15 @@ def test_without_mixing_the_plain_damped_iteration(disk_problem, monkeypatch, wi
     assert plain.free_energy == pytest.approx(fast.free_energy, rel=1e-9)
 
 
+def bound_chain(problem, lam, delta):
+    """verify_energy_bound at lam, with the minimizer and the delta-collar
+    evaluated on problem."""
+    collar = free_energy_of(problem, collar_density(problem.mesh, delta), lam)
+    return verify_energy_bound(problem, minimize_free_energy(problem, lam), collar)
+
+
 def test_energy_bound_chain(disk_problem):
-    report = verify_energy_bound(disk_problem, -20.0, 0.1)
+    report = bound_chain(disk_problem, -20.0, 0.1)
     for name, slack in report.slacks.items():
         assert slack >= -1e-9, name
     assert report.energy_value <= report.energy_bound
@@ -198,7 +205,7 @@ def test_energy_bound_chain_singular():
     sing = SingularitySpec.of((0.5, 0.0, 0.05))
     mesh = build_mesh(DomainSpec.unit_disk(), sing, h_max=0.12)
     problem = MeanFieldProblem(mesh, build_weight(mesh, sing).with_floor(100))
-    report = verify_energy_bound(problem, -20.0, 0.1)
+    report = bound_chain(problem, -20.0, 0.1)
     for name, slack in report.slacks.items():
         assert slack >= -1e-9, name
 
@@ -218,16 +225,45 @@ def test_collar_state_serves_every_lambda_and_floor():
         fresh = MeanFieldProblem(fresh_mesh, build_weight(fresh_mesh, sing).with_floor(n))
         for lam in (-2.0, -20.0, -200.0):
             minimizer = minimize_free_energy(problem, lam)
-            report = verify_energy_bound(problem, lam, 0.1, minimizer=minimizer,
-                                         collar_state=collar_state)
+            report = verify_energy_bound(problem, minimizer, collar_state)
             assert report.f_collar == free_energy_of(fresh, collar, lam).free_energy
-            assert report == verify_energy_bound(fresh, lam, 0.1, minimizer=minimizer)
+            fresh_collar = free_energy_of(fresh, collar_density(fresh_mesh, 0.1), lam)
+            assert report == verify_energy_bound(fresh, minimizer, fresh_collar)
+
+
+def test_bound_chain_refuses_states_of_another_problem():
+    # a minimizer or collar evaluated on another floor or mesh would give a
+    # wrong slack without error (an n = 10 collar reads f_collar 0.0182 for
+    # the n = 100 problem's 0.1097), so it is refused, naming both floors
+    sing = SingularitySpec.of((0.0, 0.0, 0.5))
+    mesh = build_mesh(DomainSpec.unit_disk(), sing, h_max=0.12)
+    weight = build_weight(mesh, sing)
+    p10, p100 = (MeanFieldProblem(mesh, weight.with_floor(n)) for n in (10, 100))
+    collar = collar_density(mesh, 0.1)
+    minimizer = minimize_free_energy(p100, -20.0)
+    collar_state = free_energy_of(p100, collar, -20.0)
+    coarse_mesh = build_mesh(DomainSpec.unit_disk(), sing, h_max=0.15)
+    coarse = MeanFieldProblem(coarse_mesh, build_weight(coarse_mesh, sing).with_floor(100))
+    foreign = [
+        (minimizer, free_energy_of(p10, collar, -20.0), "collar of floor n = 10.0"),
+        (minimize_free_energy(p10, -20.0), collar_state, "minimizer of floor n = 10.0"),
+        (minimizer, free_energy_of(coarse, collar_density(coarse_mesh, 0.1), -20.0),
+         f"collar of floor n = 100.0 on {coarse_mesh.n_vertices} vertices"),
+    ]
+    for m, c, named in foreign:
+        with pytest.raises(InvalidDensity, match=named + ".* floor n = 100.0 on 310"):
+            verify_energy_bound(p100, m, c)
+    # the matching states give the chain's report
+    report = verify_energy_bound(p100, minimizer, collar_state)
+    assert report.f_collar == pytest.approx(0.10965856158511147, rel=1e-10)
+    assert report.f_minimizer == pytest.approx(-0.5257590996830688, rel=1e-10)
+    assert report.slacks["collar"] == pytest.approx(0.6354176612681802, rel=1e-10)
 
 
 def test_mesh_assembles_its_mass_matrix_once(monkeypatch):
     # the exact P1 mass matrix depends on the mesh alone: evaluating a density
-    # and verifying the bound chain at several lambdas, with no collar_state
-    # shared, assembles it once, counted at every name the package calls it by
+    # and verifying the bound chain at several lambdas, each with its own
+    # collar, assembles it once, counted at every name the package calls it by
     problem = make_problem(DomainSpec.unit_disk(), SingularitySpec.none(), 0.08)
     collar = collar_density(problem.mesh, 0.1)
     calls, real = [], fem.assemble_mass
@@ -241,7 +277,7 @@ def test_mesh_assembles_its_mass_matrix_once(monkeypatch):
             monkeypatch.setattr(module, "assemble_mass", counting)
     for lam in (-2.0, -20.0, -200.0):
         free_energy_of(problem, collar, lam)
-        verify_energy_bound(problem, lam, 0.1)
+        bound_chain(problem, lam, 0.1)
     assert len(calls) == 1 and calls[0] is problem.mesh
 
 

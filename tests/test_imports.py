@@ -4,7 +4,8 @@ from one that does not import its module back at top level, every
 module-level _private name or UPPER_CASE constant and every _private method
 is read by some module, every public name is read by the package or
 documented, every SuperLU factorization passes the shared recipe
-`fem.SPLU_RECIPE`, and only the Mesh builds the operators it owns.
+`fem.SPLU_RECIPE`, only the Mesh builds the operators it owns, and no
+parameter defaults to None only to be rebuilt from the others.
 
 pyflakes and ruff are not part of the toolchain, so these scans are the guard
 against imports, helpers and constants left behind when code is deleted, and
@@ -342,3 +343,73 @@ def test_scan_finds_a_mesh_operator_built_elsewhere():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_the_mesh_builds_its_operators(path):
     assert mesh_operators_built_elsewhere(path.read_text()) == []
+
+
+def rebuilt_defaults(source):
+    """(line, function, parameter) of each parameter that defaults to None
+    and, when None, is replaced by a call that reads another parameter:
+    `if p is None: p = f(q)` or `p if p is not None else f(q)` (either
+    orientation).  Such a parameter gives its function two paths whose
+    inputs can disagree; the caller hands in what the function works on.
+    """
+    def none_test(test, p):
+        """ast.Is for a test `p is None`, ast.IsNot for `p is not None`."""
+        if (isinstance(test, ast.Compare) and getattr(test.left, "id", None) == p
+                and len(test.ops) == 1 and isinstance(test.ops[0], (ast.Is, ast.IsNot))
+                and isinstance(test.comparators[0], ast.Constant)
+                and test.comparators[0].value is None):
+            return type(test.ops[0])
+        return None
+
+    def rebuilds(value, others):
+        return isinstance(value, ast.Call) and any(
+            isinstance(n, ast.Name) and n.id in others for n in ast.walk(value))
+
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        pairs = list(zip(positional[len(positional) - len(a.defaults):], a.defaults))
+        pairs += [(arg, d) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        params = {arg.arg for arg in positional + a.kwonlyargs}
+        for arg, default in pairs:
+            if not (isinstance(default, ast.Constant) and default.value is None):
+                continue
+            p, others = arg.arg, params - {arg.arg}
+            for node in ast.walk(fn):
+                if isinstance(node, ast.If) and none_test(node.test, p) is ast.Is:
+                    hit = any(isinstance(st, ast.Assign) and rebuilds(st.value, others)
+                              and any(getattr(t, "id", None) == p for t in st.targets)
+                              for st in node.body)
+                elif isinstance(node, ast.IfExp) and none_test(node.test, p):
+                    kept, built = ((node.orelse, node.body) if none_test(node.test, p) is ast.Is
+                                   else (node.body, node.orelse))
+                    hit = getattr(kept, "id", None) == p and rebuilds(built, others)
+                else:
+                    continue
+                if hit:
+                    found.add((node.lineno, fn.name, p))
+    return sorted(found)
+
+
+def test_scan_finds_a_rebuilt_default():
+    source = ("def f(problem, state, lin=None):\n"
+              "    if lin is None:\n        lin = build(problem, state)\n"
+              "class P:\n    def __init__(self, mesh, weight=None):\n"
+              "        self.weight = weight if weight is not None else make(mesh)\n"
+              "def g(lin, k, v0=None, warm=None):\n"
+              "    warm = warm or WarmStart()\n    n_i = len(lin.interior)\n"
+              "    return run(_fixed_start(n_i) if v0 is None else v0, k)\n"
+              "def h(mesh, sing=None):\n    if sing is None:\n"
+              "        sing = mesh.singularities\n"
+              "def q(a, b=None, c=None):\n    b = f(a) if b is None else b\n"
+              "    if c is None:\n        c = 2\n    return b, c\n")
+    assert rebuilt_defaults(source) == [(2, "f", "lin"), (6, "__init__", "weight"),
+                                        (15, "q", "b")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_rebuilt_defaults(path):
+    assert rebuilt_defaults(path.read_text()) == []

@@ -391,14 +391,14 @@ class TestSolveLP:
     def test_returned_state_on_minimal_branch(self, disk_problem, mu):
         state = disk_problem.solve_lp(mu)
         assert state.mu == pytest.approx(mu, rel=1e-9)
-        assert g_of(disk_problem, state).g > 0.0
+        assert g_of(Linearization.at_state(disk_problem, state), state).g > 0.0
 
     def test_below_band_near_fold_returns_direct_state(self, disk_problem):
         # g of the direct state is under G_DIRECT here, so the fold is
         # located; the request lies below the band, so the direct state stands
         mu = 1.97
         direct = disk_problem._lp_newton_negative(mu, NEWTON_TOL)
-        assert 0.0 < g_of(disk_problem, direct).g < G_DIRECT
+        assert 0.0 < g_of(Linearization.at_state(disk_problem, direct), direct).g < G_DIRECT
         state = disk_problem.solve_lp(mu)
         assert np.array_equal(state.psi, direct.psi) and state.lam == direct.lam
 
@@ -471,7 +471,7 @@ def test_lp_round_trip_nonradial(nonradial_problem, lam):
     mu = nonradial_problem.solve_mp(lam).mu
     state = nonradial_problem.solve_lp(mu)
     assert state.lam == pytest.approx(lam, rel=1e-8)
-    assert g_of(nonradial_problem, state).g > 0.0
+    assert g_of(Linearization.at_state(nonradial_problem, state), state).g > 0.0
 
 
 @pytest.mark.parametrize("form", sorted(NEWTON_FORMS))
@@ -603,7 +603,7 @@ def test_solve_lp_orders_each_pattern_once(monkeypatch):
     n = len(problem.interior)
     calls = count_splu(monkeypatch)
     state = problem.solve_lp(1.0)
-    g_of(problem, state)
+    g_of(Linearization.at_state(problem, state), state)
     assert calls == ([(n, "MMD_AT_PLUS_A")] + [(n, "NATURAL")] * (state.factorizations - 1)
                      + [(n + 1, "MMD_AT_PLUS_A"), (n + 1, "NATURAL")])
 

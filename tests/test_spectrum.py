@@ -47,7 +47,7 @@ def arpack_only():
 
 
 def test_bessel_oracles_at_lambda_zero(coarse_problem, coarse_states):
-    report = weighted_eigs(coarse_problem, coarse_states[0.0], k=5)
+    report = weighted_eigs(Linearization.at_state(coarse_problem, coarse_states[0.0]), k=5)
     # discrete eigenvalues approach the Bessel values from above
     assert report.tau1 == pytest.approx(oracle.TAU1_DISK, rel=0.02)
     assert report.poincare == pytest.approx(oracle.POINCARE_DISK, rel=0.02)
@@ -58,7 +58,7 @@ def test_bessel_oracles_at_lambda_zero(coarse_problem, coarse_states):
 
 def test_orderings(coarse_problem, coarse_states):
     for lam, state in coarse_states.items():
-        report = weighted_eigs(coarse_problem, state, k=3)
+        report = weighted_eigs(Linearization.at_state(coarse_problem, state), k=3)
         assert report.sigmas[0] >= report.tau1 > 0.0
         assert report.sigmas[0] + lam >= report.poincare > 0.0
         assert np.all(np.diff(report.sigmas) >= -1e-10)
@@ -68,13 +68,13 @@ def test_dense_matches_sparse(coarse_problem, coarse_states):
     state = coarse_states[0.0]
     assert len(coarse_problem.interior) <= 500
     dense = dense_sigma_oracle(coarse_problem, state, k=5)
-    sparse = weighted_eigs(coarse_problem, state, k=5)
+    sparse = weighted_eigs(Linearization.at_state(coarse_problem, state), k=5)
     assert sparse.method == "sparse"
     assert np.max(np.abs(dense - sparse.sigmas)) < 1e-8
 
 
 def test_vectors_clean(coarse_problem, coarse_states):
-    report = weighted_eigs(coarse_problem, coarse_states[0.0], k=6)
+    report = weighted_eigs(Linearization.at_state(coarse_problem, coarse_states[0.0]), k=6)
     assert report.ortho_error < 1e-8
     assert report.mean_error < 1e-9
     # eigenvectors vanish on the boundary
@@ -85,8 +85,8 @@ def test_vectors_clean(coarse_problem, coarse_states):
 def test_rayleigh_upper_bound(coarse_problem, coarse_states):
     # any mean-free Dirichlet trial field bounds sigma1 from above
     state = coarse_states[0.0]
-    report = weighted_eigs(coarse_problem, state, k=1)
     lin = Linearization.at_state(coarse_problem, state)
+    report = weighted_eigs(lin, k=1)
     mesh = coarse_problem.mesh
     trial = (1.0 - np.sum(mesh.vertices ** 2, axis=1)) * mesh.vertices[:, 0]
     trial[mesh.boundary_mask] = 0.0
@@ -98,22 +98,23 @@ def test_rayleigh_upper_bound(coarse_problem, coarse_states):
 def test_mode_coefficient_identity(coarse_problem):
     # a_j = sigma_j b_j ties the state, its derivative and the modes together
     state = coarse_problem.solve_mp(2.0)
-    eta = solve_eta(coarse_problem, state)
-    report = weighted_eigs(coarse_problem, state, k=8)
-    modes = expand_modes(coarse_problem, state, eta, report)
+    lin = Linearization.at_state(coarse_problem, state)
+    eta = solve_eta(lin, state)
+    report = weighted_eigs(lin, k=8)
+    modes = expand_modes(lin, state, eta, report)
     scale = np.max(np.abs(modes.a)) + 1e-30
     assert np.max(np.abs(modes.a - report.sigmas[:8] * modes.b)) < 1e-6 * scale
 
 
 def test_spectral_eta_reconstruction_improves(coarse_problem):
     state = coarse_problem.solve_mp(3.0)
-    eta = solve_eta(coarse_problem, state)
     lin = Linearization.at_state(coarse_problem, state)
+    eta = solve_eta(lin, state)
     errs = []
     for k in (5, 20):
         # eta reconstructed from the first k eigenmodes: a truncation
-        report = weighted_eigs(coarse_problem, state, k=k, lin=lin)
-        coeffs = expand_modes(coarse_problem, state, np.zeros_like(state.psi), report, lin=lin)
+        report = weighted_eigs(lin, k=k)
+        coeffs = expand_modes(lin, state, np.zeros_like(state.psi), report)
         eta_k = report.phis @ (coeffs.a / report.sigmas)
         errs.append(np.max(np.abs(eta_k - eta)))
     assert errs[1] < errs[0]
@@ -121,8 +122,8 @@ def test_spectral_eta_reconstruction_improves(coarse_problem):
 
 def test_tau1_and_poincare_standalone(coarse_problem, coarse_states):
     for lam, state in coarse_states.items():
-        t = standard_tau1(coarse_problem, state)
-        c = poincare_constant(coarse_problem, state)
+        lin = Linearization.at_state(coarse_problem, state)
+        t, c = standard_tau1(lin), poincare_constant(lin)
         assert t > 0 and c > 0
         _, tau1, poincare = dense_references(coarse_problem, state)
         assert t == pytest.approx(tau1, rel=1e-10), lam
@@ -236,7 +237,7 @@ def test_tau1_preconditioner_is_one_unrefined_bordered_solve(coarse_problem, coa
         return lobpcg(A, B, X, once, Y)
 
     monkeypatch.setattr(spectrum, "_lobpcg", counted)
-    tau1 = standard_tau1(coarse_problem, state, lin=lin)
+    tau1 = standard_tau1(lin)
     assert tau1 == pytest.approx(dense_references(coarse_problem, state)[1], rel=1e-10)
     assert len(steps) > 1 and set(steps) == {(1, 0)}
 
@@ -337,7 +338,7 @@ def test_sigma1_from_a_start_on_the_sigma2_mode(fine_problem, monkeypatch):
     calls = counting_eigsh(monkeypatch)
     for share in (0.0, 1e-11):
         v0 = modes[:, 0] + share * modes[:, 1]
-        sig = spectrum._sigma_sparse(fine_problem, lin, state.lam, 1, v0=v0)[0]
+        sig = spectrum._sigma_sparse(lin, 1, v0=v0)[0]
         assert sig[0] == pytest.approx(sigma1, rel=1e-10), share
     assert misses == [True, True]
     assert calls == [None, None]
@@ -351,7 +352,7 @@ def test_tiny_meshes_match_dense(h_max, n_interior, method):
     problem = make_problem(DomainSpec.unit_disk(), SingularitySpec.none(), h_max)
     assert len(problem.interior) == n_interior
     state = problem.solve_mp(4.0)
-    report = weighted_eigs(problem, state, k=1)
+    report = weighted_eigs(Linearization.at_state(problem, state), k=1)
     assert report.method == method
     sigma1, tau1, poincare = dense_references(problem, state)
     assert report.sigmas[0] == pytest.approx(sigma1, rel=1e-10)
@@ -396,13 +397,13 @@ def test_warm_started_trace_matches_cold_solves(case, request, monkeypatch):
     calls = counting_eigsh(monkeypatch)
     rows = []
 
-    def warm_and_cold(problem, state, k=10, lin=None, warm=None, **kwargs):
+    def warm_and_cold(lin, k=10, warm=None, **kwargs):
         before = len(calls)
-        report = weighted_eigs(problem, state, k=k, lin=lin, warm=warm, **kwargs)
+        report = weighted_eigs(lin, k=k, warm=warm, **kwargs)
         warm_eigsh = len(calls) - before
         with arpack_only():
-            cold = weighted_eigs(problem, state, k=k, lin=lin, **kwargs)
-        rows.append((state.lam, warm, warm_eigsh, report, cold))
+            cold = weighted_eigs(lin, k=k, **kwargs)
+        rows.append((lin.lam, warm, warm_eigsh, report, cold))
         return report
 
     monkeypatch.setattr(branch, "weighted_eigs", warm_and_cold)
@@ -423,7 +424,8 @@ def test_lobpcg_bases_have_no_zero_column(disk_problem, monkeypatch):
     state = disk_problem.solve_mp(4.0)
     lin = Linearization.at_state(disk_problem, state)
     warm = WarmStart()
-    weighted_eigs(disk_problem, disk_problem.solve_mp(3.5), k=1, warm=warm)
+    weighted_eigs(Linearization.at_state(disk_problem, disk_problem.solve_mp(3.5)), k=1,
+                  warm=warm)
     rayleigh_ritz, blocks = spectrum._rayleigh_ritz, []
 
     def checked(basis, n, k):
@@ -434,7 +436,7 @@ def test_lobpcg_bases_have_no_zero_column(disk_problem, monkeypatch):
     monkeypatch.setattr(spectrum, "_rayleigh_ritz", checked)
     for solve in (standard_tau1, poincare_constant):
         blocks.clear()
-        assert solve(disk_problem, state, lin=lin, warm=warm.copy()) > 0.0
+        assert solve(lin, warm=warm.copy()) > 0.0
         assert blocks[:2] == [1, 2] and 3 in blocks, solve
 
 
@@ -442,33 +444,34 @@ def test_lobpcg_miss_falls_back_to_cold_arpack(disk_problem, monkeypatch):
     state = disk_problem.solve_mp(4.0)
     lin = Linearization.at_state(disk_problem, state)
     with arpack_only():
-        cold_sigma = weighted_eigs(disk_problem, state, k=1, lin=lin).sigmas[0]
-        cold_tau = standard_tau1(disk_problem, state, lin=lin)
-        cold_cp = poincare_constant(disk_problem, state, lin=lin)
+        cold_sigma = weighted_eigs(lin, k=1).sigmas[0]
+        cold_tau = standard_tau1(lin)
+        cold_cp = poincare_constant(lin)
     warm = WarmStart()
-    weighted_eigs(disk_problem, disk_problem.solve_mp(3.5), k=1, warm=warm)
+    weighted_eigs(Linearization.at_state(disk_problem, disk_problem.solve_mp(3.5)), k=1,
+                  warm=warm)
     calls = counting_eigsh(monkeypatch)
     # from a neighbouring row's vectors Lanczos and LOBPCG converge without
     # ARPACK
     v0 = warm.sigma.sum(axis=1)
-    assert spectrum._sigma_sparse(disk_problem, lin, state.lam, 1, v0=v0)[0][0] == \
+    assert spectrum._sigma_sparse(lin, 1, v0=v0)[0][0] == \
         pytest.approx(cold_sigma, rel=1e-10)
-    assert standard_tau1(disk_problem, state, lin=lin, warm=warm.copy()) == \
+    assert standard_tau1(lin, warm=warm.copy()) == \
         pytest.approx(cold_tau, rel=1e-10)
-    assert poincare_constant(disk_problem, state, lin=lin, warm=warm.copy()) == \
+    assert poincare_constant(lin, warm=warm.copy()) == \
         pytest.approx(cold_cp, rel=1e-10)
     assert calls == []
     # one iteration cannot converge: each solve falls back to the cold path
     monkeypatch.setattr(spectrum, "LOBPCG_MAXITER", 1)
     block = warm.poincare
-    assert standard_tau1(disk_problem, state, lin=lin, warm=warm) == \
+    assert standard_tau1(lin, warm=warm) == \
         pytest.approx(cold_tau, rel=1e-12)
-    assert poincare_constant(disk_problem, state, lin=lin, warm=warm) == \
+    assert poincare_constant(lin, warm=warm) == \
         pytest.approx(cold_cp, rel=1e-12)
     assert calls == [None, -1.0]
     assert warm.poincare is block            # a fallback keeps the C_P block
     # so does sigma_1's Lanczos run, by one ARPACK call
     monkeypatch.setattr(spectrum, "LANCZOS_MAXITER", 1)
-    assert spectrum._sigma_sparse(disk_problem, lin, state.lam, 1, v0=v0)[0][0] == \
+    assert spectrum._sigma_sparse(lin, 1, v0=v0)[0][0] == \
         pytest.approx(cold_sigma, rel=1e-12)
     assert calls == [None, -1.0, None]
