@@ -26,7 +26,9 @@ row's LU lives until the next row is accepted, never into its diagnostics.
 The march keeps the (state, g diagnostics) pairs of the rows either side of
 each sign change of g, and find_fold, the one fold locator of trace_branch
 and of solve_lp's fallback, takes the root of g inside the one bracket by
-Brent's method, each trial state predicted from the lower row.
+Brent's method, each trial state predicted from the lower row.  The Brent
+search is the package's own, _brent_root, which takes scipy.optimize.brentq's
+steps one for one, so the package never imports scipy.optimize.
 
 Classification follows the definition of the kind: a domain is of first
 kind when the mean-field equation has no solution at lambda = 8 pi, so the
@@ -43,7 +45,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (BlowupDetected, ConfigError, FoldSingularity, NoConvergence,
                      NoFoldInRange)
@@ -339,27 +340,20 @@ def trace_branch(problem: MeanFieldProblem, lam_min: float = LAM_MIN,
     return diagram
 
 
-class _FoldFound(Exception):
-    """Ends the root search once a trial state meets the g tolerance."""
-
-    def __init__(self, state):
-        super().__init__()
-        self.state = state
-
-
 def find_fold(problem: MeanFieldProblem, brackets,
               newton_tol: float = NEWTON_TOL) -> MeanFieldState:
     """The state with |g| < FOLD_G_TOL inside the one bracket of a march.
 
     brackets holds _march's (lo, hi) pairs of (state, g diagnostics) either
     side of each sign change of g.  The root of g in lambda is found by
-    Brent's method; each trial lambda is one Newton solve to newton_tol
-    started from the Euler predictor psi_lo + (lambda - lambda_lo) eta_lo,
-    then one g evaluation, so no state is solved from scratch.  Raises
-    NoFoldInRange when g does not change sign (the legitimate outcome for
-    second-kind runs), when it changes sign more than once, and, naming
-    the bracket, when g has no sign change on it or the root search ends
-    without meeting FOLD_G_TOL.
+    _brent_root, handed the bracket's two g values; each trial lambda is one
+    Newton solve to newton_tol started from the Euler predictor
+    psi_lo + (lambda - lambda_lo) eta_lo, then one g evaluation, so no state
+    is solved from scratch.  Raises NoFoldInRange when g does not change
+    sign (the legitimate outcome for second-kind runs), when it changes sign
+    more than once, and, naming the bracket, when g has no sign change on
+    it, when g is not finite at a trial lambda, or when the root search
+    ends without meeting FOLD_G_TOL.
     """
     if not brackets:
         raise NoFoldInRange("g does not change sign on the sampled grid")
@@ -373,24 +367,66 @@ def find_fold(problem: MeanFieldProblem, brackets,
             return state
     if (d_lo.g > 0) == (d_hi.g > 0):
         raise NoFoldInRange(f"g does not change sign on {bracket}")
-    known = {s_lo.lam: d_lo.g, s_hi.lam: d_hi.g}
+    fold = []
 
     def g(lam):
-        if lam in known:
-            return known[lam]
         guess = s_lo.psi + (lam - s_lo.lam) * d_lo.eta
         state = problem._newton(lam, guess, newton_tol)
         value = g_of(Linearization.at_state(problem, state), state).g
+        if not math.isfinite(value):
+            raise NoFoldInRange(f"g is {value!r} at the trial lambda {lam!r} on {bracket}")
         if abs(value) < FOLD_G_TOL:
-            raise _FoldFound(state)
+            fold.append(state)
+            return 0.0              # a root to the search, which ends there
         return value
 
-    try:
-        brentq(g, s_lo.lam, s_hi.lam, xtol=1e-14, rtol=8.9e-16, disp=False)
-    except _FoldFound as found:
-        return found.state
+    _brent_root(g, s_lo.lam, s_hi.lam, d_lo.g, d_hi.g, xtol=1e-14, rtol=8.9e-16,
+                maxiter=100)
+    if fold:
+        return fold[0]
     raise NoFoldInRange(
         f"root search on g did not reach |g| < {FOLD_G_TOL:g} on {bracket}")
+
+
+def _brent_root(f, a, b, fa, fb, xtol, rtol, maxiter):
+    """A root of f on [a, b] by Brent's method (Brent 1973, ch. 4), taking
+    scipy.optimize.brentq's steps one for one: fa = f(a) and fb = f(b) are
+    nonzero and of opposite signs, and f returns finite values.  Returns the
+    last iterate once f vanishes there or the bracket is narrower than
+    xtol + rtol |x|, or after maxiter evaluations of f.
+    """
+    xpre, xcur, fpre, fcur = float(a), float(b), float(fa), float(fb)
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:                    # a zero divisor gives scipy inf or nan: bisect
+                if xpre == xblk:
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    return xcur
 
 
 def classify_kind(problem: MeanFieldProblem, termination: str, last,

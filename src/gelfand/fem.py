@@ -340,7 +340,7 @@ class DirichletSolver:
         u[self.interior] = self.lu.solve(rhs_i)
         res = self.A_ii @ u[self.interior] - rhs_i
         scale = max(np.linalg.norm(rhs_i), 1e-300)
-        if np.linalg.norm(res) > 1e-8 * scale:
+        if not np.linalg.norm(res) <= 1e-8 * scale:      # NaN fails it too
             raise SolverError("Dirichlet solve residual too large")
         return u
 

@@ -550,7 +550,7 @@ class Linearization:
             corr = lu.solve(np.concatenate([res, [0.0]]))
             x = x - corr[:-1]
         res = self.apply(x) - rhs_interior
-        if np.linalg.norm(res) > 1e-6 * scale:
+        if not np.linalg.norm(res) <= 1e-6 * scale:      # NaN fails it too
             raise FoldSingularity("linearized solve lost accuracy (near-singular)")
         return x
 

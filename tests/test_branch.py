@@ -1,16 +1,18 @@
 import math
+import random
 import weakref
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.sparse.linalg import eigsh
 
 import radial_oracle as oracle
 from gelfand import branch, meanfield
-from gelfand.branch import (CSV_HEADER, EPS_STOP, _march, _negative_targets,
-                            _positive_targets, classify_kind, dE_dlambda, emit_diagram,
-                            find_fold, g_of, plot_csv, read_csv, solve_eta, trace_branch,
-                            write_csv)
+from gelfand.branch import (CSV_HEADER, EPS_STOP, GDiagnostics, _brent_root, _march,
+                            _negative_targets, _positive_targets, classify_kind,
+                            dE_dlambda, emit_diagram, find_fold, g_of, plot_csv, read_csv,
+                            solve_eta, trace_branch, write_csv)
 from gelfand.errors import ConfigError, NoConvergence, NoFoldInRange
 from gelfand.geometry import DomainSpec, SingularitySpec, build_mesh, uniform_weight
 from gelfand.meanfield import EIGHT_PI, NEWTON_TOL, Linearization, MeanFieldProblem
@@ -382,13 +384,84 @@ def test_locate_fold_requires_sign_change(disk_problem):
         find_fold(disk_problem, [pairs])
 
 
-def test_locate_fold_reports_unmet_tolerance(coarse_problem, monkeypatch):
-    pairs = [(s, g_of(Linearization.at_state(coarse_problem, s), s)) for s in
-             (coarse_problem.solve_mp(12.0), coarse_problem.solve_mp(13.0))]
+def coarse_fold_bracket(problem):
+    """The (state, g diagnostics) pairs at 12 and 13, either side of the
+    fold of the coarse disk."""
+    pairs = [(s, g_of(Linearization.at_state(problem, s), s)) for s in
+             (problem.solve_mp(12.0), problem.solve_mp(13.0))]
     assert pairs[0][1].g > 0 > pairs[1][1].g
+    return pairs
+
+
+def test_locate_fold_reports_unmet_tolerance(coarse_problem, monkeypatch):
+    pairs = coarse_fold_bracket(coarse_problem)
     monkeypatch.setattr(branch, "FOLD_G_TOL", 0.0)
     with pytest.raises(NoFoldInRange, match=r"did not reach \|g\| < 0 on \[12\.0, 13\.0\]"):
         find_fold(coarse_problem, [pairs])
+
+
+def test_locate_fold_refuses_a_nan_g(coarse_problem, monkeypatch):
+    # a NaN g at a trial lambda raises a GelfandError naming the bracket
+    pairs = coarse_fold_bracket(coarse_problem)
+    monkeypatch.setattr(branch, "g_of", lambda lin, state: GDiagnostics(math.nan, None))
+    with pytest.raises(NoFoldInRange,
+                       match=r"g is nan at the trial lambda 12\.\d+ on \[12\.0, 13\.0\]"):
+        find_fold(coarse_problem, [pairs])
+
+
+def brent_brackets(seed, count):
+    """(f, a, b) of count brackets drawn from seeded families: cubics, tanh
+    and exp fronts, and staircases of subnormal values, whose divided
+    differences underflow to 0 and so take the zero-divisor bisection."""
+    rng = random.Random(seed)
+
+    def cubic(r):
+        c, d = rng.uniform(0.1, 3.0), rng.uniform(-1.0, 1.0)
+        return lambda x: c * (x - r) ** 3 + d * (x - r)
+
+    def front(r):
+        k = 10.0 ** rng.uniform(-1.0, 2.0)
+        return lambda x: math.tanh(k * (x - r))
+
+    def growth(r):
+        k = rng.uniform(0.2, 3.0)
+        return lambda x: math.expm1(k * (x - r))
+
+    def subnormal_stairs(r):
+        s = rng.choice([0.1, 1.0, 3.0])
+        return lambda x: 5e-324 * (2 * math.floor(s * (x - r)) + 1)
+
+    out = []
+    while len(out) < count:
+        family = rng.choice([cubic, front, growth, subnormal_stairs])
+        r = rng.uniform(-2.0, 2.0)
+        f = family(r)
+        width = (0.0, 3.0) if family is subnormal_stairs else (-3.0, 1.0)
+        a, b = r - 10.0 ** rng.uniform(*width), r + 10.0 ** rng.uniform(*width)
+        if rng.random() < 0.5:
+            a, b = b, a
+        fa, fb = f(a), f(b)
+        if fa != 0 and fb != 0 and (fa > 0) != (fb > 0):
+            out.append((f, a, b))
+    return out
+
+
+def test_brent_root_takes_the_steps_of_scipy_brentq():
+    # find_fold's tolerances, scipy's defaults, and a maxiter cap that is hit
+    settings = [(1e-14, 8.9e-16, 100), (2e-12, 4 * np.finfo(float).eps, 100),
+                (2e-12, 4 * np.finfo(float).eps, 5)]
+    capped = 0
+    for f, a, b in brent_brackets(seed=34, count=300):
+        for xtol, rtol, maxiter in settings:
+            ours, theirs = [], []
+            root = _brent_root(lambda x: ours.append(x) or f(x), a, b, f(a), f(b),
+                               xtol, rtol, maxiter)
+            oracle_root = brentq(lambda x: theirs.append(x) or f(x), a, b, xtol=xtol,
+                                 rtol=rtol, maxiter=maxiter, disp=False)
+            assert theirs[:2] == [a, b]
+            assert ours == theirs[2:] and root == oracle_root, (a, b, xtol, rtol, maxiter)
+            capped += len(ours) == maxiter
+    assert capped > 0
 
 
 def march_from_zero(problem, tol):

@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from gelfand import fem
+from gelfand.errors import SolverError
 from gelfand.fem import (DirichletSolver, assemble_mass, assemble_stiffness,
                          plain_quadrature, weighted_quadrature)
 from gelfand.geometry import (DomainSpec, SingularitySpec, build_mesh, build_weight,
@@ -75,6 +76,14 @@ def test_dirichlet_patch_linear(coarse_problem):
     solver = DirichletSolver(A, mesh.boundary_mask)
     u = solver.solve(np.zeros(mesh.n_vertices), boundary_values=g)
     assert np.max(np.abs(u - g)) < 1e-10
+
+
+def test_dirichlet_solve_refuses_a_nan_rhs(coarse_problem):
+    # a NaN residual fails the residual guard instead of passing as a solution
+    load = np.ones(coarse_problem.mesh.n_vertices)
+    load[coarse_problem.interior[0]] = math.nan
+    with pytest.raises(SolverError, match="residual too large"):
+        coarse_problem.dirichlet.solve(load)
 
 
 def test_torsion_center_value():

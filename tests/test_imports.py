@@ -4,8 +4,9 @@ from one that does not import its module back at top level, every
 module-level _private name or UPPER_CASE constant and every _private method
 is read by some module, every public name is read by the package or
 documented, every SuperLU factorization passes the shared recipe
-`fem.SPLU_RECIPE`, only the Mesh builds the operators it owns, and no
-parameter defaults to None only to be rebuilt from the others.
+`fem.SPLU_RECIPE`, only the Mesh builds the operators it owns, no
+parameter defaults to None only to be rebuilt from the others, and
+importing the package and its CLI loads only the allowed scipy subpackages.
 
 pyflakes and ruff are not part of the toolchain, so these scans are the guard
 against imports, helpers and constants left behind when code is deleted, and
@@ -14,7 +15,10 @@ __init__.py: it imports names only to re-export them.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -413,3 +417,21 @@ def test_scan_finds_a_rebuilt_default():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_rebuilt_defaults(path):
     assert rebuilt_defaults(path.read_text()) == []
+
+
+# the public scipy subpackages `import gelfand, gelfand.cli` loads: the four
+# the package imports (sparse with sparse.linalg, linalg, spatial, special),
+# scipy.version (scipy's own) and scipy.constants (scipy.spatial's);
+# scipy.optimize alone weighed about 9.5 MiB of RSS
+SCIPY_SUBPACKAGES = {"constants", "linalg", "sparse", "spatial", "special", "version"}
+
+
+def test_import_loads_only_the_allowed_scipy_subpackages():
+    probe = ("import sys\nimport gelfand, gelfand.cli\n"
+             "print(' '.join(m for m in sys.modules if m.startswith('scipy.')))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=env).stdout.split()
+    loaded = {m.split(".")[1] for m in out}
+    assert "optimize" not in loaded
+    assert {name for name in loaded if not name.startswith("_")} == SCIPY_SUBPACKAGES

@@ -13,7 +13,8 @@ import radial_oracle as oracle
 from conftest import make_problem
 from gelfand import meanfield
 from gelfand.branch import g_of, trace_branch
-from gelfand.errors import BlowupDetected, ConfigError, NoConvergence, OverflowGuard
+from gelfand.errors import (BlowupDetected, ConfigError, FoldSingularity, NoConvergence,
+                            OverflowGuard)
 from gelfand.fem import SPLU_RECIPE
 from gelfand.geometry import DomainSpec, SingularitySpec, build_mesh, build_weight
 from gelfand.meanfield import (EIGHT_PI, G_DIRECT, NEWTON_TOL, TRUST_SUP,
@@ -175,6 +176,15 @@ def test_concentration_scanned_only_at_eight_pi(coarse_problem, monkeypatch):
     coarse_problem.solve_mp(EIGHT_PI - 0.5)      # cold start: one Newton solve from 0
     coarse_problem.solve_lp(1.0)
     coarse_problem.solve_lp(-1.0)
+
+
+def test_linearized_solve_refuses_a_nan_rhs(coarse_problem):
+    # a NaN residual fails the accuracy guard instead of passing as a solution
+    lin = Linearization.at_state(coarse_problem, coarse_problem.solve_mp(2.0))
+    rhs = np.ones(len(coarse_problem.interior))
+    rhs[0] = math.nan
+    with pytest.raises(FoldSingularity, match="lost accuracy"):
+        lin.solve(rhs)
 
 
 def test_overflow_guard(disk_problem):
